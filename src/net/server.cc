@@ -92,6 +92,9 @@ struct Server::RequestBatch {
 };
 
 struct Server::NetThread {
+  explicit NetThread(serve::CorrelationIndex::Reader index_reader)
+      : reader(std::move(index_reader)) {}
+
   int index = 0;
   int epoll_fd = -1;
   int event_fd = -1;
@@ -111,6 +114,10 @@ struct Server::NetThread {
   /// Idle / write-stall timers for this thread's connections; swept after
   /// each epoll round when either reaper is configured.
   TimerWheel wheel;
+
+  /// This thread's own index view for groups it executes inline.
+  serve::CorrelationIndex::Reader reader;
+  std::vector<serve::ScoredSet> scratch;
 };
 
 /// Why a connection is being torn down — routes the close into the right
@@ -134,6 +141,7 @@ struct Server::Instruments {
   telemetry::Counter* disconnects = nullptr;
   telemetry::Counter* protocol_errors = nullptr;
   telemetry::Counter* batches = nullptr;
+  telemetry::Counter* inline_batches = nullptr;
   telemetry::Counter* bytes_read = nullptr;
   telemetry::Counter* bytes_written = nullptr;
   telemetry::Counter* shed_requests = nullptr;
@@ -188,6 +196,7 @@ struct Server::Instruments {
     protocol_errors =
         registry->GetCounter("corrtrack_net_protocol_errors_total");
     batches = registry->GetCounter("corrtrack_net_batches_total");
+    inline_batches = registry->GetCounter("corrtrack_net_inline_batches_total");
     bytes_read = registry->GetCounter("corrtrack_net_bytes_read_total");
     bytes_written = registry->GetCounter("corrtrack_net_bytes_written_total");
     shed_requests = registry->GetCounter("corrtrack_net_shed_requests_total");
@@ -203,6 +212,17 @@ struct Server::Instruments {
         registry->GetCounter("corrtrack_net_slow_client_closed_total");
     drain_closed = registry->GetCounter("corrtrack_net_drain_closed_total");
     open_connections = registry->GetGauge("corrtrack_net_open_connections");
+  }
+
+  /// Closes the socket-to-socket spans of a group whose responses were
+  /// just flushed: the flush stage and each request's end-to-end latency.
+  void RecordFlushed(const std::vector<Request>& requests, int64_t arrival_ns,
+                     int64_t flush_start_ns) {
+    const int64_t flushed_ns = telemetry::MonotonicNanos();
+    RecordNs(stage_flush, flushed_ns - flush_start_ns);
+    for (const Request& request : requests) {
+      RecordNs(request_ns[OpIndex(request.op)], flushed_ns - arrival_ns);
+    }
   }
 
   void ConnectionOpened() {
@@ -278,7 +298,7 @@ bool Server::Start(std::string* error) {
 
   net_threads_.clear();
   for (int i = 0; i < config_.num_net_threads; ++i) {
-    auto net = std::make_unique<NetThread>();
+    auto net = std::make_unique<NetThread>(index_->NewReader());
     net->index = i;
     net->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     net->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -403,65 +423,9 @@ void Server::ReaderThreadMain() {
   while (queue_->Pop(&batch)) {
     const int64_t dequeued_ns = telemetry::MonotonicNanos();
     RecordNs(ins.stage_queue, dequeued_ns - batch->enqueue_ns);
-    for (const Request& request : batch->requests) {
-      // Deadline enforcement happens HERE, at dequeue: a request whose
-      // budget burned away in the queue is answered without touching the
-      // index — under overload that converts wasted work into fast
-      // failures the client already knows how to interpret.
-      if (request.deadline_ns != 0 && request.op != Opcode::kDeadline &&
-          dequeued_ns > request.deadline_ns) {
-        AppendErrorResponse(request.request_id, ErrorCode::kDeadlineExceeded,
-                            "deadline expired before execution",
-                            &batch->responses);
-        Bump(ins.deadline_exceeded);
-        Bump(ins.requests_total[Instruments::OpIndex(request.op)]);
-        continue;
-      }
-      switch (request.op) {
-        case Opcode::kTopCorrelated: {
-          const uint32_t k = request.k < kMaxTopK ? request.k : kMaxTopK;
-          reader.TopCorrelated(request.tag, k, &scratch);
-          AppendScoredSetsResponse(Opcode::kScoredSets, request.request_id,
-                                   scratch, &batch->responses);
-          break;
-        }
-        case Opcode::kLookup:
-          AppendLookupResponse(request.request_id, reader.Lookup(request.tags),
-                               &batch->responses);
-          break;
-        case Opcode::kSnapshot: {
-          reader.Snapshot(request.min_jaccard, &scratch);
-          if (request.limit != 0 && scratch.size() > request.limit) {
-            scratch.resize(request.limit);
-          }
-          AppendScoredSetsResponse(Opcode::kSnapshotSets, request.request_id,
-                                   scratch, &batch->responses);
-          break;
-        }
-        case Opcode::kPing:
-          AppendPongResponse(request.request_id, &batch->responses);
-          break;
-        case Opcode::kDeadline:
-          // The directive itself was applied at decode on the net thread
-          // (budget_ms holds the post-clamp value); here we only owe the
-          // in-order acknowledgement.
-          AppendDeadlineAckResponse(request.request_id, request.budget_ms,
-                                    &batch->responses);
-          break;
-        case Opcode::kStats:
-        default: {
-          StatsResult stats;
-          stats.epoch = index_->epoch();
-          stats.latest_period = index_->latest_period();
-          stats.total_sets = reader.TotalSets();
-          stats.num_shards = index_->num_shards();
-          AppendStatsResponse(request.request_id, stats, &batch->responses);
-          break;
-        }
-      }
-      Bump(ins.requests_total[Instruments::OpIndex(request.op)]);
-    }
-    RecordNs(ins.stage_execute, telemetry::MonotonicNanos() - dequeued_ns);
+    ExecuteRequests(reader, &scratch, batch->requests, dequeued_ns,
+                    &batch->responses);
+    reader_batches_.fetch_sub(1, std::memory_order_release);
     NetThread& net = *net_threads_[batch->net_thread];
     {
       std::lock_guard<std::mutex> lock(net.mutex);
@@ -470,6 +434,80 @@ void Server::ReaderThreadMain() {
     uint64_t wake = 1;
     [[maybe_unused]] ssize_t n = ::write(net.event_fd, &wake, sizeof(wake));
   }
+}
+
+int64_t Server::ExecuteRequests(const serve::CorrelationIndex::Reader& reader,
+                                std::vector<serve::ScoredSet>* scratch,
+                                const std::vector<Request>& requests,
+                                int64_t start_ns, std::string* out) {
+  Instruments& ins = *instruments_;
+  for (const Request& request : requests) {
+    // Deadline enforcement happens HERE, at execution start: a request
+    // whose budget burned away in the queue is answered without touching
+    // the index — under overload that converts wasted work into fast
+    // failures the client already knows how to interpret.
+    if (request.deadline_ns != 0 && request.op != Opcode::kDeadline &&
+        start_ns > request.deadline_ns) {
+      AppendErrorResponse(request.request_id, ErrorCode::kDeadlineExceeded,
+                          "deadline expired before execution", out);
+      Bump(ins.deadline_exceeded);
+      Bump(ins.requests_total[Instruments::OpIndex(request.op)]);
+      continue;
+    }
+    switch (request.op) {
+      case Opcode::kTopCorrelated: {
+        const uint32_t k = request.k < kMaxTopK ? request.k : kMaxTopK;
+        reader.TopCorrelated(request.tag, k, scratch);
+        AppendScoredSetsResponse(Opcode::kScoredSets, request.request_id,
+                                 *scratch, out);
+        break;
+      }
+      case Opcode::kLookup:
+        AppendLookupResponse(request.request_id, reader.Lookup(request.tags),
+                             out);
+        break;
+      case Opcode::kSnapshot: {
+        reader.Snapshot(request.min_jaccard, scratch);
+        if (request.limit != 0 && scratch->size() > request.limit) {
+          scratch->resize(request.limit);
+        }
+        AppendScoredSetsResponse(Opcode::kSnapshotSets, request.request_id,
+                                 *scratch, out);
+        break;
+      }
+      case Opcode::kPing:
+        AppendPongResponse(request.request_id, out);
+        break;
+      case Opcode::kDeadline:
+        // The directive itself was applied at decode on the net thread
+        // (budget_ms holds the post-clamp value); here we only owe the
+        // in-order acknowledgement.
+        AppendDeadlineAckResponse(request.request_id, request.budget_ms, out);
+        break;
+      case Opcode::kStats:
+      default: {
+        StatsResult stats;
+        stats.epoch = index_->epoch();
+        stats.latest_period = index_->latest_period();
+        stats.total_sets = reader.TotalSets();
+        stats.num_shards = index_->num_shards();
+        AppendStatsResponse(request.request_id, stats, out);
+        break;
+      }
+    }
+    Bump(ins.requests_total[Instruments::OpIndex(request.op)]);
+  }
+  const int64_t done_ns = telemetry::MonotonicNanos();
+  RecordNs(ins.stage_execute, done_ns - start_ns);
+  return done_ns;
+}
+
+bool Server::RunsInline(const std::vector<Request>& requests) const {
+  if (requests.size() > kInlineMaxRequests) return false;
+  for (const Request& request : requests) {
+    if (request.op == Opcode::kSnapshot) return false;
+  }
+  return reader_batches_.load(std::memory_order_acquire) == 0;
 }
 
 // ------------------------------------------------------------ net threads
@@ -615,12 +653,7 @@ void Server::ProcessCompletions(NetThread& net) {
       conn.closing = true;
     }
     if (!FlushWrites(net, conn)) continue;
-    const int64_t flushed_ns = telemetry::MonotonicNanos();
-    RecordNs(ins.stage_flush, flushed_ns - flush_start_ns);
-    for (const Request& request : batch->requests) {
-      RecordNs(ins.request_ns[Instruments::OpIndex(request.op)],
-               flushed_ns - batch->arrival_ns);
-    }
+    ins.RecordFlushed(batch->requests, batch->arrival_ns, flush_start_ns);
     if (!conn.closing) {
       UpdateInterest(net, conn);
       DecodeAndSubmit(net, conn);  // Frames that arrived behind the batch.
@@ -671,10 +704,11 @@ void Server::DecodeAndSubmit(NetThread& net, Connection& conn) {
   bool decode_error = false;
   // Outer loop: one decoded GROUP per iteration. A group that the queue
   // admits becomes the connection's in-flight batch and we return; a group
-  // that admission control refuses is shed wholesale (per-request
-  // kOverloaded frames appended in order) and we decode the next group, so
-  // complete frames never sit in in_buf with nothing scheduled to revisit
-  // them (level-triggered epoll only re-reports SOCKET bytes).
+  // that runs inline, or that admission control refuses (shed wholesale:
+  // per-request kOverloaded frames appended in order), is answered on the
+  // spot and we decode the next group, so complete frames never sit in
+  // in_buf with nothing scheduled to revisit them (level-triggered epoll
+  // only re-reports SOCKET bytes).
   while (true) {
     std::vector<Request> requests;
     std::string_view view(conn.in_buf.data() + conn.in_off,
@@ -725,6 +759,23 @@ void Server::DecodeAndSubmit(NetThread& net, Connection& conn) {
     }
     if (requests.empty()) break;
 
+    if (RunsInline(requests)) {
+      // The reader pool is idle, so queueing would only add a futex wake,
+      // an eventfd wake back and an EPOLLIN park/re-arm to this group.
+      RecordNs(ins.stage_decode, decode_ns - conn.arrival_ns);
+      Bump(ins.batches);
+      Bump(ins.inline_batches);
+      const int64_t flush_start_ns =
+          ExecuteRequests(net.reader, &net.scratch, requests,
+                          telemetry::MonotonicNanos(), &conn.out_buf);
+      // A decode error behind these frames: the tail below appends the
+      // error frame after their answers and flushes both.
+      if (decode_error) break;
+      if (!FlushWrites(net, conn)) return;
+      ins.RecordFlushed(requests, conn.arrival_ns, flush_start_ns);
+      continue;
+    }
+
     // Admission control. The watermark sheds early (before the queue is
     // outright full); TryPush failure is the no-watermark backstop. Either
     // way the net thread NEVER blocks on the queue.
@@ -739,6 +790,7 @@ void Server::DecodeAndSubmit(NetThread& net, Connection& conn) {
       batch->arrival_ns = conn.arrival_ns;
       batch->enqueue_ns = decode_ns;
       conn.executing = true;
+      reader_batches_.fetch_add(1, std::memory_order_relaxed);
       if (queue_->TryPush(batch)) {
         Bump(ins.batches);
         UpdateInterest(net, conn);
@@ -747,6 +799,7 @@ void Server::DecodeAndSubmit(NetThread& net, Connection& conn) {
         return;
       }
       conn.executing = false;
+      reader_batches_.fetch_sub(1, std::memory_order_relaxed);
       requests = std::move(batch->requests);  // Reclaim for the shed path.
       shed = true;
     }

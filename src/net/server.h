@@ -102,10 +102,13 @@ struct ServerConfig {
 /// epoll event loop speaking the length-prefixed binary protocol of
 /// net/protocol.h.
 ///
-/// Threading model (responder / shared-queue split):
+/// Threading model (responder / shared-queue split, with an inline path):
 ///
 ///   accept -> [net thread: epoll, decode, flush]  x N
 ///                 |  RequestBatch (all frames drained in one readiness event)
+///                 |
+///                 +--> inline (small group, reader pool idle): the net
+///                 |    thread's own Reader, encode, one write
 ///                 v
 ///            SharedQueue (bounded MPMC)
 ///                 |
@@ -120,6 +123,17 @@ struct ServerConfig {
 /// executed by one reader thread, and comes back as ONE coalesced response
 /// buffer flushed with one write — so a client pipelining d requests pays
 /// ~2 syscalls and 2 queue hops per d requests instead of per request.
+///
+/// Inline path: a decoded group runs on the net thread itself, against the
+/// net thread's own Reader, when all three hold — no batch is queued or
+/// executing on any reader thread, the group has at most
+/// kInlineMaxRequests requests, and it contains no Snapshot (whose full-
+/// index scan grows with the index). A unary request then skips the futex
+/// wake to a reader, the eventfd wake back and the EPOLLIN park/re-arm.
+/// Every other group takes the queue path unchanged; since the inline path
+/// only runs while no reader has work, overload behaviour (shedding,
+/// deadline expiry at dequeue, batch splitting) is exactly the queue
+/// path's.
 ///
 /// Ordering and flow control: at most one batch per connection is in
 /// flight (EPOLLIN is parked while it executes). Responses therefore come
@@ -176,6 +190,10 @@ class Server {
   bool running() const { return running_.load(std::memory_order_acquire); }
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 
+  /// Largest decoded group a net thread executes inline (see the class
+  /// comment); larger groups always take the shared queue.
+  static constexpr size_t kInlineMaxRequests = 4;
+
  private:
   struct Connection;
   struct RequestBatch;
@@ -185,6 +203,18 @@ class Server {
 
   void NetThreadMain(int thread_index);
   void ReaderThreadMain();
+
+  /// Answers `requests` in order into `out`: expired deadlines (against
+  /// `start_ns`) get kDeadlineExceeded without touching the index, the
+  /// rest run on `reader`. Records the execute span and the per-op request
+  /// counters; returns the time execution finished. Shared by reader
+  /// threads (queued batches) and net threads (inline groups).
+  int64_t ExecuteRequests(const serve::CorrelationIndex::Reader& reader,
+                          std::vector<serve::ScoredSet>* scratch,
+                          const std::vector<Request>& requests,
+                          int64_t start_ns, std::string* out);
+  /// The inline gate: small, Snapshot-free, and the reader pool idle.
+  bool RunsInline(const std::vector<Request>& requests) const;
 
   // Event-loop helpers (called on the owning net thread only).
   void AcceptReady(NetThread& net);
@@ -218,6 +248,9 @@ class Server {
   std::vector<std::unique_ptr<NetThread>> net_threads_;
   std::vector<std::thread> reader_threads_;
   std::unique_ptr<SharedQueue<std::unique_ptr<RequestBatch>>> queue_;
+  /// Batches queued or executing on a reader thread; 0 means the reader
+  /// pool is idle and small groups may run inline.
+  std::atomic<int> reader_batches_{0};
   std::atomic<uint64_t> next_conn_id_{16};  // Low ids are epoll sentinels.
   std::atomic<int> next_net_thread_{0};     // Round-robin accept dispatch.
 };

@@ -184,6 +184,24 @@ class NetOverloadTest : public ::testing::Test {
     return false;
   }
 
+  /// Polls every 100us until a counter reaches `at_least` or ~5s elapse.
+  /// An occupier batch covers one socket read, so it may hold the reader
+  /// for only a few ms: a request meant to wait behind it must be sent
+  /// early in it, not after a fixed sleep that may outlast it.
+  bool WaitForCounterFinely(const std::string& name, uint64_t at_least) {
+    for (int i = 0; i < 50'000; ++i) {
+      if (CounterValue(name) >= at_least) return true;
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return false;
+  }
+
+  /// Waits until the reader has executed `n` Snapshot requests.
+  bool WaitForScans(uint64_t n) {
+    return WaitForCounterFinely("corrtrack_net_requests_total{op=\"scan\"}",
+                                n);
+  }
+
   /// Stages a reader-hogging batch on `client`: full-index snapshots that
   /// keep the (single) reader busy for tens of milliseconds (each snapshot
   /// costs microseconds; the count buys the wall time).
@@ -320,6 +338,73 @@ TEST_F(NetOverloadTest, WatermarkShedsWithOverloadedAndConnectionSurvives) {
     EXPECT_EQ(Bits(via_socket[i].coefficient), Bits(expected[i].coefficient));
     EXPECT_EQ(via_socket[i].period_end, expected[i].period_end);
   }
+}
+
+// --------------------------------------------------- inline-path admission
+
+// The net thread answers small groups itself only while the reader pool is
+// idle. These pin the other half of that gate: a single cheap frame that
+// arrives while the only reader is busy goes through the queue's admission
+// control like any other group — it can expire there, or be shed.
+
+TEST_F(NetOverloadTest, UnaryRequestBehindABusyReaderStillExpires) {
+  ServerConfig config;
+  config.num_net_threads = 1;
+  config.num_reader_threads = 1;
+  StartServer(config);
+
+  Client victim;
+  ASSERT_TRUE(ConnectClient(&victim)) << victim.last_error();
+  uint32_t effective = 0;
+  ASSERT_TRUE(victim.SetDeadline(1, &effective)) << victim.last_error();
+  ASSERT_EQ(effective, 1u);
+
+  Client occupier;
+  ASSERT_TRUE(ConnectClient(&occupier)) << occupier.last_error();
+  QueueOccupier(&occupier);
+  Joiner occupier_flush{std::thread([&] { occupier.Flush(nullptr); })};
+  ASSERT_TRUE(WaitForScans(1));  // The reader is executing the occupier.
+
+  const uint64_t inlined = CounterValue("corrtrack_net_inline_batches_total");
+  victim.QueuePing();
+  std::vector<Response> responses;
+  ASSERT_TRUE(victim.Flush(&responses)) << victim.last_error();
+  ASSERT_EQ(responses.size(), 1u);
+  ASSERT_EQ(responses[0].op, Opcode::kError);
+  EXPECT_EQ(responses[0].error_code, ErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(CounterValue("corrtrack_net_inline_batches_total"), inlined);
+  EXPECT_GE(CounterValue("corrtrack_net_deadline_exceeded_total"), 1u);
+}
+
+TEST_F(NetOverloadTest, UnaryRequestAtTheWatermarkIsShedWhileReadersAreBusy) {
+  ServerConfig config;
+  config.num_net_threads = 1;
+  config.num_reader_threads = 1;
+  config.shed_occupancy_watermark = 1;
+  StartServer(config);
+
+  // Occupier on the reader, filler's batch parked in the queue.
+  Client occupier;
+  ASSERT_TRUE(ConnectClient(&occupier)) << occupier.last_error();
+  QueueOccupier(&occupier);
+  Joiner occupier_flush{std::thread([&] { occupier.Flush(nullptr); })};
+  ASSERT_TRUE(WaitForScans(1));
+  Client filler;
+  ASSERT_TRUE(ConnectClient(&filler)) << filler.last_error();
+  QueueOccupier(&filler);
+  Joiner filler_flush{std::thread([&] { filler.Flush(nullptr); })};
+  ASSERT_TRUE(WaitForCounterFinely("corrtrack_net_batches_total", 2));
+
+  Client victim;
+  ASSERT_TRUE(ConnectClient(&victim)) << victim.last_error();
+  victim.QueuePing();
+  std::vector<Response> responses;
+  ASSERT_TRUE(victim.Flush(&responses)) << victim.last_error();
+  ASSERT_EQ(responses.size(), 1u);
+  ASSERT_EQ(responses[0].op, Opcode::kError);
+  EXPECT_EQ(responses[0].error_code, ErrorCode::kOverloaded);
+  EXPECT_EQ(CounterValue("corrtrack_net_inline_batches_total"), 0u);
+  EXPECT_GE(CounterValue("corrtrack_net_shed_requests_total"), 1u);
 }
 
 // -------------------------------------------------------------- batch cap

@@ -112,6 +112,14 @@ class NetServerTest : public ::testing::Test {
     return 0;
   }
 
+  uint64_t HistogramCount(const std::string& name) {
+    const telemetry::MetricsSnapshot snapshot = registry_.Snapshot();
+    for (const auto& sample : snapshot.histograms) {
+      if (sample.name == name) return sample.hist.count;
+    }
+    return 0;
+  }
+
   std::vector<std::vector<JaccardEstimate>> periods_;
   CorrelationIndex index_;
   telemetry::MetricRegistry registry_;
@@ -269,6 +277,71 @@ TEST_F(NetServerTest, DeepPipelineMatchesUnaryAnswers) {
         << unary.last_error();
     ExpectSameScored(burst[i].scored, expected, "deep pipeline");
   }
+}
+
+// ------------------------------------------------------------------ routing
+
+TEST_F(NetServerTest, SmallGroupsRunInlineOnlyWhileTheReaderPoolIsIdle) {
+  // Unary calls wait for their answer, so every request below is decoded
+  // with no batch queued or executing: small groups must run on the net
+  // thread (inline counter moves, queue span does not) and still answer
+  // bit-identically to direct Reader calls.
+  Client client;
+  ASSERT_TRUE(ConnectClient(&client)) << client.last_error();
+  CorrelationIndex::Reader direct = index_.NewReader();
+  const std::string inline_name = "corrtrack_net_inline_batches_total";
+  const std::string queue_name = "corrtrack_net_stage_ns{stage=\"queue\"}";
+  uint64_t inlined = CounterValue(inline_name);
+  uint64_t queued = HistogramCount(queue_name);
+  const auto expect_route = [&](bool inline_path, const char* what) {
+    EXPECT_EQ(CounterValue(inline_name), inlined + (inline_path ? 1 : 0))
+        << what;
+    EXPECT_EQ(HistogramCount(queue_name), queued + (inline_path ? 0 : 1))
+        << what;
+    inlined = CounterValue(inline_name);
+    queued = HistogramCount(queue_name);
+  };
+
+  const TagSet& probe = periods_[0][0].tags;
+  std::vector<ScoredSet> via_socket, expected;
+  ASSERT_TRUE(client.TopCorrelated(probe[0], 8, &via_socket))
+      << client.last_error();
+  direct.TopCorrelated(probe[0], 8, &expected);
+  ExpectSameScored(via_socket, expected, "inline TopCorrelated");
+  expect_route(true, "TopCorrelated");
+
+  std::optional<LookupResult> hit;
+  ASSERT_TRUE(client.Lookup(probe, &hit)) << client.last_error();
+  ExpectSameLookup(hit, direct.Lookup(probe), "inline Lookup");
+  expect_route(true, "Lookup");
+
+  ASSERT_TRUE(client.Ping()) << client.last_error();
+  expect_route(true, "Ping");
+
+  StatsResult stats;
+  ASSERT_TRUE(client.Stats(&stats)) << client.last_error();
+  EXPECT_EQ(stats.epoch, index_.epoch());
+  EXPECT_EQ(stats.latest_period, index_.latest_period());
+  EXPECT_EQ(stats.total_sets, direct.TotalSets());
+  EXPECT_EQ(stats.num_shards, index_.num_shards());
+  expect_route(true, "Stats");
+
+  // A Snapshot scans the whole index: always queued, however small.
+  ASSERT_TRUE(client.Snapshot(0.0, 1u << 20, &via_socket))
+      << client.last_error();
+  direct.Snapshot(0.0, &expected);
+  ExpectSameScored(via_socket, expected, "queued Snapshot");
+  expect_route(false, "Snapshot");
+
+  // One pipelined group just past the inline limit: queued as one batch.
+  for (size_t i = 0; i <= Server::kInlineMaxRequests; ++i) client.QueuePing();
+  std::vector<Response> responses;
+  ASSERT_TRUE(client.Flush(&responses)) << client.last_error();
+  ASSERT_EQ(responses.size(), Server::kInlineMaxRequests + 1);
+  for (const Response& response : responses) {
+    EXPECT_EQ(response.op, Opcode::kPong);
+  }
+  expect_route(false, "pipelined group over the inline limit");
 }
 
 // --------------------------------------------------------- error containment
@@ -528,6 +601,7 @@ TEST_F(NetServerTest, RegistersExactlyTheDocumentedInstrumentNames) {
                 "corrtrack_net_deadline_exceeded_total",
                 "corrtrack_net_disconnects_total",
                 "corrtrack_net_drain_closed_total",
+                "corrtrack_net_inline_batches_total",
                 "corrtrack_net_protocol_errors_total",
                 "corrtrack_net_requests_total{op=\"deadline\"}",
                 "corrtrack_net_requests_total{op=\"lookup\"}",
