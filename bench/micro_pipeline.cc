@@ -80,7 +80,7 @@ void BM_ParserExtract(benchmark::State& state) {
   ops::ParserBolt parser;
   size_t i = 0;
   for (auto _ : state) {
-    auto tags = parser.ExtractHashtags(texts[i]);
+    auto tags = parser.ExtractTags(texts[i]);
     benchmark::DoNotOptimize(tags.size());
     i = (i + 1) % texts.size();
   }

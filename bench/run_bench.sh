@@ -4,7 +4,7 @@
 # file contains the pipeline micro benchmarks (bench_micro_pipeline)
 # followed by the serving-layer benchmarks (bench_serve_bench), the
 # execution-substrate comparison (bench_runtime_bench: simulation vs
-# threaded vs pool at 1/2/4/8 workers) and the telemetry overhead suite
+# pool at 1/2/4/8 workers) and the telemetry overhead suite
 # (bench_telemetry_bench: instrument hot paths plus BM_TracedPipeline at
 # sampling 0/64/1 — the acceptance gate is every=64 within 5% of
 # telemetry-off) and the socket-path suite (bench_net_bench: whole-stack

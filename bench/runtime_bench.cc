@@ -1,6 +1,6 @@
 // Pipeline-throughput comparison of the execution substrates: the
-// deterministic simulator, the one-thread-per-task ThreadedRuntime and the
-// work-stealing PoolRuntime at 1/2/4/8 workers.
+// deterministic simulator and the work-stealing PoolRuntime at 1/2/4/8
+// workers.
 //
 // Two topologies:
 //  * Shuffle: spout -> 32 CPU-bound worker bolts -> global sink. 32 logical
@@ -13,7 +13,7 @@
 //
 // Thread-count scaling is only visible on multi-core hardware; on a
 // single-core container the pool points mainly quantify scheduling
-// overhead versus the threaded substrate at equal parallelism.
+// overhead versus the simulator.
 
 #include <memory>
 #include <variant>
@@ -126,11 +126,6 @@ void ShuffleBench(benchmark::State& state, stream::RuntimeKind kind,
 
 void BM_ShuffleSimulation(benchmark::State& state) {
   ShuffleBench(state, stream::RuntimeKind::kSimulation, 0);
-}
-
-void BM_ShuffleThreaded(benchmark::State& state) {
-  // 32 worker tasks -> 33 OS threads, however many cores exist.
-  ShuffleBench(state, stream::RuntimeKind::kThreaded, 0);
 }
 
 void BM_ShufflePool(benchmark::State& state) {
@@ -335,10 +330,6 @@ void BM_CorrelationSimulation(benchmark::State& state) {
   CorrelationBench(state, stream::RuntimeKind::kSimulation, 0);
 }
 
-void BM_CorrelationThreaded(benchmark::State& state) {
-  CorrelationBench(state, stream::RuntimeKind::kThreaded, 0);
-}
-
 void BM_CorrelationPool(benchmark::State& state) {
   CorrelationBench(state, stream::RuntimeKind::kPool,
                    static_cast<int>(state.range(0)));
@@ -349,7 +340,6 @@ void BM_CorrelationPool(benchmark::State& state) {
 // UseRealTime: the workers run outside the main thread, so wall clock —
 // not main-thread CPU time — is the meaningful throughput denominator.
 BENCHMARK(BM_ShuffleSimulation)->Unit(benchmark::kMillisecond)->UseRealTime();
-BENCHMARK(BM_ShuffleThreaded)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_ShufflePool)
     ->ArgName("threads")
     ->Arg(1)
@@ -374,9 +364,6 @@ BENCHMARK(BM_BroadcastFanoutCopy)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EnvelopeAlloc)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CorrelationSimulation)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK(BM_CorrelationThreaded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 BENCHMARK(BM_CorrelationPool)

@@ -3,10 +3,10 @@
 // file" source mode (§6.2). Demonstrates gen::SaveDocuments /
 // LoadDocuments and that a replayed run is bit-identical to a live one.
 //
-// Flags: --runtime=simulation|threaded|pool, --threads=N and
+// Flags: --runtime=simulation|pool, --threads=N and
 // --affinity=none|compact|scatter (pool worker pinning) select the
 // execution substrate. Bit-identical replay is a property of the
-// deterministic simulator; on the concurrent substrates the comparison is
+// deterministic simulator; on the pool runtime the comparison is
 // reported but not enforced (cross-producer interleaving is scheduling-
 // dependent, as in Storm).
 
@@ -85,9 +85,9 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
       if (!stream::ParseRuntimeKind(argv[i] + 10, &kind)) {
         std::fprintf(stderr,
-                     "unknown --runtime '%s' (simulation|threaded|pool)\n",
+                     "unknown --runtime '%s' (simulation|pool)\n",
                      argv[i] + 10);
-        return 2;
+        return 1;
       }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       num_threads = std::atoi(argv[i] + 10);
@@ -96,14 +96,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "unknown --affinity '%s' (none|compact|scatter)\n",
                      argv[i] + 11);
-        return 2;
+        return 1;
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--runtime=KIND] [--threads=N] "
+                   "usage: %s [--runtime=simulation|pool] [--threads=N] "
                    "[--affinity=none|compact|scatter]\n",
                    argv[0]);
-      return 2;
+      return 1;
     }
   }
   std::printf("runtime: %s%s\n", stream::RuntimeKindName(kind),

@@ -1,14 +1,14 @@
 // query_server: end-to-end serving demo — ingest -> track -> query.
 //
 // Replays the synthetic generator workload through the Fig. 2 topology on
-// a concurrent runtime (threaded by default, --runtime=pool for the
-// work-stealing pool) with a serve::CorrelationIndex attached to the
+// the work-stealing pool runtime by default (--runtime=simulation for the
+// deterministic simulator) with a serve::CorrelationIndex attached to the
 // Tracker (via serve::IndexSink), then answers queries against the index:
 // interactively when run on a terminal, or as a scripted demo otherwise
 // (so the binary is runnable in CI).
 //
 //   ./build/example_query_server [--docs=N] [--interactive | --demo]
-//                                [--runtime=KIND] [--threads=N]
+//                                [--runtime=pool|simulation] [--threads=N]
 //                                [--affinity=none|compact|scatter]
 //                                [--listen=PORT] [--serve-seconds=N]
 //                                [--drain-deadline-ms=N]
@@ -256,7 +256,7 @@ void RunRepl(const serve::CorrelationIndex& index,
 int main(int argc, char** argv) {
   uint64_t num_docs = 60000;
   bool interactive = isatty(STDIN_FILENO) != 0;
-  stream::RuntimeKind runtime_kind = stream::RuntimeKind::kThreaded;
+  stream::RuntimeKind runtime_kind = stream::RuntimeKind::kPool;
   stream::AffinityPolicy affinity = stream::AffinityPolicy::kNone;
   int num_threads = 0;
   bool listen = false;
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
       if (!stream::ParseRuntimeKind(argv[i] + 10, &runtime_kind)) {
         std::fprintf(stderr,
-                     "unknown --runtime '%s' (simulation|threaded|pool)\n",
+                     "unknown --runtime '%s' (simulation|pool)\n",
                      argv[i] + 10);
         return 1;
       }

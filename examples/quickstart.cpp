@@ -6,7 +6,7 @@
 // strongest correlated tag pairs of the final reporting period.
 //
 // The same topology runs on any execution substrate:
-//   --runtime=simulation|threaded|pool   (default: simulation)
+//   --runtime=simulation|pool            (default: simulation)
 //   --threads=N                          (pool workers; 0 = all cores)
 //   --affinity=none|compact|scatter      (pool worker pinning; default none)
 
@@ -37,17 +37,15 @@ int main(int argc, char** argv) {
   pipeline.window_span = 2 * kMillisPerMinute;
   pipeline.report_period = 2 * kMillisPerMinute;
   pipeline.bootstrap_time = 2 * kMillisPerMinute;
-  // Concurrent substrates: cap the spout/control-loop skew so partitions
-  // install while the demo stream is still flowing.
+  // Pool runtime: cap the spout/control-loop skew so partitions install
+  // while the demo stream is still flowing.
   pipeline.queue_capacity = 256;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
       if (!stream::ParseRuntimeKind(argv[i] + 10, &pipeline.runtime)) {
-        std::fprintf(stderr,
-                     "unknown --runtime '%s' "
-                     "(simulation|threaded|pool)\n",
+        std::fprintf(stderr, "unknown --runtime '%s' (simulation|pool)\n",
                      argv[i] + 10);
-        return 2;
+        return 1;
       }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       pipeline.num_threads = std::atoi(argv[i] + 10);
@@ -56,14 +54,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "unknown --affinity '%s' (none|compact|scatter)\n",
                      argv[i] + 11);
-        return 2;
+        return 1;
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--runtime=KIND] [--threads=N] "
+                   "usage: %s [--runtime=simulation|pool] [--threads=N] "
                    "[--affinity=none|compact|scatter]\n",
                    argv[0]);
-      return 2;
+      return 1;
     }
   }
 

@@ -20,7 +20,7 @@ namespace corrtrack {
 ///
 /// Thread-compatible: concurrent const access is safe, mutation requires
 /// external serialisation (the simulation runtime is single-threaded; the
-/// threaded runtime keeps one dictionary per parser task).
+/// pool runtime keeps one dictionary per parser task).
 class TagDictionary {
  public:
   TagDictionary() = default;

@@ -66,7 +66,7 @@ struct ExperimentConfig {
   void set_tps(double tps) { generator.tps = tps; }
 
   /// Selects the execution substrate for this experiment (the same sweep
-  /// can then compare simulation vs threaded vs pool on one workload).
+  /// can then compare simulation vs pool on one workload).
   /// Non-simulation runs are concurrent and therefore not bit-repeatable;
   /// the figure experiments keep the deterministic default.
   void set_runtime(stream::RuntimeKind kind, int num_threads = 0) {

@@ -110,7 +110,7 @@ struct ExperimentResult {
 
 /// Builds the Fig. 2 topology for `config`, streams the synthetic workload
 /// through the substrate the config selects (deterministic simulation by
-/// default; threaded or pool for concurrent runs), and assembles the
+/// default; the pool for concurrent runs), and assembles the
 /// result (including the tracker-vs-centralised error comparison of
 /// §8.2.3).
 ExperimentResult RunExperiment(const ExperimentConfig& config);

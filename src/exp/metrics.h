@@ -53,9 +53,9 @@ struct TopologyResizeEvent {
 
 /// Collects everything the evaluation section reports, via the operators'
 /// MetricsSink hooks. Lives outside the topology. The hooks are
-/// mutex-guarded: under the threaded and pool runtimes the Disseminator
-/// and Merger tasks invoke them from different worker threads. Accessors
-/// are for after the run (single-threaded).
+/// mutex-guarded: under the pool runtime the Disseminator and Merger
+/// tasks invoke them from different worker threads. Accessors are for
+/// after the run (single-threaded).
 class MetricsCollector : public ops::MetricsSink {
  public:
   /// `num_calculators` sizes the per-calculator accounting — pass the

@@ -63,13 +63,6 @@ std::vector<SweepPoint> RuntimeSweep() {
   points.push_back({"rt=sim", [](ExperimentConfig* c) {
                       c->set_runtime(stream::RuntimeKind::kSimulation);
                     }});
-  points.push_back({"rt=threaded", [](ExperimentConfig* c) {
-                      c->set_runtime(stream::RuntimeKind::kThreaded);
-                      // Cap spout/control-loop skew, as the threaded
-                      // differential tests do, so partitions install
-                      // while the stream is still flowing.
-                      c->pipeline.queue_capacity = 256;
-                    }});
   points.push_back({"rt=pool@1", [](ExperimentConfig* c) {
                       c->set_runtime(stream::RuntimeKind::kPool, 1);
                       c->pipeline.queue_capacity = 256;

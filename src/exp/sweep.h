@@ -39,10 +39,9 @@ std::vector<SweepPoint> RateSweep();
 std::vector<SweepPoint> ElasticSweep();
 
 /// Execution-substrate sweep: the same workload on the deterministic
-/// simulator, the one-thread-per-task runtime and the work-stealing pool
-/// (1 and hardware-concurrency workers) — compares accuracy/communication
-/// metrics across substrates rather than pipeline knobs. Concurrent points
-/// are not bit-repeatable; their value is showing the figures are
+/// simulator and the work-stealing pool (1 and hardware-concurrency
+/// workers) — compares accuracy/communication metrics across substrates
+/// rather than pipeline knobs. Concurrent points are not bit-repeatable; their value is showing the figures are
 /// substrate-independent within noise.
 std::vector<SweepPoint> RuntimeSweep();
 

@@ -14,20 +14,12 @@
 #include <thread>
 #include <utility>
 
-#include "storage/checkpoint.h"  // RetryOp / RetryPolicy.
+#include "core/fault_schedule.h"
+#include "storage/retry.h"
 
 namespace corrtrack::net {
 
 namespace {
-
-/// SplitMix64 for the backoff jitter — seeded, so a retry schedule replays
-/// exactly in tests.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 void SetSocketTimeout(int fd, int optname, int64_t ms) {
   if (ms <= 0) return;
@@ -119,7 +111,8 @@ bool Client::Fail(const std::string& message, bool transient) {
 }
 
 void Client::JitterSleep(int64_t ms) {
-  const uint64_t roll = Mix64(config_.retry_seed ^ ++jitter_draws_);
+  // Seeded, so a retry schedule replays exactly in tests.
+  const uint64_t roll = SplitMix64(config_.retry_seed ^ ++jitter_draws_);
   const double factor =
       0.5 + static_cast<double>(roll >> 11) * (1.0 / 9007199254740992.0);
   const int64_t jittered = static_cast<int64_t>(static_cast<double>(ms) *

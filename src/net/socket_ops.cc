@@ -9,16 +9,6 @@ namespace corrtrack::net {
 
 namespace {
 
-/// SplitMix64 — the same per-index generator the storage fault plan uses:
-/// hashing (seed, op index) gives a roll that is independent of thread
-/// interleaving and replays exactly for a given seed.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 bool IsReadKind(SocketFaultKind kind) {
   switch (kind) {
     case SocketFaultKind::kShortRead:
@@ -47,54 +37,23 @@ SocketOps* SocketOps::Real() {
 }
 
 FaultInjectingSocketOps::FaultInjectingSocketOps(SocketFaultPlan plan)
-    : plan_(std::move(plan)) {}
-
-SocketFaultKind FaultInjectingSocketOps::Draw(uint64_t op, bool is_read) {
-  for (const SocketFaultRule& rule : plan_.rules) {
-    if (rule.kind == SocketFaultKind::kNone) continue;
-    if (op >= rule.at_op && op < rule.at_op + rule.repeat &&
-        IsReadKind(rule.kind) == is_read) {
-      return rule.kind;
-    }
-  }
-  if (plan_.probability > 0.0 && !plan_.kinds.empty()) {
-    const uint64_t roll = Mix64(plan_.seed ^ (op * 0x9E3779B97F4A7C15ull));
-    const double unit =
-        static_cast<double>(roll >> 11) * (1.0 / 9007199254740992.0);
-    if (unit < plan_.probability) {
-      const SocketFaultKind kind =
-          plan_.kinds[Mix64(roll) % plan_.kinds.size()];
-      if (IsReadKind(kind) == is_read) return kind;
-    }
-  }
-  return SocketFaultKind::kNone;
-}
-
-void FaultInjectingSocketOps::Count(SocketFaultKind kind) {
-  total_faults_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
-}
+    : faults_(std::move(plan)) {}
 
 ssize_t FaultInjectingSocketOps::Recv(int fd, void* buf, size_t len) {
-  const uint64_t op = op_counter_.fetch_add(1, std::memory_order_relaxed);
-  switch (Draw(op, /*is_read=*/true)) {
+  switch (faults_.Next(IsReadKind)) {
     case SocketFaultKind::kShortRead:
       // Truncate the read to one byte; the rest stays in the kernel buffer,
       // so a correct caller simply takes more iterations to drain it.
-      Count(SocketFaultKind::kShortRead);
       return ::recv(fd, buf, len < 1 ? len : 1, 0);
     case SocketFaultKind::kEintrRead:
-      Count(SocketFaultKind::kEintrRead);
       errno = EINTR;
       return -1;
     case SocketFaultKind::kEagainRead:
       // Spurious readiness: nothing is consumed. Level-triggered epoll
       // re-reports the fd, blocking callers see a retry/timeout.
-      Count(SocketFaultKind::kEagainRead);
       errno = EAGAIN;
       return -1;
     case SocketFaultKind::kResetRead:
-      Count(SocketFaultKind::kResetRead);
       errno = ECONNRESET;
       return -1;
     default:
@@ -103,42 +62,26 @@ ssize_t FaultInjectingSocketOps::Recv(int fd, void* buf, size_t len) {
 }
 
 ssize_t FaultInjectingSocketOps::Send(int fd, const void* buf, size_t len) {
-  const uint64_t op = op_counter_.fetch_add(1, std::memory_order_relaxed);
-  switch (Draw(op, /*is_read=*/false)) {
+  switch (faults_.Next([](SocketFaultKind k) { return !IsReadKind(k); })) {
     case SocketFaultKind::kShortWrite:
       // Write only the first byte; the caller still owes the rest and must
       // continue from its own buffer — the classic partial-write trap.
-      Count(SocketFaultKind::kShortWrite);
       return ::send(fd, buf, len < 1 ? len : 1, MSG_NOSIGNAL);
     case SocketFaultKind::kEintrWrite:
-      Count(SocketFaultKind::kEintrWrite);
       errno = EINTR;
       return -1;
     case SocketFaultKind::kEagainWrite:
-      Count(SocketFaultKind::kEagainWrite);
       errno = EAGAIN;
       return -1;
     case SocketFaultKind::kResetWrite:
-      Count(SocketFaultKind::kResetWrite);
       errno = ECONNRESET;
       return -1;
     case SocketFaultKind::kPipeWrite:
-      Count(SocketFaultKind::kPipeWrite);
       errno = EPIPE;
       return -1;
     default:
       return ::send(fd, buf, len, MSG_NOSIGNAL);
   }
-}
-
-SocketFaultStats FaultInjectingSocketOps::stats() const {
-  SocketFaultStats stats;
-  stats.total = total_faults_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kNumSocketFaultKinds; ++i) {
-    stats.by_kind[static_cast<size_t>(i)] =
-        by_kind_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-  }
-  return stats;
 }
 
 }  // namespace corrtrack::net

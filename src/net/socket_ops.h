@@ -3,11 +3,10 @@
 
 #include <sys/types.h>
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+
+#include "core/fault_schedule.h"
 
 namespace corrtrack::net {
 
@@ -84,51 +83,16 @@ inline const char* SocketFaultKindName(SocketFaultKind kind) {
   return "unknown";
 }
 
-/// One deterministic trigger: the `at_op`-th I/O operation (the decorator
-/// numbers every Recv and Send across all fds) suffers `kind`, and — for
-/// EAGAIN storms — the following `repeat - 1` operations do too.
-struct SocketFaultRule {
-  uint64_t at_op = 0;
-  SocketFaultKind kind = SocketFaultKind::kNone;
-  uint64_t repeat = 1;
-};
+/// The seeded socket fault schedule (core/fault_schedule.h), shared with
+/// storage::FaultPlan. The decorator numbers every Recv and Send across
+/// all fds; a rule's `repeat` covers EAGAIN storms.
+using SocketFaultRule = FaultRule<SocketFaultKind>;
+using SocketFaultPlan = FaultSchedule<SocketFaultKind, kNumSocketFaultKinds>;
+using SocketFaultStats = FaultStats<SocketFaultKind, kNumSocketFaultKinds>;
 
-/// Seeded fault schedule, the socket twin of storage::FaultPlan.
-/// `probability` rolls an independent SplitMix64 per operation index —
-/// deterministic for a given seed regardless of thread interleaving (the
-/// op index, not wall time, drives the roll), so a failing chaos seed
-/// replays exactly. A rolled kind that cannot apply to the operation at
-/// hand (e.g. kShortWrite on a Recv) injects nothing.
-struct SocketFaultPlan {
-  uint64_t seed = 0;
-  double probability = 0.0;
-  std::vector<SocketFaultKind> kinds = {
-      SocketFaultKind::kShortRead,  SocketFaultKind::kShortWrite,
-      SocketFaultKind::kEintrRead,  SocketFaultKind::kEintrWrite,
-      SocketFaultKind::kEagainRead, SocketFaultKind::kEagainWrite,
-      SocketFaultKind::kResetRead,  SocketFaultKind::kResetWrite,
-      SocketFaultKind::kPipeWrite};
-  std::vector<SocketFaultRule> rules;
-
-  bool enabled() const { return probability > 0.0 || !rules.empty(); }
-};
-
-/// Injection counters, by class.
-struct SocketFaultStats {
-  uint64_t total = 0;
-  std::array<uint64_t, kNumSocketFaultKinds> by_kind{};
-
-  uint64_t count(SocketFaultKind kind) const {
-    return by_kind[static_cast<size_t>(kind)];
-  }
-};
-
-/// Decorator imposing the seeded schedule on real socket I/O. Thread-safe:
-/// the op counter is atomic and every draw depends only on the op index,
-/// so concurrent connections share one plan without losing determinism of
-/// the *sequence* of injected kinds (which op gets which fault can vary
-/// with interleaving; the tests that need exact targeting use single
-/// connections or rules).
+/// Decorator imposing the seeded schedule on real socket I/O. Concurrent
+/// connections share one schedule (thread-safety and replay guarantees:
+/// FaultInjector).
 class FaultInjectingSocketOps : public SocketOps {
  public:
   explicit FaultInjectingSocketOps(SocketFaultPlan plan);
@@ -136,17 +100,11 @@ class FaultInjectingSocketOps : public SocketOps {
   ssize_t Recv(int fd, void* buf, size_t len) override;
   ssize_t Send(int fd, const void* buf, size_t len) override;
 
-  SocketFaultStats stats() const;
-  uint64_t ops() const { return op_counter_.load(std::memory_order_relaxed); }
+  SocketFaultStats stats() const { return faults_.stats(); }
+  uint64_t ops() const { return faults_.ops(); }
 
  private:
-  SocketFaultKind Draw(uint64_t op, bool is_read);
-  void Count(SocketFaultKind kind);
-
-  SocketFaultPlan plan_;
-  std::atomic<uint64_t> op_counter_{0};
-  std::atomic<uint64_t> total_faults_{0};
-  std::array<std::atomic<uint64_t>, kNumSocketFaultKinds> by_kind_{};
+  FaultInjector<SocketFaultKind, kNumSocketFaultKinds> faults_;
 };
 
 }  // namespace corrtrack::net

@@ -86,11 +86,6 @@ class ParserBolt : public stream::Bolt<Message> {
     return tags;
   }
 
-  /// Back-compat name used throughout tests/benches.
-  std::vector<TagId> ExtractHashtags(std::string_view text) {
-    return ExtractTags(text);
-  }
-
   const TagDictionary& dictionary() const { return dictionary_; }
 
   /// Checkpointing (ops/checkpoint_state.h): the dictionary's names in id

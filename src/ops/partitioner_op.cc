@@ -39,7 +39,7 @@ void PartitionerBolt::HandleDoc(const ParsedDoc& parsed) {
 void PartitionerBolt::HandleRequest(const RepartitionRequest& request,
                                     stream::Emitter<Message>& out) {
   // One proposal per round: duplicate requests with an already-answered
-  // token are dropped (e.g. replays in the threaded runtime).
+  // token are dropped (e.g. replays in the pool runtime).
   if (answered_any_ && request.token == last_token_) return;
   last_token_ = request.token;
   answered_any_ = true;

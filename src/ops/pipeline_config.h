@@ -120,15 +120,15 @@ struct PipelineConfig {
 
   /// Execution substrate (stream/runtime.h): which runtime
   /// MakeConfiguredRuntime instantiates for this pipeline. The simulator is
-  /// the deterministic default the experiments rely on; threaded and pool
-  /// run the identical topology on real concurrency.
+  /// the deterministic default the experiments rely on; the pool runs the
+  /// identical topology on real concurrency.
   stream::RuntimeKind runtime = stream::RuntimeKind::kSimulation;
 
   /// Pool runtime worker threads; 0 = hardware concurrency. Ignored by the
-  /// simulation (always 1) and threaded (one per task) substrates.
+  /// simulation runtime (always 1).
   int num_threads = 0;
 
-  /// Per-task input queue capacity for the concurrent runtimes (envelopes;
+  /// Per-task input queue capacity for the pool runtime (envelopes;
   /// bounds producer/consumer skew — a full queue backpressures the
   /// pusher). Ignored by the simulation runtime. 0 = auto-size:
   /// ops::MakeConfiguredRuntime starts from a documented floor and, when
@@ -151,7 +151,7 @@ struct PipelineConfig {
 
   /// Pool runtime worker pinning (stream::AffinityPolicy): none (default),
   /// compact (fill one package/NUMA domain first) or scatter (round-robin
-  /// packages). Ignored by the simulation and threaded substrates.
+  /// packages). Ignored by the simulation runtime.
   stream::AffinityPolicy affinity = stream::AffinityPolicy::kNone;
 
   /// Virtual time the runtime starts at (RuntimeOptions::start_time): tick

@@ -26,7 +26,7 @@ namespace corrtrack::ops {
 /// sink re-applies the max-CN rule, see PeriodSink's contract), so a
 /// serving index converges to the same period map without the Tracker
 /// having to know when a period is complete — no watermark exists under
-/// the threaded runtime's cross-producer interleaving.
+/// the pool runtime's cross-producer interleaving.
 class TrackerBolt : public stream::Bolt<Message> {
  public:
   using PeriodResults = FlatTagSetMap<JaccardEstimate>;

@@ -117,7 +117,7 @@ class ShardSnapshot {
 /// once per publish per shard by each reader.
 ///
 /// Writer contract: ApplyPeriod calls must be externally serialised (one
-/// ingest thread — the Tracker task in the threaded runtime). Readers may
+/// ingest thread — the Tracker task in the pool runtime). Readers may
 /// run on any number of threads concurrently with the writer.
 class CorrelationIndex {
  public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 #include <thread>
@@ -70,27 +69,6 @@ std::string CheckpointDirName(uint64_t seq) {
   std::snprintf(buf, sizeof(buf), "%s%010llu", kDirPrefix,
                 static_cast<unsigned long long>(seq));
   return buf;
-}
-
-Status RetryOp(const RetryPolicy& policy, uint64_t* retries,
-               const std::function<Status()>& op) {
-  const int attempts = std::max(1, policy.max_attempts);
-  Status status;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    status = op();
-    if (status.ok() || !status.IsTransient()) return status;
-    if (attempt == attempts) break;
-    if (retries != nullptr) ++*retries;
-    const int backoff_ms = policy.base_backoff_ms << (attempt - 1);
-    if (backoff_ms > 0) {
-      if (policy.sleeper) {
-        policy.sleeper(backoff_ms);
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      }
-    }
-  }
-  return status;
 }
 
 // ---------------------------------------------------------------------------

@@ -5,23 +5,6 @@
 
 namespace corrtrack::storage {
 
-namespace {
-
-/// SplitMix64 — the repo's standard cheap seeded mix (cf. gen/).
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-bool Applies(FaultKind kind, std::initializer_list<FaultKind> applicable) {
-  return std::find(applicable.begin(), applicable.end(), kind) !=
-         applicable.end();
-}
-
-}  // namespace
-
 /// Wraps a writable file; write-side faults are drawn per operation from
 /// the owning storage's shared schedule, so one op counter covers the
 /// whole backend surface. Namespace scope (not anonymous) so it matches
@@ -43,46 +26,14 @@ class FaultWritableFile : public WritableFile {
 
 FaultInjectingStorage::FaultInjectingStorage(std::shared_ptr<Storage> inner,
                                              FaultPlan plan)
-    : inner_(std::move(inner)), plan_(std::move(plan)) {}
+    : inner_(std::move(inner)), faults_(std::move(plan)) {}
 
 FaultKind FaultInjectingStorage::Draw(
     std::initializer_list<FaultKind> applicable) {
-  const uint64_t op = op_counter_.fetch_add(1, std::memory_order_relaxed);
-  for (const FaultRule& rule : plan_.rules) {
-    if (rule.at_op == op && Applies(rule.kind, applicable)) {
-      Count(rule.kind);
-      return rule.kind;
-    }
-  }
-  if (plan_.probability > 0.0 && !plan_.kinds.empty()) {
-    const uint64_t roll = Mix(plan_.seed ^ op);
-    const double unit =
-        static_cast<double>(roll >> 11) * (1.0 / 9007199254740992.0);
-    if (unit < plan_.probability) {
-      const FaultKind kind =
-          plan_.kinds[static_cast<size_t>(Mix(roll) % plan_.kinds.size())];
-      if (Applies(kind, applicable)) {
-        Count(kind);
-        return kind;
-      }
-    }
-  }
-  return FaultKind::kNone;
-}
-
-void FaultInjectingStorage::Count(FaultKind kind) {
-  total_faults_.fetch_add(1, std::memory_order_relaxed);
-  by_kind_[static_cast<size_t>(kind)].fetch_add(1, std::memory_order_relaxed);
-}
-
-FaultStats FaultInjectingStorage::stats() const {
-  FaultStats stats;
-  stats.total = total_faults_.load(std::memory_order_relaxed);
-  for (int i = 0; i < kNumFaultKinds; ++i) {
-    stats.by_kind[static_cast<size_t>(i)] =
-        by_kind_[static_cast<size_t>(i)].load(std::memory_order_relaxed);
-  }
-  return stats;
+  return faults_.Next([applicable](FaultKind kind) {
+    return std::find(applicable.begin(), applicable.end(), kind) !=
+           applicable.end();
+  });
 }
 
 namespace {
@@ -151,7 +102,7 @@ Status FaultInjectingStorage::ReadFile(const std::string& path,
   const Status status = inner_->ReadFile(path, out);
   if (!status.ok()) return status;
   if (fault == FaultKind::kReadCorruption && !out->empty()) {
-    const uint64_t roll = Mix(plan_.seed ^ ops());
+    const uint64_t roll = SplitMix64(faults_.schedule().seed ^ ops());
     const size_t pos = static_cast<size_t>(roll % out->size());
     (*out)[pos] = static_cast<char>((*out)[pos] ^ (1u << (roll % 8)));
   }

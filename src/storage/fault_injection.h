@@ -1,13 +1,12 @@
 #ifndef CORRTRACK_STORAGE_FAULT_INJECTION_H_
 #define CORRTRACK_STORAGE_FAULT_INJECTION_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/fault_schedule.h"
 #include "storage/storage.h"
 
 namespace corrtrack::storage {
@@ -50,40 +49,12 @@ inline const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-/// One deterministic trigger: the `at_op`-th storage operation (the
-/// decorator numbers every call, including WritableFile ops) suffers
-/// `kind`. The fault-matrix tests aim these at exact protocol steps.
-struct FaultRule {
-  uint64_t at_op = 0;
-  FaultKind kind = FaultKind::kNone;
-};
-
-/// Seeded fault schedule. `probability` rolls an independent SplitMix64
-/// per operation index — deterministic for a given seed regardless of
-/// thread interleaving (the index, not wall time, drives the roll), so a
-/// failing sweep seed replays exactly. A rolled kind that cannot apply to
-/// the operation at hand (e.g. kShortWrite on a read) injects nothing.
-struct FaultPlan {
-  uint64_t seed = 0;
-  double probability = 0.0;
-  std::vector<FaultKind> kinds = {
-      FaultKind::kShortWrite, FaultKind::kNoSpace,  FaultKind::kFsyncFail,
-      FaultKind::kReadCorruption, FaultKind::kTornRename,
-      FaultKind::kTransient};
-  std::vector<FaultRule> rules;
-
-  bool enabled() const { return probability > 0.0 || !rules.empty(); }
-};
-
-/// Injection counters, by class.
-struct FaultStats {
-  uint64_t total = 0;
-  std::array<uint64_t, kNumFaultKinds> by_kind{};
-
-  uint64_t count(FaultKind kind) const {
-    return by_kind[static_cast<size_t>(kind)];
-  }
-};
+/// The seeded storage fault schedule (core/fault_schedule.h). The
+/// decorator numbers every call, including WritableFile ops; the
+/// fault-matrix tests aim rules at exact protocol steps.
+using FaultRule = corrtrack::FaultRule<FaultKind>;
+using FaultPlan = FaultSchedule<FaultKind, kNumFaultKinds>;
+using FaultStats = corrtrack::FaultStats<FaultKind, kNumFaultKinds>;
 
 /// Decorator that wraps any backend in the seeded fault schedule. All
 /// checkpoint I/O in this repo goes through a Storage*, so wrapping here
@@ -104,8 +75,8 @@ class FaultInjectingStorage : public Storage {
   Status DeleteDirRecursive(const std::string& path) override;
   const char* name() const override { return "fault-injecting"; }
 
-  FaultStats stats() const;
-  uint64_t ops() const { return op_counter_.load(std::memory_order_relaxed); }
+  FaultStats stats() const { return faults_.stats(); }
+  uint64_t ops() const { return faults_.ops(); }
 
  private:
   friend class FaultWritableFile;
@@ -113,13 +84,9 @@ class FaultInjectingStorage : public Storage {
   /// Draws the fault (if any) for the next operation, restricted to the
   /// kinds in `applicable`. Returns kNone when the op proceeds cleanly.
   FaultKind Draw(std::initializer_list<FaultKind> applicable);
-  void Count(FaultKind kind);
 
   std::shared_ptr<Storage> inner_;
-  FaultPlan plan_;
-  std::atomic<uint64_t> op_counter_{0};
-  std::atomic<uint64_t> total_faults_{0};
-  std::array<std::atomic<uint64_t>, kNumFaultKinds> by_kind_{};
+  FaultInjector<FaultKind, kNumFaultKinds> faults_;
 };
 
 }  // namespace corrtrack::storage

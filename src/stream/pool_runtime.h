@@ -30,11 +30,11 @@ namespace corrtrack::stream {
 /// is scheduled as a *slice* (a bounded drain of its mailbox) onto the
 /// scheduling worker's local run queue, and idle workers steal slices from
 /// their peers. This decouples logical parallelism from physical threads —
-/// 32 Partitioners × 32 Trackers run fine on 8 cores, which the
-/// one-thread-per-task ThreadedRuntime cannot express (§6's load
-/// experiments assume exactly this tasks >> cores regime).
+/// 32 Partitioners × 32 Trackers run fine on 8 cores, which a
+/// one-thread-per-task executor cannot express (§6's load experiments
+/// assume exactly this tasks >> cores regime).
 ///
-/// Semantics (same engine contract as ThreadedRuntime):
+/// Semantics (the engine contract of runtime.h):
 ///  * A task executes on at most one thread at a time (its scheduling state
 ///    acts as a mutex around the bolt), so bolt state stays
 ///    thread-confined; the release/acquire transitions hand the state from
@@ -44,10 +44,10 @@ namespace corrtrack::stream {
 ///    flushes its buffer before releasing the task, so migration between
 ///    workers cannot reorder an edge.
 ///  * Ticks fire on whichever worker runs the slice, from the timestamps
-///    the task observes (virtual-time watermarks), as in ThreadedRuntime.
+///    the task observes (virtual-time watermarks).
 ///  * Shutdown: forward-poison flood, feedback edges excluded from the
 ///    accounting, residual feedback traffic discarded — the documented
-///    cyclic-topology contract of threaded_runtime.h.
+///    cyclic-topology contract of runtime.h.
 ///
 /// Backpressure: mailboxes are bounded; a producer that finds a mailbox
 /// full first tries to *help* — claim the destination task and drain a
@@ -60,10 +60,10 @@ namespace corrtrack::stream {
 /// pushed over capacity instead of blocking, which bounds the chain by the
 /// task count and rules out same-thread deadlock. Cross-thread cycles of
 /// simultaneously full queues (two runners blocked pushing at each other,
-/// both unclaimable) — which deadlock ThreadedRuntime's strictly blocking
-/// queues — are broken by a bounded-stall overflow escape
-/// (kStallEscapeRounds): after ~64 ms without progress the pusher spills
-/// over capacity, so shutdown always terminates on cyclic topologies.
+/// both unclaimable) — which deadlock strictly blocking queues — are
+/// broken by a bounded-stall overflow escape (kStallEscapeRounds): after
+/// ~64 ms without progress the pusher spills over capacity, so shutdown
+/// always terminates on cyclic topologies.
 template <typename Message>
 class PoolRuntime : public Runtime<Message> {
  public:
@@ -548,13 +548,13 @@ class PoolRuntime : public Runtime<Message> {
     }
   }
 
-  // The bounded-stall escape window is routing.h's kStallEscapeRounds,
-  // shared with ThreadedRuntime: two tasks blocked pushing at each other's
-  // full mailboxes — e.g. the Disseminator->Merger feedback edge against
-  // the Merger->Disseminator install broadcasts, both backed up — can
-  // neither be claimed for helping (both are kRunning), so strict blocking
-  // would deadlock; the escape trades transient over-capacity on one edge
-  // for deadlock freedom.
+  // The bounded-stall escape window is routing.h's kStallEscapeRounds:
+  // two tasks blocked pushing at each other's full mailboxes — e.g. the
+  // Disseminator->Merger feedback edge against the Merger->Disseminator
+  // install broadcasts, both backed up — can neither be claimed for
+  // helping (both are kRunning), so strict blocking would deadlock; the
+  // escape trades transient over-capacity on one edge for deadlock
+  // freedom.
 
   /// Moves `*items` into the task's mailbox, helping or waiting when it is
   /// full, then wakes the task. The lane is emptied *first* so nested

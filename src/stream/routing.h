@@ -15,7 +15,7 @@ namespace corrtrack::stream {
 
 /// One inverted subscription edge (producer -> consumer) as the runtimes
 /// execute it. The shuffle round-robin cursor is shared by every producer
-/// instance of the edge; atomic so the concurrent runtimes can route from
+/// instance of the edge; atomic so the pool runtime can route from
 /// any thread (the simulator's single thread pays nothing for it).
 template <typename Message>
 struct RoutingEdge {
@@ -27,23 +27,23 @@ struct RoutingEdge {
 template <typename Message>
 using EdgeList = std::vector<std::unique_ptr<RoutingEdge<Message>>>;
 
-/// Envelopes staged per destination before a queue hand-off — the batched
-/// lock-coalescing convention both concurrent runtimes share.
+/// Envelopes staged per destination before a mailbox hand-off — the pool
+/// runtime's batched lock-coalescing convention.
 inline constexpr size_t kQueueBatch = 64;
 
 /// Consecutive no-progress full-queue rounds (1 ms bounded waits) before a
-/// pusher spills over capacity — the bounded-stall overflow escape both
-/// concurrent runtimes share. Two tasks blocked pushing at each other's
-/// full queues — e.g. the Disseminator->Merger feedback edge against the
+/// pusher spills over capacity — the pool runtime's bounded-stall
+/// overflow escape. Two tasks blocked pushing at each other's full queues
+/// — e.g. the Disseminator->Merger feedback edge against the
 /// Merger->Disseminator install broadcasts, both backed up — can make no
 /// progress under strict blocking; after ~64 ms without progress the
 /// pusher spills, trading transient over-capacity on one edge for
 /// deadlock freedom. Escapes are counted in RuntimeStats::stall_escapes.
 inline constexpr int kStallEscapeRounds = 64;
 
-/// Per-producer-thread staging area shared by the concurrent runtimes:
-/// envelopes headed to each destination task accumulate in a lane and are
-/// moved to the task's queue kQueueBatch at a time. Owned by one thread —
+/// Per-producer-thread staging area of the pool runtime: envelopes headed
+/// to each destination task accumulate in a lane and are moved to the
+/// task's mailbox kQueueBatch at a time. Owned by one thread —
 /// no synchronisation. `staged` is 1 while the task id is in `dirty`,
 /// keeping `dirty` bounded by the task count even when a lane fills and
 /// flushes mid-run.
@@ -57,10 +57,10 @@ struct StagingBuffer {
   std::vector<int> dirty;  // Task ids touched since the last flush.
 };
 
-/// Per-task poison counts for the forward-poison shutdown contract shared
-/// by the concurrent runtimes: every consumer instance awaits one poison
-/// per *task* (producer instance) of each forward edge (producer declared
-/// before consumer) — each producer instance floods its own poison when it
+/// Per-task poison counts for the pool runtime's forward-poison shutdown
+/// contract: every consumer instance awaits one poison per *task*
+/// (producer instance) of each forward edge (producer declared before
+/// consumer) — each producer instance floods its own poison when it
 /// drains. Feedback edges are excluded from the accounting, or the cycle
 /// could never drain. Counts cover every *provisioned* instance
 /// (Component::max_instances) — elastic components flood and await poisons

@@ -18,18 +18,14 @@ namespace corrtrack::stream {
 template <typename Message>
 class Bolt;
 
-/// The execution substrates a Topology can run on. All three share the
-/// engine contract (per-edge FIFO, virtual-time ticks, forward-poison
-/// shutdown); they differ in determinism and physical parallelism — see
-/// each runtime's class comment and the README's "Execution runtimes"
-/// table.
+/// The execution substrates a Topology can run on. Both share the engine
+/// contract (per-edge FIFO, virtual-time ticks, forward-poison shutdown);
+/// they differ in determinism and physical parallelism — see each
+/// runtime's class comment and the README's "Execution runtimes" table.
 enum class RuntimeKind {
   /// Deterministic discrete-event simulator (simulation.h). One thread,
   /// global FIFO cascades; experiments use it for exact repeatability.
   kSimulation,
-  /// One worker thread per task, bounded blocking queues
-  /// (threaded_runtime.h). Physical parallelism == task count.
-  kThreaded,
   /// M tasks multiplexed onto N worker threads via per-task mailboxes and
   /// work stealing (pool_runtime.h). Physical parallelism decoupled from
   /// the topology's logical parallelism.
@@ -40,23 +36,17 @@ inline const char* RuntimeKindName(RuntimeKind kind) {
   switch (kind) {
     case RuntimeKind::kSimulation:
       return "simulation";
-    case RuntimeKind::kThreaded:
-      return "threaded";
     case RuntimeKind::kPool:
       return "pool";
   }
   return "unknown";
 }
 
-/// Parses a --runtime flag value ("simulation"/"sim", "threaded", "pool").
+/// Parses a --runtime flag value ("simulation"/"sim", "pool").
 /// Returns false (and leaves *out untouched) on an unknown name.
 inline bool ParseRuntimeKind(std::string_view name, RuntimeKind* out) {
   if (name == "simulation" || name == "sim") {
     *out = RuntimeKind::kSimulation;
-    return true;
-  }
-  if (name == "threaded" || name == "thread") {
-    *out = RuntimeKind::kThreaded;
     return true;
   }
   if (name == "pool") {
@@ -73,10 +63,10 @@ inline bool ParseRuntimeKind(std::string_view name, RuntimeKind* out) {
 ///
 ///  * PoolRuntime: growing *spawns* a real task — the instance's bolt is
 ///    constructed on first activation and scheduled like any other task.
-///  * SimulationRuntime / ThreadedRuntime: every instance up to the
-///    component's provisioned maximum (Topology::SetMaxParallelism) is
-///    built up front and the live count is an activation mask over them,
-///    so the deterministic differential tests stay exact.
+///  * SimulationRuntime: every instance up to the component's provisioned
+///    maximum (Topology::SetMaxParallelism) is built up front and the live
+///    count is an activation mask over them, so the deterministic
+///    differential tests stay exact.
 ///
 /// On every substrate the active count only gates *routing* (shuffle /
 /// all / fields fan-out): retired instances keep draining their queues —
@@ -150,8 +140,8 @@ inline bool ParseAffinityPolicy(std::string_view name, AffinityPolicy* out) {
   return false;
 }
 
-/// Substrate knobs shared by the concurrent runtimes. The simulator
-/// ignores all of them (it has no queues and exactly one thread).
+/// Substrate knobs of the pool runtime. The simulator honours only
+/// start_time and metrics (it has no queues and exactly one thread).
 struct RuntimeOptions {
   /// Per-task input queue capacity (envelopes). Bounds the skew between
   /// producers and consumers: a full queue blocks the pusher
@@ -160,11 +150,10 @@ struct RuntimeOptions {
   size_t queue_capacity = 4096;
 
   /// Pool runtime: worker threads. 0 = std::thread::hardware_concurrency.
-  /// The threaded runtime ignores it (always one thread per task).
   int num_threads = 0;
 
   /// Pool runtime: worker-to-core pinning (see AffinityPolicy). The
-  /// threaded and simulation substrates ignore it.
+  /// simulator ignores it.
   AffinityPolicy affinity = AffinityPolicy::kNone;
 
   /// Virtual time the stream resumes at (checkpoint restore): every tick
@@ -250,16 +239,16 @@ struct RuntimeStats {
 ///
 /// Shutdown contract (all runtimes): when the spout is exhausted, tick
 /// boundaries up to (last timestamp + flush_horizon) still fire; in the
-/// concurrent runtimes a poison watermark floods forward edges and
-/// messages still in flight on feedback edges at end-of-stream are
-/// dropped. Run() may be called once.
+/// pool a poison watermark floods forward edges and messages still in
+/// flight on feedback edges at end-of-stream are dropped. Run() may be
+/// called once.
 template <typename Message>
 class Runtime : public TopologyControl {
  public:
   ~Runtime() override = default;
 
   /// Runs the spout to exhaustion, fires ticks up to (last timestamp +
-  /// flush_horizon) and — in concurrent runtimes — joins all workers.
+  /// flush_horizon) and — in the pool — joins all workers.
   virtual void Run(Timestamp flush_horizon) = 0;
   void Run() { Run(0); }
 

@@ -6,14 +6,13 @@
 #include "stream/pool_runtime.h"
 #include "stream/runtime.h"
 #include "stream/simulation.h"
-#include "stream/threaded_runtime.h"
 
 namespace corrtrack::stream {
 
 /// Instantiates the requested substrate for `topology`. The simulator
-/// honours only start_time; the threaded runtime adds queue_capacity; the
-/// pool uses every knob. Layers with a PipelineConfig should prefer
-/// ops::MakeConfiguredRuntime, which maps the config's runtime knobs here.
+/// honours only start_time; the pool uses every knob. Layers with a
+/// PipelineConfig should prefer ops::MakeConfiguredRuntime, which maps the
+/// config's runtime knobs here.
 template <typename Message>
 std::unique_ptr<Runtime<Message>> MakeRuntime(
     RuntimeKind kind, Topology<Message>* topology,
@@ -21,8 +20,6 @@ std::unique_ptr<Runtime<Message>> MakeRuntime(
   switch (kind) {
     case RuntimeKind::kSimulation:
       return std::make_unique<SimulationRuntime<Message>>(topology, options);
-    case RuntimeKind::kThreaded:
-      return std::make_unique<ThreadedRuntime<Message>>(topology, options);
     case RuntimeKind::kPool:
       return std::make_unique<PoolRuntime<Message>>(topology, options);
   }

@@ -36,7 +36,7 @@ namespace corrtrack::stream {
 ///  * Shuffle grouping is a per-edge round-robin: uniform like Storm's
 ///    randomised shuffle, but reproducible.
 ///
-/// The engine is single-threaded; see threaded_runtime.h for the concurrent
+/// The engine is single-threaded; see pool_runtime.h for the concurrent
 /// executor with identical wiring.
 template <typename Message>
 class SimulationRuntime : public Runtime<Message> {

@@ -79,7 +79,7 @@ class Spout {
 };
 
 /// Static description of a topology (Fig. 2): components, parallelism and
-/// subscription edges. Runtimes (simulation.h, threaded_runtime.h) execute
+/// subscription edges. Runtimes (simulation.h, pool_runtime.h) execute
 /// it.
 template <typename Message>
 class Topology {
@@ -90,7 +90,7 @@ class Topology {
     int producer;  // Component id.
     Grouping<Message> grouping;
     /// Queue-capacity floor (envelopes) this edge asks of its consumer:
-    /// the concurrent runtimes size the consumer task's input queue to at
+    /// the pool runtime sizes the consumer task's input queue to at
     /// least this, independent of RuntimeOptions::queue_capacity. 0 = no
     /// override. Granularity: a task has ONE input mailbox, so the floor
     /// applies to the consumer as a whole — every edge into it shares the
@@ -161,7 +161,7 @@ class Topology {
 
   /// Subscribes `consumer` (a bolt) to tuples of `producer`.
   /// `min_queue_capacity` > 0 raises the consumer's input-queue budget in
-  /// the concurrent runtimes to at least that many envelopes (per-edge
+  /// the pool runtime to at least that many envelopes (per-edge
   /// credits, see Subscription); 0 keeps the runtime's global capacity.
   void Subscribe(int consumer, int producer, Grouping<Message> grouping,
                  size_t min_queue_capacity = 0) {

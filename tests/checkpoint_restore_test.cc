@@ -107,7 +107,7 @@ void ExpectPeriodsIdentical(
 /// thread scheduling interleaved ticks with in-flight documents. Interior
 /// period boundaries are schedule-dependent on the concurrent substrates
 /// (a tick can land a few documents earlier or later run-to-run — true of
-/// two *uninterrupted* threaded runs as well, nothing to do with restore),
+/// two *uninterrupted* pool runs as well, nothing to do with restore),
 /// so only the simulation runtime additionally pins every interior period.
 void ExpectFinalPeriodIdentical(
     const std::map<Timestamp, ops::TrackerBolt::PeriodResults>& got,
@@ -264,10 +264,6 @@ void RunKillRestoreDifferential(stream::RuntimeKind kind) {
 
 TEST(KillRestore, DifferentialOnSimulation) {
   RunKillRestoreDifferential(stream::RuntimeKind::kSimulation);
-}
-
-TEST(KillRestore, DifferentialOnThreaded) {
-  RunKillRestoreDifferential(stream::RuntimeKind::kThreaded);
 }
 
 TEST(KillRestore, DifferentialOnPool) {

@@ -1,5 +1,5 @@
 // Checkpoint format and fault matrix: manifest-last commit, CRC frames,
-// retention GC, retry policy — and every FaultKind either recovers via
+// retention GC — and every FaultKind either recovers via
 // retry or fails cleanly with the previous manifest intact. The invariant
 // under test everywhere: a reader never accepts bytes that differ from
 // what a writer committed (no silent corruption), and a failed write never
@@ -182,51 +182,6 @@ TEST_F(CheckpointTest, TruncatedManifestIsInvalid) {
   CheckpointData latest;
   ASSERT_TRUE(reader.ReadLatest(&latest).ok());
   EXPECT_EQ(latest.seq, 1u);
-}
-
-TEST(RetryOpTest, TransientErrorsRetryWithBackoff) {
-  std::vector<int> sleeps;
-  RetryPolicy policy;
-  policy.max_attempts = 4;
-  policy.base_backoff_ms = 5;
-  policy.sleeper = [&sleeps](int ms) { sleeps.push_back(ms); };
-
-  int calls = 0;
-  uint64_t retries = 0;
-  const Status status = RetryOp(policy, &retries, [&calls]() {
-    return ++calls < 3 ? Status::Unavailable("flaky") : Status::OK();
-  });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retries, 2u);
-  EXPECT_EQ(sleeps, (std::vector<int>{5, 10}));  // Exponential backoff.
-}
-
-TEST(RetryOpTest, PermanentErrorsNeverRetry) {
-  int calls = 0;
-  uint64_t retries = 0;
-  const Status status =
-      RetryOp(FastRetry(), &retries, [&calls]() {
-        ++calls;
-        return Status::NoSpace("disk full");
-      });
-  EXPECT_EQ(status.code(), StatusCode::kNoSpace);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(retries, 0u);
-}
-
-TEST(RetryOpTest, GivesUpAfterMaxAttempts) {
-  RetryPolicy policy = FastRetry();
-  policy.max_attempts = 3;
-  int calls = 0;
-  uint64_t retries = 0;
-  const Status status = RetryOp(policy, &retries, [&calls]() {
-    ++calls;
-    return Status::Unavailable("still down");
-  });
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(retries, 2u);
 }
 
 // ---------------------------------------------------------------------------

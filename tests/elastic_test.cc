@@ -163,10 +163,6 @@ TEST(ElasticResize, ForcedScheduleMatchesOracleOnSimulation) {
   RunForcedResizeDifferential(stream::RuntimeKind::kSimulation);
 }
 
-TEST(ElasticResize, ForcedScheduleMatchesOracleOnThreaded) {
-  RunForcedResizeDifferential(stream::RuntimeKind::kThreaded);
-}
-
 TEST(ElasticResize, ForcedScheduleMatchesOracleOnPool) {
   RunForcedResizeDifferential(stream::RuntimeKind::kPool);
 }

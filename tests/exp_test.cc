@@ -136,15 +136,13 @@ TEST(Sweep, PaperBaseConfigMatchesSection82) {
 
 TEST(Sweep, RuntimeSweepCoversSubstrates) {
   const auto points = RuntimeSweep();
-  ASSERT_EQ(points.size(), 4u);
+  ASSERT_EQ(points.size(), 3u);
   ExperimentConfig config = PaperBaseConfig();
   EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kSimulation);
   points[1].apply(&config);
-  EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kThreaded);
-  points[2].apply(&config);
   EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kPool);
   EXPECT_EQ(config.pipeline.num_threads, 1);
-  points[3].apply(&config);
+  points[2].apply(&config);
   EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kPool);
   EXPECT_EQ(config.pipeline.num_threads, 0);  // Hardware concurrency.
 }

@@ -256,7 +256,7 @@ TEST_F(NetOverloadTest, ExpiredRequestsAnswerDeadlineExceededAndSurvive) {
   ASSERT_TRUE(ConnectClient(&occupier)) << occupier.last_error();
   QueueOccupier(&occupier);
   Joiner occupier_flush{std::thread([&] { occupier.Flush(nullptr); })};
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(WaitForScans(1));  // The reader is executing the occupier.
 
   // ...then pipeline a 1ms-budget ping that must wait behind it. The
   // deadline directive travels in the same batch: it is applied at decode,
@@ -298,7 +298,7 @@ TEST_F(NetOverloadTest, WatermarkShedsWithOverloadedAndConnectionSurvives) {
   ASSERT_TRUE(ConnectClient(&occupier)) << occupier.last_error();
   QueueOccupier(&occupier);
   Joiner occupier_flush{std::thread([&] { occupier.Flush(nullptr); })};
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(WaitForScans(1));  // The reader is executing the occupier.
 
   Client filler;
   ASSERT_TRUE(ConnectClient(&filler)) << filler.last_error();

@@ -63,7 +63,7 @@ RawTweet Tweet(DocId id, Timestamp time, std::string text) {
 
 TEST(ParserBolt, ExtractsHashtags) {
   ParserBolt parser;
-  const auto tags = parser.ExtractHashtags("hello #World_1 and #abc!#d");
+  const auto tags = parser.ExtractTags("hello #World_1 and #abc!#d");
   ASSERT_EQ(tags.size(), 3u);
   EXPECT_EQ(parser.dictionary().Name(tags[0]), "World_1");
   EXPECT_EQ(parser.dictionary().Name(tags[1]), "abc");
@@ -72,9 +72,9 @@ TEST(ParserBolt, ExtractsHashtags) {
 
 TEST(ParserBolt, IgnoresBareHashAndInternsConsistently) {
   ParserBolt parser;
-  EXPECT_TRUE(parser.ExtractHashtags("# # nothing ##").empty());
-  const auto first = parser.ExtractHashtags("#tag");
-  const auto second = parser.ExtractHashtags("again #tag");
+  EXPECT_TRUE(parser.ExtractTags("# # nothing ##").empty());
+  const auto first = parser.ExtractTags("#tag");
+  const auto second = parser.ExtractTags("again #tag");
   EXPECT_EQ(first, second);
 }
 
@@ -847,7 +847,7 @@ TEST(AutoSizeQueueCapacity, DoublesUnderBackpressureOnly) {
 
 TEST(MakeConfiguredRuntime, ZeroQueueCapacityAutoSizes) {
   PipelineConfig config = SmallConfig();
-  config.runtime = stream::RuntimeKind::kThreaded;
+  config.runtime = stream::RuntimeKind::kPool;
   config.queue_capacity = 0;  // Auto.
   stream::Topology<Message> topology;
   gen::GeneratorConfig workload;

@@ -22,7 +22,6 @@
 #include "stream/pool_runtime.h"
 #include "stream/runtime_factory.h"
 #include "stream/simulation.h"
-#include "stream/threaded_runtime.h"
 
 namespace corrtrack {
 namespace {
@@ -196,10 +195,6 @@ void RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind kind) {
          "feedback-discard shutdown path)";
 }
 
-TEST(PayloadLifecycle, FeedbackDiscardReleasesPayloadsThreaded) {
-  RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind::kThreaded);
-}
-
 TEST(PayloadLifecycle, FeedbackDiscardReleasesPayloadsPool) {
   RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind::kPool);
 }
@@ -283,30 +278,28 @@ TEST(PayloadLifecycle, CopyOnWriteIsolatesBroadcastConsumers) {
 
 TEST(PayloadLifecycle, SharesCountedAcrossSubstrates) {
   // The same broadcast topology must report payload_shares on the
-  // concurrent substrates too (and release everything).
-  for (const auto kind :
-       {stream::RuntimeKind::kThreaded, stream::RuntimeKind::kPool}) {
-    auto sentinel = std::make_shared<int>(1);
-    {
-      const int n = 2000;
-      Topology<Msg> topology;
-      const int spout = topology.AddSpout(
-          "src", std::make_unique<TrackedSpout>(n, sentinel));
-      const int consumers = topology.AddBolt(
-          "consumer", [](int) { return std::make_unique<EchoBolt>(); }, 4);
-      topology.Subscribe(consumers, spout, Grouping<Msg>::All());
-      stream::RuntimeOptions options;
-      options.num_threads = 2;
-      auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
-      runtime->Run();
-      EXPECT_EQ(runtime->stats().payload_shares,
-                static_cast<uint64_t>(n) * 3)
-          << stream::RuntimeKindName(kind);
-      EXPECT_EQ(runtime->TuplesDelivered(consumers),
-                static_cast<uint64_t>(n) * 4);
-    }
-    EXPECT_EQ(sentinel.use_count(), 1) << stream::RuntimeKindName(kind);
+  // concurrent substrate too (and release everything).
+  const auto kind = stream::RuntimeKind::kPool;
+  auto sentinel = std::make_shared<int>(1);
+  {
+    const int n = 2000;
+    Topology<Msg> topology;
+    const int spout = topology.AddSpout(
+        "src", std::make_unique<TrackedSpout>(n, sentinel));
+    const int consumers = topology.AddBolt(
+        "consumer", [](int) { return std::make_unique<EchoBolt>(); }, 4);
+    topology.Subscribe(consumers, spout, Grouping<Msg>::All());
+    stream::RuntimeOptions options;
+    options.num_threads = 2;
+    auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
+    runtime->Run();
+    EXPECT_EQ(runtime->stats().payload_shares,
+              static_cast<uint64_t>(n) * 3)
+        << stream::RuntimeKindName(kind);
+    EXPECT_EQ(runtime->TuplesDelivered(consumers),
+              static_cast<uint64_t>(n) * 4);
   }
+  EXPECT_EQ(sentinel.use_count(), 1) << stream::RuntimeKindName(kind);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +324,7 @@ TEST(PerEdgeCredits, QueueCapacityForTakesTheLargestFloor) {
 
 /// The acceptance regression: the full Fig. 2 cyclic pipeline at global
 /// capacity TWO. Without per-edge credits this lives off the bounded-stall
-/// escape (stall_escapes > 0, see ThreadedRuntime.FullTopologyTinyQueues);
+/// escape (stall_escapes > 0, see PoolRuntime.FullTopologyTinyQueues);
 /// with the feedback edges carrying a real budget the cycle never stalls.
 void RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind kind) {
   ops::PipelineConfig pipeline;
@@ -362,10 +355,6 @@ void RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind kind) {
       << "feedback credits must keep the Disseminator<->Merger cycle "
          "stall-free at capacity 2 on "
       << stream::RuntimeKindName(kind);
-}
-
-TEST(PerEdgeCredits, CapacityTwoStaysStallFreeThreaded) {
-  RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind::kThreaded);
 }
 
 TEST(PerEdgeCredits, CapacityTwoStaysStallFreePool) {

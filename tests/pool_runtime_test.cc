@@ -1,6 +1,7 @@
 #include "stream/pool_runtime.h"
 
 #include <memory>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -219,43 +220,52 @@ TEST(PoolRuntime, FeedbackEdgeShutdown) {
   // spout -> B -> C with a C -> B feedback edge (the Disseminator-loop
   // shape). Shutdown must terminate despite the cycle: B awaits only the
   // spout's poison, C awaits B's, and feedback traffic still in flight at
-  // end-of-stream is discarded per the engine contract.
-  const int n = 5000;
-  Topology<Msg> topology;
-  const int spout =
-      topology.AddSpout("src", std::make_unique<CountingSpout>(n));
-  std::vector<EchoOnceBolt*> bs(2, nullptr);
-  const int b_comp = topology.AddBolt(
-      "B",
-      [&bs, spout](int instance) {
-        auto b = std::make_unique<EchoOnceBolt>(spout);
-        bs[static_cast<size_t>(instance)] = b.get();
-        return b;
-      },
-      2);
-  SummingBolt* c_bolt = nullptr;
-  const int c_comp = topology.AddBolt(
-      "C",
-      [&c_bolt](int) {
-        auto b = std::make_unique<SummingBolt>(true);  // Echo into the loop.
-        c_bolt = b.get();
-        return b;
-      },
-      1);
-  topology.Subscribe(b_comp, spout, Grouping<Msg>::Shuffle());
-  topology.Subscribe(c_comp, b_comp, Grouping<Msg>::Global());
-  topology.Subscribe(b_comp, c_comp, Grouping<Msg>::Shuffle());  // Feedback.
-  RuntimeOptions options;
-  options.num_threads = 2;
-  PoolRuntime<Msg> runtime(&topology, options);
-  runtime.Run();
-  // Everything the spout emitted flowed B -> C exactly once.
-  EXPECT_EQ(bs[0]->forwarded + bs[1]->forwarded, n);
-  EXPECT_EQ(c_bolt->count, n);
-  EXPECT_EQ(c_bolt->sum, static_cast<long long>(n) * (n - 1) / 2);
-  // Feedback tuples are best-effort at end-of-stream: delivered at most
-  // once each, the tail legally dropped at shutdown.
-  EXPECT_LE(bs[0]->feedback_seen + bs[1]->feedback_seen, n);
+  // end-of-stream is discarded per the engine contract. At capacity 1 the
+  // cycle is also the cross-thread cyclic-full pattern: B's runner blocks
+  // pushing at C's full mailbox while C's blocks pushing feedback at B's;
+  // helping or the bounded-stall escape must keep the run live (the ctest
+  // timeout turns a regression into a fast failure).
+  for (size_t capacity : {RuntimeOptions().queue_capacity, size_t{1}}) {
+    SCOPED_TRACE("queue_capacity=" + std::to_string(capacity));
+    const int n = 5000;
+    Topology<Msg> topology;
+    const int spout =
+        topology.AddSpout("src", std::make_unique<CountingSpout>(n));
+    std::vector<EchoOnceBolt*> bs(2, nullptr);
+    const int b_comp = topology.AddBolt(
+        "B",
+        [&bs, spout](int instance) {
+          auto b = std::make_unique<EchoOnceBolt>(spout);
+          bs[static_cast<size_t>(instance)] = b.get();
+          return b;
+        },
+        2);
+    SummingBolt* c_bolt = nullptr;
+    const int c_comp = topology.AddBolt(
+        "C",
+        [&c_bolt](int) {
+          auto b = std::make_unique<SummingBolt>(true);  // Echo into the loop.
+          c_bolt = b.get();
+          return b;
+        },
+        1);
+    topology.Subscribe(b_comp, spout, Grouping<Msg>::Shuffle());
+    topology.Subscribe(c_comp, b_comp, Grouping<Msg>::Global());
+    topology.Subscribe(b_comp, c_comp, Grouping<Msg>::Shuffle());  // Feedback.
+    RuntimeOptions options;
+    options.num_threads = 2;
+    options.queue_capacity = capacity;
+    PoolRuntime<Msg> runtime(&topology, options);
+    runtime.Run();
+    // Everything the spout emitted flowed B -> C exactly once.
+    EXPECT_EQ(bs[0]->forwarded + bs[1]->forwarded, n);
+    EXPECT_EQ(c_bolt->count, n);
+    EXPECT_EQ(c_bolt->sum, static_cast<long long>(n) * (n - 1) / 2);
+    // Feedback tuples are best-effort at end-of-stream: delivered at most
+    // once each, the tail legally dropped at shutdown.
+    EXPECT_LE(bs[0]->feedback_seen + bs[1]->feedback_seen, n);
+    if (capacity == 1) EXPECT_GT(runtime.stats().queue_full_blocks, 0u);
+  }
 }
 
 TEST(PoolRuntime, FullTopologyTinyQueuesTerminates) {
@@ -311,11 +321,11 @@ TEST(PoolRuntime, FullCorrelationTopologyMatchesSimulation) {
   workload.topics.num_topics = 60;
   // ~3 virtual minutes: the bootstrap install round-trip (requested at
   // minute 1) completes with minutes of stream to spare on any schedule.
-  // Unlike the threaded runtime, capping queue capacity does NOT bound
-  // spout/control-loop skew here — a pool producer that fills a mailbox
-  // helps drain it instead of blocking — so the margin must come from
-  // stream length, or an unlucky schedule finishes the stream before the
-  // first partitions install (no coefficients tracked at all).
+  // Capping queue capacity does NOT bound spout/control-loop skew here —
+  // a pool producer that fills a mailbox helps drain it instead of
+  // blocking — so the margin must come from stream length, or an unlucky
+  // schedule finishes the stream before the first partitions install (no
+  // coefficients tracked at all).
   const uint64_t num_docs = 24000;
 
   // Pool run: 4 workers for 11 tasks.
@@ -380,8 +390,7 @@ TEST(PoolRuntime, FullCorrelationTopologyMatchesSimulation) {
 TEST(PoolRuntime, MakeConfiguredRuntimeSelectsSubstrate) {
   // The PipelineConfig knobs must reach the substrate: kind, thread count
   // and queue capacity all flow through ops::MakeConfiguredRuntime.
-  for (RuntimeKind kind : {RuntimeKind::kSimulation, RuntimeKind::kThreaded,
-                           RuntimeKind::kPool}) {
+  for (RuntimeKind kind : {RuntimeKind::kSimulation, RuntimeKind::kPool}) {
     ops::PipelineConfig pipeline;
     pipeline.runtime = kind;
     pipeline.num_threads = 3;
@@ -405,8 +414,7 @@ TEST(PoolRuntime, MakeConfiguredRuntimeSelectsSubstrate) {
 }
 
 TEST(RuntimeKindNames, RoundTrip) {
-  for (RuntimeKind kind : {RuntimeKind::kSimulation, RuntimeKind::kThreaded,
-                           RuntimeKind::kPool}) {
+  for (RuntimeKind kind : {RuntimeKind::kSimulation, RuntimeKind::kPool}) {
     RuntimeKind parsed;
     ASSERT_TRUE(ParseRuntimeKind(RuntimeKindName(kind), &parsed));
     EXPECT_EQ(parsed, kind);
@@ -415,6 +423,7 @@ TEST(RuntimeKindNames, RoundTrip) {
   EXPECT_TRUE(ParseRuntimeKind("sim", &parsed));
   EXPECT_EQ(parsed, RuntimeKind::kSimulation);
   EXPECT_FALSE(ParseRuntimeKind("storm", &parsed));
+  EXPECT_FALSE(ParseRuntimeKind("threaded", &parsed));
 }
 
 }  // namespace

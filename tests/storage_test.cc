@@ -1,7 +1,8 @@
 // Storage layer: Status taxonomy, CRC-32C, the length-prefixed byte codec,
-// URI dispatch, and the two backends' filesystem semantics (the posix one
+// URI dispatch, the two backends' filesystem semantics (the posix one
 // against a real temp directory, the memory one against its process-global
-// tree). Everything the checkpoint subsystem builds on.
+// tree) and the transient-error retry policy. Everything the checkpoint
+// subsystem builds on.
 
 #include <algorithm>
 #include <filesystem>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "storage/crc32c.h"
+#include "storage/retry.h"
 #include "storage/serialize.h"
 #include "storage/status.h"
 #include "storage/storage.h"
@@ -249,6 +251,61 @@ TEST_P(BackendTest, DeleteDirRecursiveRemovesTree) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
                          ::testing::Values("posix", "memory"));
+
+// ---------------------------------------------------------------------------
+// Retry policy.
+
+/// Non-sleeping retry policy: the retry tests must not wall-clock wait.
+RetryPolicy FastRetry() {
+  RetryPolicy retry;
+  retry.sleeper = [](int) {};
+  return retry;
+}
+
+TEST(RetryOpTest, TransientErrorsRetryWithBackoff) {
+  std::vector<int> sleeps;
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.base_backoff_ms = 5;
+  policy.sleeper = [&sleeps](int ms) { sleeps.push_back(ms); };
+
+  int calls = 0;
+  uint64_t retries = 0;
+  const Status status = RetryOp(policy, &retries, [&calls]() {
+    return ++calls < 3 ? Status::Unavailable("flaky") : Status::OK();
+  });
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(retries, 2u);
+  EXPECT_EQ(sleeps, (std::vector<int>{5, 10}));  // Exponential backoff.
+}
+
+TEST(RetryOpTest, PermanentErrorsNeverRetry) {
+  int calls = 0;
+  uint64_t retries = 0;
+  const Status status =
+      RetryOp(FastRetry(), &retries, [&calls]() {
+        ++calls;
+        return Status::NoSpace("disk full");
+      });
+  EXPECT_EQ(status.code(), StatusCode::kNoSpace);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(retries, 0u);
+}
+
+TEST(RetryOpTest, GivesUpAfterMaxAttempts) {
+  RetryPolicy policy = FastRetry();
+  policy.max_attempts = 3;
+  int calls = 0;
+  uint64_t retries = 0;
+  const Status status = RetryOp(policy, &retries, [&calls]() {
+    ++calls;
+    return Status::Unavailable("still down");
+  });
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(retries, 2u);
+}
 
 }  // namespace
 }  // namespace corrtrack::storage
