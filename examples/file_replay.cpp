@@ -3,9 +3,8 @@
 // file" source mode (§6.2). Demonstrates gen::SaveDocuments /
 // LoadDocuments and that a replayed run is bit-identical to a live one.
 //
-// Flags: --runtime=simulation|pool, --threads=N and
-// --affinity=none|compact|scatter (pool worker pinning) select the
-// execution substrate. Bit-identical replay is a property of the
+// Flags: --runtime=simulation|pool and --threads=N select the execution
+// substrate. Bit-identical replay is a property of the
 // deterministic simulator; on the pool runtime the comparison is
 // reported but not enforced (cross-producer interleaving is scheduling-
 // dependent, as in Storm).
@@ -42,7 +41,7 @@ struct Digest {
 };
 
 Digest RunOver(std::vector<Document> docs, stream::RuntimeKind kind,
-               int num_threads, stream::AffinityPolicy affinity) {
+               int num_threads) {
   ops::PipelineConfig pipeline;
   pipeline.algorithm = AlgorithmKind::kSCC;
   pipeline.num_calculators = 4;
@@ -52,7 +51,6 @@ Digest RunOver(std::vector<Document> docs, stream::RuntimeKind kind,
   pipeline.bootstrap_time = 2 * kMillisPerMinute;
   pipeline.runtime = kind;
   pipeline.num_threads = num_threads;
-  pipeline.affinity = affinity;
   pipeline.queue_capacity = 256;
 
   stream::Topology<ops::Message> topology;
@@ -80,7 +78,6 @@ Digest RunOver(std::vector<Document> docs, stream::RuntimeKind kind,
 int main(int argc, char** argv) {
   stream::RuntimeKind kind = stream::RuntimeKind::kSimulation;
   int num_threads = 0;
-  stream::AffinityPolicy affinity = stream::AffinityPolicy::kNone;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
       if (!stream::ParseRuntimeKind(argv[i] + 10, &kind)) {
@@ -91,17 +88,9 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       num_threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--affinity=", 11) == 0) {
-      if (!stream::ParseAffinityPolicy(argv[i] + 11, &affinity)) {
-        std::fprintf(stderr,
-                     "unknown --affinity '%s' (none|compact|scatter)\n",
-                     argv[i] + 11);
-        return 1;
-      }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--runtime=simulation|pool] [--threads=N] "
-                   "[--affinity=none|compact|scatter]\n",
+                   "usage: %s [--runtime=simulation|pool] [--threads=N]\n",
                    argv[0]);
       return 1;
     }
@@ -136,8 +125,8 @@ int main(int argc, char** argv) {
 
   // 3. Run the pipeline over both streams; on the deterministic simulator
   //    the runs must agree exactly.
-  const Digest live = RunOver(docs, kind, num_threads, affinity);
-  const Digest replay = RunOver(loaded, kind, num_threads, affinity);
+  const Digest live = RunOver(docs, kind, num_threads);
+  const Digest replay = RunOver(loaded, kind, num_threads);
   std::printf("live run:   %zu periods, %zu coefficients\n", live.periods,
               live.tagsets);
   std::printf("replay run: %zu periods, %zu coefficients\n", replay.periods,

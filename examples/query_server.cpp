@@ -9,7 +9,6 @@
 //
 //   ./build/example_query_server [--docs=N] [--interactive | --demo]
 //                                [--runtime=pool|simulation] [--threads=N]
-//                                [--affinity=none|compact|scatter]
 //                                [--listen=PORT] [--serve-seconds=N]
 //                                [--drain-deadline-ms=N]
 //
@@ -257,7 +256,6 @@ int main(int argc, char** argv) {
   uint64_t num_docs = 60000;
   bool interactive = isatty(STDIN_FILENO) != 0;
   stream::RuntimeKind runtime_kind = stream::RuntimeKind::kPool;
-  stream::AffinityPolicy affinity = stream::AffinityPolicy::kNone;
   int num_threads = 0;
   bool listen = false;
   uint16_t listen_port = 0;
@@ -291,13 +289,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       num_threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--affinity=", 11) == 0) {
-      if (!stream::ParseAffinityPolicy(argv[i] + 11, &affinity)) {
-        std::fprintf(stderr,
-                     "unknown --affinity '%s' (none|compact|scatter)\n",
-                     argv[i] + 11);
-        return 1;
-      }
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);
       return 1;
@@ -313,7 +304,6 @@ int main(int argc, char** argv) {
   pipeline.bootstrap_time = 2 * kMillisPerMinute;
   pipeline.runtime = runtime_kind;
   pipeline.num_threads = num_threads;
-  pipeline.affinity = affinity;
   pipeline.queue_capacity = 256;
 
   gen::GeneratorConfig workload;

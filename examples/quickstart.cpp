@@ -8,7 +8,6 @@
 // The same topology runs on any execution substrate:
 //   --runtime=simulation|pool            (default: simulation)
 //   --threads=N                          (pool workers; 0 = all cores)
-//   --affinity=none|compact|scatter      (pool worker pinning; default none)
 
 #include <algorithm>
 #include <cstdio>
@@ -49,17 +48,9 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
       pipeline.num_threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--affinity=", 11) == 0) {
-      if (!stream::ParseAffinityPolicy(argv[i] + 11, &pipeline.affinity)) {
-        std::fprintf(stderr,
-                     "unknown --affinity '%s' (none|compact|scatter)\n",
-                     argv[i] + 11);
-        return 1;
-      }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--runtime=simulation|pool] [--threads=N] "
-                   "[--affinity=none|compact|scatter]\n",
+                   "usage: %s [--runtime=simulation|pool] [--threads=N]\n",
                    argv[0]);
       return 1;
     }

@@ -20,6 +20,13 @@ std::optional<TagId> TagDictionary::Find(std::string_view name) const {
   return it->second;
 }
 
+void TagDictionary::Truncate(size_t size) {
+  while (names_.size() > size) {
+    ids_.erase(names_.back());
+    names_.pop_back();
+  }
+}
+
 std::string_view TagDictionary::Name(TagId id) const {
   CORRTRACK_CHECK_LT(id, names_.size());
   return names_[id];

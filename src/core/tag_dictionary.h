@@ -40,6 +40,9 @@ class TagDictionary {
   /// Number of interned tags. Also the smallest id not yet in use.
   size_t size() const { return names_.size(); }
 
+  /// Forgets every tag interned after the dictionary held `size` tags.
+  void Truncate(size_t size);
+
  private:
   // Heterogeneous lookup: string_view probes without a temporary
   // std::string (this map sits on the Parser's per-tweet hot path).

@@ -206,8 +206,6 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
   }
 
   // -------------------------------------------------------- segment loop
-  stream::RuntimeStats prev_stats;
-  bool have_prev_stats = false;
   TopologyHandles handles;
   std::unique_ptr<stream::Topology<Message>> topology;
   std::unique_ptr<stream::Runtime<Message>> runtime;
@@ -219,8 +217,7 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
     handles = BuildCorrelationTopology(
         topology.get(), std::move(seg_spout), seg_config, metrics,
         with_centralized_baseline, tracker_sink, baseline_sink, restore_state);
-    runtime = MakeConfiguredRuntime(topology.get(), seg_config,
-                                    have_prev_stats ? &prev_stats : nullptr);
+    runtime = MakeConfiguredRuntime(topology.get(), seg_config);
     // Re-apply the elastic parallelism of the cut. The topology was built
     // with the ORIGINAL config (stable fingerprint, stable instance
     // numbering); the live count is runtime state, restored here the same
@@ -243,8 +240,6 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
     // known to reach end-of-stream gets the final horizon.
     const bool final_segment = !checkpointing;
     runtime->Run(final_segment ? final_flush_horizon : 0);
-    prev_stats = runtime->stats();
-    have_prev_stats = true;
 
     if (final_segment || !source.HasNext()) break;
 

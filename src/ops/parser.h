@@ -42,12 +42,23 @@ class ParserBolt : public stream::Bolt<Message> {
         telemetry_ != nullptr ? telemetry_->sampler.Next() : 0;
     const int64_t t0 = trace_id != 0 ? telemetry::MonotonicNanos() : 0;
     if (telemetry_ != nullptr) telemetry_->docs_parsed->Increment();
+    const size_t interned = dictionary_.size();
     const std::vector<TagId> tags = ExtractTags(raw->text);
     if (tags.empty()) return;  // Untagged tweets add nothing (§1.1).
     ParsedDoc parsed;
     parsed.doc.id = raw->id;
     parsed.doc.time = raw->time;
     parsed.doc.tags = TagSet(tags);
+    if (parsed.doc.tags.size() > static_cast<size_t>(kMaxTagsPerDocument)) {
+      // Subset enumeration cannot take the document. Dropping it leaves no
+      // trace: the tags it alone introduced are forgotten, so later tags
+      // get the ids they would have had without it.
+      dictionary_.Truncate(interned);
+      if (telemetry_ != nullptr) {
+        telemetry_->docs_rejected_too_many_tags->Increment();
+      }
+      return;
+    }
     if (trace_id != 0) {
       telemetry_->docs_sampled->Increment();
       const int64_t now = telemetry::MonotonicNanos();

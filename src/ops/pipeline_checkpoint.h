@@ -28,7 +28,7 @@ namespace corrtrack::ops {
 /// rule). Restore refuses a checkpoint whose fingerprint differs — counters
 /// from a run with a different window span or seed would be silently wrong,
 /// not just stale. Execution-substrate knobs (runtime kind, threads, queue
-/// capacities, affinity) are deliberately excluded: a checkpoint taken on
+/// capacity) are deliberately excluded: a checkpoint taken on
 /// the simulator restores onto the pool runtime and vice versa.
 uint64_t PipelineConfigFingerprint(const PipelineConfig& config);
 

@@ -130,29 +130,8 @@ struct PipelineConfig {
 
   /// Per-task input queue capacity for the pool runtime (envelopes;
   /// bounds producer/consumer skew — a full queue backpressures the
-  /// pusher). Ignored by the simulation runtime. 0 = auto-size:
-  /// ops::MakeConfiguredRuntime starts from a documented floor and, when
-  /// handed a previous run's RuntimeStats, doubles while backpressure
-  /// (queue_full_blocks) was observed — see ops::AutoSizeQueueCapacity.
+  /// pusher). Must be > 0 on the pool. Ignored by the simulation runtime.
   size_t queue_capacity = 4096;
-
-  /// Credit budget for the Disseminator<->Merger feedback cycle
-  /// (uncovered-tagset reports, install broadcasts, counter handoffs and
-  /// the repartition loop): these edges' consumer queues get at least this
-  /// many envelope slots regardless of `queue_capacity`, so a tiny global
-  /// capacity cannot produce cyclic-full stalls
-  /// (RuntimeStats::stall_escapes stays 0). Each task has one input
-  /// mailbox, so the override raises the whole consumer's queue — data
-  /// edges into the Merger/Disseminator/Partitioner share the raised
-  /// budget; the volume carriers (Calculator, Tracker) keep the global
-  /// capacity. 0 = no override — the cycle shares the global capacity and
-  /// relies on the bounded-stall escape.
-  size_t feedback_queue_capacity = 0;
-
-  /// Pool runtime worker pinning (stream::AffinityPolicy): none (default),
-  /// compact (fill one package/NUMA domain first) or scatter (round-robin
-  /// packages). Ignored by the simulation runtime.
-  stream::AffinityPolicy affinity = stream::AffinityPolicy::kNone;
 
   /// Virtual time the runtime starts at (RuntimeOptions::start_time): tick
   /// schedules begin at the first period boundary strictly after it.

@@ -1,7 +1,5 @@
 #include "ops/topology_builder.h"
 
-#include <algorithm>
-
 #include "ops/calculator_op.h"
 #include "ops/centralized.h"
 #include "ops/disseminator_op.h"
@@ -119,16 +117,7 @@ TopologyHandles BuildCorrelationTopology(
       },
       /*parallelism=*/1);
 
-  // Wiring per Fig. 2. `feedback_credits` is the queue budget of the
-  // Disseminator<->Merger control cycle (and the other feedback loops):
-  // raising those consumers' queues past a tiny global capacity keeps the
-  // cycle stall-free (stall_escapes == 0). Granularity caveat: each task
-  // has ONE input mailbox, so the floor raises the whole consumer's queue
-  // — a Disseminator with feedback credits also buffers that much
-  // document traffic. Consumers fed only by data edges (Calculator,
-  // Tracker, the sinks) keep the global capacity, which is where the
-  // envelope volume lives.
-  const size_t feedback_credits = config.feedback_queue_capacity;
+  // Wiring per Fig. 2.
   topology->Subscribe(handles.parser, handles.source,
                       Grouping<Message>::Shuffle());
   topology->Subscribe(handles.partitioner, handles.parser,
@@ -138,13 +127,13 @@ TopologyHandles BuildCorrelationTopology(
   topology->Subscribe(handles.merger, handles.partitioner,
                       Grouping<Message>::Global());
   topology->Subscribe(handles.disseminator, handles.merger,
-                      Grouping<Message>::All(), feedback_credits);
+                      Grouping<Message>::All());
   topology->Subscribe(handles.calculator, handles.disseminator,
                       Grouping<Message>::Direct());
   topology->Subscribe(handles.partitioner, handles.disseminator,
-                      Grouping<Message>::All(), feedback_credits);
+                      Grouping<Message>::All());
   topology->Subscribe(handles.merger, handles.disseminator,
-                      Grouping<Message>::Global(), feedback_credits);
+                      Grouping<Message>::Global());
   // Elastic install protocol: quiesced Calculators hand their counter
   // tables back to the Disseminator for re-routing to the new owners
   // (feedback edge, like the repartition/uncovered loops). Both edges
@@ -153,8 +142,7 @@ TopologyHandles BuildCorrelationTopology(
   topology->Subscribe(handles.disseminator, handles.calculator,
                       Grouping<Message>::GlobalWhere([](const Message& msg) {
                         return std::holds_alternative<CounterHandoff>(msg);
-                      }),
-                      feedback_credits);
+                      }));
   topology->Subscribe(handles.tracker, handles.calculator,
                       Grouping<Message>::GlobalWhere([](const Message& msg) {
                         return std::holds_alternative<JaccardReport>(msg);
@@ -178,34 +166,11 @@ TopologyHandles BuildCorrelationTopology(
   return handles;
 }
 
-size_t AutoSizeQueueCapacity(const stream::RuntimeStats* observed) {
-  if (observed == nullptr || observed->queue_capacity == 0) {
-    return kAutoQueueCapacityFloor;
-  }
-  size_t capacity = observed->queue_capacity;
-  const bool saturated =
-      observed->queue_full_blocks > 0 ||
-      observed->max_queue_depth >= static_cast<uint64_t>(capacity);
-  if (!saturated) return capacity;  // No backpressure: keep.
-  capacity *= 2;
-  // A high-water mark past the doubled capacity (stall-escape spill) means
-  // one doubling is provably not enough; keep doubling past it.
-  while (capacity <= observed->max_queue_depth &&
-         capacity < kAutoQueueCapacityCeiling) {
-    capacity *= 2;
-  }
-  return std::min(capacity, kAutoQueueCapacityCeiling);
-}
-
 std::unique_ptr<stream::Runtime<Message>> MakeConfiguredRuntime(
-    stream::Topology<Message>* topology, const PipelineConfig& config,
-    const stream::RuntimeStats* observed) {
+    stream::Topology<Message>* topology, const PipelineConfig& config) {
   stream::RuntimeOptions options;
-  options.queue_capacity = config.queue_capacity != 0
-                               ? config.queue_capacity
-                               : AutoSizeQueueCapacity(observed);
+  options.queue_capacity = config.queue_capacity;
   options.num_threads = config.num_threads;
-  options.affinity = config.affinity;
   options.start_time = config.virtual_start_time;
   if (config.telemetry != nullptr) {
     options.metrics = &config.telemetry->registry;

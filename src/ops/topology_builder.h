@@ -71,25 +71,12 @@ TopologyHandles BuildCorrelationTopology(
     PeriodSink* baseline_sink = nullptr,
     std::shared_ptr<const PipelineCheckpointState> restore = nullptr);
 
-/// Queue-capacity auto-sizing for `PipelineConfig::queue_capacity == 0`:
-/// starting floor when no prior observation exists, and the doubling
-/// policy applied to a previous run's RuntimeStats — capacity doubles
-/// while the run saw backpressure (queue_full_blocks > 0, or a high-water
-/// mark at capacity), capped at kAutoQueueCapacityCeiling; a run without
-/// backpressure keeps its capacity.
-inline constexpr size_t kAutoQueueCapacityFloor = 1024;
-inline constexpr size_t kAutoQueueCapacityCeiling = size_t{1} << 20;
-size_t AutoSizeQueueCapacity(const stream::RuntimeStats* observed);
-
 /// Instantiates the execution substrate the config selects (runtime,
 /// num_threads, queue_capacity) for a topology built above — the one place
 /// that maps PipelineConfig knobs onto stream::RuntimeOptions, so drivers,
-/// examples and tests pick a runtime the same way. `queue_capacity == 0`
-/// auto-sizes: the floor above, or the doubling policy over `observed`
-/// (a previous run's stats) when provided.
+/// examples and tests pick a runtime the same way.
 std::unique_ptr<stream::Runtime<Message>> MakeConfiguredRuntime(
-    stream::Topology<Message>* topology, const PipelineConfig& config,
-    const stream::RuntimeStats* observed = nullptr);
+    stream::Topology<Message>* topology, const PipelineConfig& config);
 
 }  // namespace corrtrack::ops
 

@@ -14,7 +14,6 @@
 
 #include "core/check.h"
 #include "core/types.h"
-#include "stream/cpu_topology.h"
 #include "stream/envelope.h"
 #include "stream/payload.h"
 #include "stream/routing.h"
@@ -75,7 +74,6 @@ class PoolRuntime : public Runtime<Message> {
                          ? options.num_threads
                          : static_cast<int>(std::max(
                                1u, std::thread::hardware_concurrency()))),
-        affinity_(options.affinity),
         start_time_(options.start_time) {
     CORRTRACK_CHECK(topology != nullptr);
     CORRTRACK_CHECK_GT(queue_capacity_, 0u);
@@ -98,29 +96,6 @@ class PoolRuntime : public Runtime<Message> {
   void Run(Timestamp flush_horizon) override {
     CORRTRACK_CHECK(!ran_);
     ran_ = true;
-    // Affinity plan: where each worker pins and whom it prefers to steal
-    // from / which injector shard it drains first. Under kNone the /sys
-    // scan is skipped outright and the empty placement keeps the
-    // unsharded single-queue behaviour.
-    if (affinity_ != AffinityPolicy::kNone) {
-      placement_ = PlanWorkerPlacement(QueryCpuTopology(), num_threads_,
-                                       affinity_);
-    }
-    steal_order_ = PlanStealOrder(placement_);
-    worker_shard_.assign(static_cast<size_t>(num_threads_), 0);
-    int num_shards = 1;
-    for (int w = 0; w < num_threads_; ++w) {
-      if (!placement_.empty()) {
-        worker_shard_[static_cast<size_t>(w)] =
-            placement_[static_cast<size_t>(w)].package;
-      }
-      num_shards = std::max(num_shards,
-                            worker_shard_[static_cast<size_t>(w)] + 1);
-    }
-    inject_shards_.resize(static_cast<size_t>(num_shards));
-    for (auto& shard : inject_shards_) {
-      shard = std::make_unique<InjectShard>();
-    }
     workers_.resize(static_cast<size_t>(num_threads_));
     for (auto& worker : workers_) worker = std::make_unique<Worker>();
     for (int w = 0; w < num_threads_; ++w) {
@@ -209,7 +184,6 @@ class PoolRuntime : public Runtime<Message> {
     stats.tasks_spawned = tasks_spawned_.load(std::memory_order_relaxed);
     stats.tasks_retired = tasks_retired_.load(std::memory_order_relaxed);
     stats.payload_shares = payload_shares_.load(std::memory_order_relaxed);
-    stats.workers_pinned = workers_pinned_.load(std::memory_order_relaxed);
     for (const auto& arena : arenas_) {
       stats.payload_copies += arena->copies();
       stats.arena_reuses += arena->reuses();
@@ -435,12 +409,6 @@ class PoolRuntime : public Runtime<Message> {
         arenas_.push_back(std::make_unique<PayloadArena<Message>>());
         continue;
       }
-      // Per-edge credits: a subscription's min_queue_capacity raises this
-      // component's mailbox budget past the global capacity (feedback
-      // edges carry more so tiny global capacities cannot stall the
-      // cycle).
-      const size_t capacity = topology_->QueueCapacityFor(
-          static_cast<int>(c), queue_capacity_);
       // One slot per *provisioned* instance; the bolt of a spare slot
       // (instance >= parallelism) is spawned on activation
       // (ResizeComponent). Mailbox and scheduling state exist up front so
@@ -453,7 +421,8 @@ class PoolRuntime : public Runtime<Message> {
           task->bolt->Prepare(task->addr, comp.parallelism);
           task->bolt->AttachControl(this);
         }
-        task->mailbox = std::make_unique<Mailbox>(capacity, queue_depth_hist_);
+        task->mailbox =
+            std::make_unique<Mailbox>(queue_capacity_, queue_depth_hist_);
         task->tick_period = comp.tick_period;
         task->next_tick = FirstTickAfter(comp.tick_period, start_time_);
         tasks_.push_back(std::move(task));
@@ -647,13 +616,9 @@ class PoolRuntime : public Runtime<Message> {
       std::lock_guard<std::mutex> lock(worker->mutex);
       worker->run_queue.push_back(task_id);
     } else {
-      // Spout thread: spread hints round-robin over the injector shards
-      // (one per package under an affinity policy, a single shard
-      // otherwise), so every domain keeps a local feed of source work.
-      InjectShard* shard =
-          inject_shards_[spout_inject_rr_++ % inject_shards_.size()].get();
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->queue.push_back(task_id);
+      // Spout thread: hints go to the shared injector queue.
+      std::lock_guard<std::mutex> lock(inject_mutex_);
+      inject_queue_.push_back(task_id);
     }
     pending_hints_.fetch_add(1, std::memory_order_seq_cst);
     {
@@ -736,26 +701,19 @@ class PoolRuntime : public Runtime<Message> {
     }
   }
 
-  int PopInjectShard(size_t shard_index) {
-    InjectShard* shard = inject_shards_[shard_index].get();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    if (shard->queue.empty()) return -1;
-    const int task_id = shard->queue.front();
-    shard->queue.pop_front();
+  int PopInjected() {
+    std::lock_guard<std::mutex> lock(inject_mutex_);
+    if (inject_queue_.empty()) return -1;
+    const int task_id = inject_queue_.front();
+    inject_queue_.pop_front();
     return task_id;
   }
 
   /// Claims the next runnable task, nearest work first: own queue (LIFO),
-  /// the own domain's spout injector shard, steals from peers in topology
-  /// distance order (same core, same package, remote — PlanStealOrder;
-  /// the plain ring when no affinity policy is set), then the remote
-  /// injector shards. Returns nullptr when no hint yields a claim.
+  /// the spout injector queue, then steals from peers in ring order.
+  /// Returns nullptr when no hint yields a claim.
   Task* FindWork(int worker_id) {
     Worker* self = workers_[static_cast<size_t>(worker_id)].get();
-    const int own_shard = worker_shard_[static_cast<size_t>(worker_id)];
-    const std::vector<int>* steal_order =
-        steal_order_.empty() ? nullptr
-                             : &steal_order_[static_cast<size_t>(worker_id)];
     while (true) {
       int task_id = -1;
       bool stolen = false;
@@ -766,15 +724,10 @@ class PoolRuntime : public Runtime<Message> {
           self->run_queue.pop_back();
         }
       }
-      if (task_id < 0) {
-        task_id = PopInjectShard(static_cast<size_t>(own_shard));
-      }
+      if (task_id < 0) task_id = PopInjected();
       if (task_id < 0) {
         for (int i = 1; i < num_threads_ && task_id < 0; ++i) {
-          const int victim_id =
-              steal_order != nullptr
-                  ? (*steal_order)[static_cast<size_t>(i - 1)]
-                  : (worker_id + i) % num_threads_;
+          const int victim_id = (worker_id + i) % num_threads_;
           Worker* victim = workers_[static_cast<size_t>(victim_id)].get();
           std::lock_guard<std::mutex> lock(victim->mutex);
           if (!victim->run_queue.empty()) {
@@ -782,12 +735,6 @@ class PoolRuntime : public Runtime<Message> {
             victim->run_queue.pop_front();
             stolen = true;
           }
-        }
-      }
-      if (task_id < 0) {
-        for (size_t s = 1; s < inject_shards_.size() && task_id < 0; ++s) {
-          task_id = PopInjectShard(
-              (static_cast<size_t>(own_shard) + s) % inject_shards_.size());
         }
       }
       if (task_id < 0) return nullptr;
@@ -805,11 +752,6 @@ class PoolRuntime : public Runtime<Message> {
 
   void WorkerLoop(int worker_id) {
     WorkerIndex() = worker_id;
-    if (!placement_.empty() &&
-        PinCurrentThreadToCpu(
-            placement_[static_cast<size_t>(worker_id)].cpu)) {
-      workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-    }
     DeliveryBuffer buffer(tasks_.size());
     ThreadBuffer() = &buffer;
     while (true) {
@@ -829,17 +771,9 @@ class PoolRuntime : public Runtime<Message> {
     WorkerIndex() = -1;
   }
 
-  /// One spout-injector shard per affinity domain (package); a single
-  /// shard when workers are unpinned.
-  struct InjectShard {
-    std::mutex mutex;
-    std::deque<int> queue;  // Task-id hints from the spout thread.
-  };
-
   Topology<Message>* topology_;
   const size_t queue_capacity_;
   const int num_threads_;
-  const AffinityPolicy affinity_;
   const Timestamp start_time_;  // Resume point (checkpoint restore).
   int spout_component_ = -1;
   /// Per-task payload arenas (indexed by task id). Declared before the
@@ -852,13 +786,8 @@ class PoolRuntime : public Runtime<Message> {
   std::vector<std::unique_ptr<Worker>> workers_;
   bool ran_ = false;
 
-  // Affinity plan (filled by Run; empty placement = policy none).
-  std::vector<CpuLocation> placement_;
-  std::vector<std::vector<int>> steal_order_;
-  std::vector<int> worker_shard_;
-
-  std::vector<std::unique_ptr<InjectShard>> inject_shards_;
-  size_t spout_inject_rr_ = 0;  // Spout thread only.
+  std::mutex inject_mutex_;
+  std::deque<int> inject_queue_;  // Task-id hints from the spout thread.
   std::atomic<int> pending_hints_{0};
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
@@ -873,7 +802,6 @@ class PoolRuntime : public Runtime<Message> {
   std::atomic<uint64_t> tasks_spawned_{0};
   std::atomic<uint64_t> tasks_retired_{0};
   std::atomic<uint64_t> payload_shares_{0};
-  std::atomic<int> workers_pinned_{0};
   telemetry::LatencyHistogram* queue_depth_hist_ = nullptr;
   telemetry::LatencyHistogram* block_wait_hist_ = nullptr;
   telemetry::LatencyHistogram* worker_steals_hist_ = nullptr;

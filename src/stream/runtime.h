@@ -95,66 +95,16 @@ class TopologyControl {
   virtual int ResizeComponent(int component, int target_parallelism) = 0;
 };
 
-/// Worker-to-core pinning policy for the pool runtime (cpu_topology.h
-/// plans the placement from /sys CPU topology, with a flat fallback):
-///  * kNone — workers float, the OS scheduler decides (default).
-///  * kCompact — fill one package/NUMA domain before the next; workers
-///    that exchange envelopes share caches.
-///  * kScatter — round-robin workers across packages; spreads memory
-///    bandwidth for independent tasks.
-/// Pinning also shards the steal order and the spout injector queues by
-/// topology distance, so work stays NUMA-local when local work exists.
-enum class AffinityPolicy {
-  kNone,
-  kCompact,
-  kScatter,
-};
-
-inline const char* AffinityPolicyName(AffinityPolicy policy) {
-  switch (policy) {
-    case AffinityPolicy::kNone:
-      return "none";
-    case AffinityPolicy::kCompact:
-      return "compact";
-    case AffinityPolicy::kScatter:
-      return "scatter";
-  }
-  return "unknown";
-}
-
-/// Parses an --affinity flag value ("none", "compact", "scatter"). Returns
-/// false (and leaves *out untouched) on an unknown name.
-inline bool ParseAffinityPolicy(std::string_view name, AffinityPolicy* out) {
-  if (name == "none") {
-    *out = AffinityPolicy::kNone;
-    return true;
-  }
-  if (name == "compact") {
-    *out = AffinityPolicy::kCompact;
-    return true;
-  }
-  if (name == "scatter") {
-    *out = AffinityPolicy::kScatter;
-    return true;
-  }
-  return false;
-}
-
 /// Substrate knobs of the pool runtime. The simulator honours only
 /// start_time and metrics (it has no queues and exactly one thread).
 struct RuntimeOptions {
   /// Per-task input queue capacity (envelopes). Bounds the skew between
   /// producers and consumers: a full queue blocks the pusher
-  /// (backpressure). Individual edges can raise their consumer's budget
-  /// past this via Topology::Subscribe's min_queue_capacity.
+  /// (backpressure). Every task's mailbox gets exactly this budget.
   size_t queue_capacity = 4096;
 
   /// Pool runtime: worker threads. 0 = std::thread::hardware_concurrency.
   int num_threads = 0;
-
-  /// Pool runtime: worker-to-core pinning (see AffinityPolicy). The
-  /// simulator ignores it.
-  AffinityPolicy affinity = AffinityPolicy::kNone;
 
   /// Virtual time the stream resumes at (checkpoint restore): every tick
   /// schedule starts at the first boundary *strictly after* this instant
@@ -219,9 +169,6 @@ struct RuntimeStats {
   /// free list instead of fresh slab/heap space. High values mean the
   /// steady-state hot path allocates nothing.
   uint64_t arena_reuses = 0;
-  /// Pool: workers successfully pinned to a core
-  /// (RuntimeOptions::affinity; 0 under kNone or when pinning is refused).
-  int workers_pinned = 0;
   /// Physical threads that executed bolts (simulation: 1).
   int num_threads = 0;
   /// The queue capacity the runtime actually ran with (simulation: 0).

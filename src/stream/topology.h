@@ -89,16 +89,6 @@ class Topology {
   struct Subscription {
     int producer;  // Component id.
     Grouping<Message> grouping;
-    /// Queue-capacity floor (envelopes) this edge asks of its consumer:
-    /// the pool runtime sizes the consumer task's input queue to at
-    /// least this, independent of RuntimeOptions::queue_capacity. 0 = no
-    /// override. Granularity: a task has ONE input mailbox, so the floor
-    /// applies to the consumer as a whole — every edge into it shares the
-    /// raised budget (per-consumer credits keyed by edge request, not
-    /// true per-edge queues). Feedback edges (e.g. Disseminator<->Merger)
-    /// use it to carry a larger budget than the global capacity, keeping
-    /// RuntimeStats::stall_escapes at zero when the global knob is tiny.
-    size_t min_queue_capacity = 0;
   };
 
   struct Component {
@@ -160,32 +150,14 @@ class Topology {
   }
 
   /// Subscribes `consumer` (a bolt) to tuples of `producer`.
-  /// `min_queue_capacity` > 0 raises the consumer's input-queue budget in
-  /// the pool runtime to at least that many envelopes (per-edge
-  /// credits, see Subscription); 0 keeps the runtime's global capacity.
-  void Subscribe(int consumer, int producer, Grouping<Message> grouping,
-                 size_t min_queue_capacity = 0) {
+  void Subscribe(int consumer, int producer, Grouping<Message> grouping) {
     CORRTRACK_CHECK_GE(consumer, 0);
     CORRTRACK_CHECK_LT(static_cast<size_t>(consumer), components_.size());
     CORRTRACK_CHECK_GE(producer, 0);
     CORRTRACK_CHECK_LT(static_cast<size_t>(producer), components_.size());
     CORRTRACK_CHECK(!components_[consumer].is_spout);
     components_[static_cast<size_t>(consumer)].subscriptions.push_back(
-        {producer, std::move(grouping), min_queue_capacity});
-  }
-
-  /// The input-queue capacity a concurrent runtime should give
-  /// `component`'s tasks: the runtime's own capacity raised to the largest
-  /// per-edge floor among the component's subscriptions.
-  size_t QueueCapacityFor(int component, size_t runtime_capacity) const {
-    size_t capacity = runtime_capacity;
-    for (const Subscription& sub :
-         components_[static_cast<size_t>(component)].subscriptions) {
-      if (sub.min_queue_capacity > capacity) {
-        capacity = sub.min_queue_capacity;
-      }
-    }
-    return capacity;
+        {producer, std::move(grouping)});
   }
 
   const std::vector<Component>& components() const { return components_; }

@@ -18,6 +18,9 @@ namespace corrtrack::telemetry {
 /// Metric catalogue (all durations in microseconds):
 ///   corrtrack_docs_parsed_total            raw documents through the Parser
 ///   corrtrack_docs_sampled_total           documents stamped with a trace
+///   corrtrack_docs_rejected_total{reason="too_many_tags"}
+///                                          Parser drops: more than
+///                                          kMaxTagsPerDocument distinct tags
 ///   corrtrack_notifications_routed_total   Disseminator -> Calculator sends
 ///   corrtrack_reports_tracked_total        JaccardReports into the Tracker
 ///   corrtrack_stage_proc_us{stage=...}     per-stage processing time
@@ -31,6 +34,8 @@ struct PipelineTelemetry {
       : sampler(sample_every),
         docs_parsed(registry.GetCounter("corrtrack_docs_parsed_total")),
         docs_sampled(registry.GetCounter("corrtrack_docs_sampled_total")),
+        docs_rejected_too_many_tags(registry.GetCounter(
+            "corrtrack_docs_rejected_total{reason=\"too_many_tags\"}")),
         notifications_routed(
             registry.GetCounter("corrtrack_notifications_routed_total")),
         reports_tracked(
@@ -70,6 +75,7 @@ struct PipelineTelemetry {
 
   Counter* docs_parsed;
   Counter* docs_sampled;
+  Counter* docs_rejected_too_many_tags;
   Counter* notifications_routed;
   Counter* reports_tracked;
 

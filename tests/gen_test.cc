@@ -244,15 +244,154 @@ TEST(FileSource, LoadMissingFileFails) {
   EXPECT_FALSE(LoadDocuments("x", nullptr));
 }
 
-TEST(FileSource, LoadMalformedFails) {
-  const std::string path = ::testing::TempDir() + "/corrtrack_bad.tsv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
+void WriteFile(const std::string& path, const std::string& contents) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  std::fputs("not a valid line\n", f);
-  std::fclose(f);
+  ASSERT_EQ(std::fwrite(contents.data(), 1, contents.size(), f),
+            contents.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+/// "1,2,...,n" — n distinct tags.
+std::string TagList(int n) {
+  std::string tags;
+  for (int t = 1; t <= n; ++t) {
+    if (t > 1) tags += ',';
+    tags += std::to_string(t);
+  }
+  return tags;
+}
+
+TEST(FileSource, LoadMalformedFails) {
+  const std::string good = "7\t100\t1,2\n";
+  const struct {
+    const char* name;
+    std::string contents;
+    size_t line;  // 1-based line the error must name.
+  } kCases[] = {
+      {"no fields", "not a valid line\n", 1},
+      {"empty line", good + "\n" + good, 2},
+      {"missing field", good + "1\t2\n", 2},
+      {"extra field", "1\t2\t3\t4\n", 1},
+      {"no tags", "1\t2\t\n", 1},
+      {"line over 4096 bytes", good + "1\t2\t" + std::string(4100, '1'), 2},
+      {"id not numeric", good + good + "x1\t2\t3\n", 3},
+      {"id trailing garbage", "1x\t2\t3\n", 1},
+      {"id signed", "-1\t2\t3\n", 1},
+      {"id leading blank", " 1\t2\t3\n", 1},
+      {"id out of range", "18446744073709551616\t2\t3\n", 1},
+      {"time not numeric", "1\t2.5\t3\n", 1},
+      {"time negative", "1\t-5\t3\n", 1},
+      {"time out of range", "1\t9223372036854775808\t3\n", 1},
+      {"tag not numeric", good + "1\t2\t3,a\n", 2},
+      {"tag empty", "1\t2\t3,,4\n", 1},
+      {"tag trailing comma", "1\t2\t3,\n", 1},
+      {"tag is the invalid sentinel", "1\t2\t4294967295\n", 1},
+      {"tag out of range", "1\t2\t4294967296\n", 1},
+      {"embedded NUL", std::string("1\t2\t3\0" "4\n", 8), 1},
+      {"17 distinct tags", good + "1\t2\t" + TagList(17) + "\n", 2},
+  };
+  const std::string path = ::testing::TempDir() + "/corrtrack_bad.tsv";
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    WriteFile(path, c.contents);
+    std::vector<Document> docs;
+    std::string error;
+    EXPECT_FALSE(LoadDocuments(path, &docs, &error));
+    EXPECT_TRUE(docs.empty());
+    EXPECT_EQ(error.rfind("line " + std::to_string(c.line) + ": ", 0), 0u)
+        << error;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(FileSource, LoadAcceptsBoundaryLines) {
+  // 16 distinct tags (duplicates collapse), and a line of exactly
+  // kMaxDocumentLineBytes with no trailing newline.
+  std::string longest = "2\t5\t1";
+  while (longest.size() < kMaxDocumentLineBytes) longest += ",1";
+  longest.resize(kMaxDocumentLineBytes);
+  if (longest.back() == ',') longest.back() = '2';
+  const std::string path = ::testing::TempDir() + "/corrtrack_edge.tsv";
+  WriteFile(path, "1\t0\t" + TagList(16) + ",16,1\n" + longest);
   std::vector<Document> docs;
-  EXPECT_FALSE(LoadDocuments(path, &docs));
-  EXPECT_TRUE(docs.empty());
+  std::string error;
+  ASSERT_TRUE(LoadDocuments(path, &docs, &error)) << error;
+  ASSERT_EQ(docs.size(), 2u);
+  EXPECT_EQ(docs[0].tags.size(), static_cast<size_t>(kMaxTagsPerDocument));
+  EXPECT_EQ(docs[1].id, 2u);
+  EXPECT_EQ(docs[1].time, 5);
+  std::remove(path.c_str());
+}
+
+TEST(FileSource, MutatedLinesNeverAbort) {
+  // Seeded fuzz: valid lines with a few bytes replaced, inserted or
+  // deleted (biased toward the format's own delimiters and digits). Every
+  // load either fails with a line-numbered error or yields only tagsets
+  // the subset enumerator can take — never an abort, and never an OOB
+  // read (ASan job).
+  GeneratorConfig config;
+  config.seed = 9;
+  TweetGenerator g(config);
+  std::vector<Document> seeds;
+  for (int i = 0; i < 64; ++i) seeds.push_back(g.Next());
+  const std::string path = ::testing::TempDir() + "/corrtrack_fuzz.tsv";
+  ASSERT_TRUE(SaveDocuments(path, seeds));
+  std::vector<std::string> lines;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    char buffer[256];
+    while (std::fgets(buffer, sizeof(buffer), f) != nullptr) {
+      lines.emplace_back(buffer);
+    }
+    std::fclose(f);
+  }
+  ASSERT_EQ(lines.size(), seeds.size());
+
+  const std::string kInteresting("\t,\n-+ 0123456789\0\xff", 18);
+  std::mt19937 rng(20141024);
+  std::uniform_int_distribution<int> byte(0, 255);
+  size_t loaded = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string contents = lines[rng() % lines.size()];
+    if (round % 4 == 0) contents += lines[rng() % lines.size()];
+    const int mutations = 1 + static_cast<int>(rng() % 4);
+    for (int m = 0; m < mutations; ++m) {
+      const char c = rng() % 2 == 0
+                         ? kInteresting[rng() % kInteresting.size()]
+                         : static_cast<char>(byte(rng));
+      const size_t at = rng() % (contents.size() + 1);
+      switch (rng() % 3) {
+        case 0:
+          if (at < contents.size()) contents[at] = c;
+          break;
+        case 1:
+          contents.insert(at, 1, c);
+          break;
+        default:
+          if (at < contents.size()) contents.erase(at, 1);
+          break;
+      }
+    }
+    WriteFile(path, contents);
+    std::vector<Document> docs;
+    std::string error;
+    if (LoadDocuments(path, &docs, &error)) {
+      ++loaded;
+      for (const Document& doc : docs) {
+        EXPECT_GE(doc.tags.size(), 1u);
+        EXPECT_LE(doc.tags.size(), static_cast<size_t>(kMaxTagsPerDocument));
+        EXPECT_GE(doc.time, 0);
+      }
+    } else {
+      EXPECT_TRUE(docs.empty());
+      EXPECT_EQ(error.rfind("line ", 0), 0u) << error;
+    }
+  }
+  // Both outcomes are exercised (a digit swapped for a digit still loads).
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, 20000u);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -88,6 +89,17 @@ TEST(ParserBolt, EmitsParsedDocAndDropsUntagged) {
   EXPECT_EQ(parsed[0].doc.id, 1u);
   EXPECT_EQ(parsed[0].doc.time, 100);
   EXPECT_EQ(parsed[0].doc.tags.size(), 2u);
+
+  // More distinct tags than subset enumeration supports: dropped, and the
+  // tags only it introduced are forgotten (a repeat still counts once).
+  std::string hostile = "#a #a";
+  for (int t = 0; t < kMaxTagsPerDocument; ++t) {
+    hostile += " #h" + std::to_string(t);
+  }
+  parser.Execute(Env(Message(Tweet(3, 300, hostile)), 300), emitter);
+  EXPECT_EQ(emitter.All<ParsedDoc>().size(), 1u);
+  EXPECT_EQ(parser.dictionary().size(), 2u);  // Just #a and #b.
+  EXPECT_FALSE(parser.dictionary().Find("h0").has_value());
 }
 
 PipelineConfig SmallConfig() {
@@ -812,60 +824,6 @@ TEST(DisseminatorBolt, ReRoutesHandoffFragmentsToCoveringOwners) {
   ASSERT_EQ(injects[1].entries.size(), 1u);
   EXPECT_EQ(injects[1].entries[0].first, TagSet({3}));
   EXPECT_EQ(injects[1].entries[0].second, 2u);
-}
-
-TEST(AutoSizeQueueCapacity, FloorWithoutObservation) {
-  EXPECT_EQ(AutoSizeQueueCapacity(nullptr), kAutoQueueCapacityFloor);
-  stream::RuntimeStats simulated;  // queue_capacity 0: no queues existed.
-  EXPECT_EQ(AutoSizeQueueCapacity(&simulated), kAutoQueueCapacityFloor);
-}
-
-TEST(AutoSizeQueueCapacity, DoublesUnderBackpressureOnly) {
-  stream::RuntimeStats calm;
-  calm.queue_capacity = 2048;
-  calm.queue_full_blocks = 0;
-  calm.max_queue_depth = 300;
-  EXPECT_EQ(AutoSizeQueueCapacity(&calm), 2048u);  // No pressure: keep.
-
-  stream::RuntimeStats pressured = calm;
-  pressured.queue_full_blocks = 17;
-  EXPECT_EQ(AutoSizeQueueCapacity(&pressured), 4096u);
-
-  // A stall-escape spill can leave the high-water mark far past capacity;
-  // one doubling is provably short, so the policy doubles past the mark.
-  stream::RuntimeStats spilled = calm;
-  spilled.queue_full_blocks = 1;
-  spilled.max_queue_depth = 9000;
-  EXPECT_EQ(AutoSizeQueueCapacity(&spilled), 16384u);
-
-  // The ceiling bounds runaway growth.
-  stream::RuntimeStats huge;
-  huge.queue_capacity = kAutoQueueCapacityCeiling;
-  huge.queue_full_blocks = 1;
-  EXPECT_EQ(AutoSizeQueueCapacity(&huge), kAutoQueueCapacityCeiling);
-}
-
-TEST(MakeConfiguredRuntime, ZeroQueueCapacityAutoSizes) {
-  PipelineConfig config = SmallConfig();
-  config.runtime = stream::RuntimeKind::kPool;
-  config.queue_capacity = 0;  // Auto.
-  stream::Topology<Message> topology;
-  gen::GeneratorConfig workload;
-  BuildCorrelationTopology(
-      &topology, std::make_unique<GeneratorSpout>(workload, 10), config,
-      nullptr, /*with_centralized_baseline=*/false);
-  auto runtime = MakeConfiguredRuntime(&topology, config);
-  EXPECT_EQ(runtime->stats().queue_capacity, kAutoQueueCapacityFloor);
-
-  stream::RuntimeStats observed;
-  observed.queue_capacity = kAutoQueueCapacityFloor;
-  observed.queue_full_blocks = 3;
-  stream::Topology<Message> topology2;
-  BuildCorrelationTopology(
-      &topology2, std::make_unique<GeneratorSpout>(workload, 10), config,
-      nullptr, /*with_centralized_baseline=*/false);
-  auto tuned = MakeConfiguredRuntime(&topology2, config, &observed);
-  EXPECT_EQ(tuned->stats().queue_capacity, 2 * kAutoQueueCapacityFloor);
 }
 
 }  // namespace

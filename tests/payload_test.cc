@@ -1,8 +1,6 @@
 // Shared-payload envelope lifecycle: refcounted zero-copy fan-out blocks
 // (stream/payload.h), per-task arena recycling, copy-on-write isolation,
-// refcount release on the feedback-discard shutdown path, and the per-edge
-// queue-capacity credits that keep the Disseminator<->Merger cycle
-// stall-free under tiny global capacities.
+// and refcount release on the feedback-discard shutdown path.
 //
 // The concurrent cases double as ThreadSanitizer targets (ci.yml runs this
 // suite in the TSan job): cross-thread block release/reuse, COW racing
@@ -300,65 +298,6 @@ TEST(PayloadLifecycle, SharesCountedAcrossSubstrates) {
               static_cast<uint64_t>(n) * 4);
   }
   EXPECT_EQ(sentinel.use_count(), 1) << stream::RuntimeKindName(kind);
-}
-
-// ---------------------------------------------------------------------------
-// Per-edge queue-capacity credits.
-// ---------------------------------------------------------------------------
-
-TEST(PerEdgeCredits, QueueCapacityForTakesTheLargestFloor) {
-  Topology<Msg> topology;
-  const int spout =
-      topology.AddSpout("src", std::make_unique<TrackedSpout>(1, nullptr));
-  const int a = topology.AddBolt(
-      "a", [](int) { return std::make_unique<EchoBolt>(); }, 1);
-  const int b = topology.AddBolt(
-      "b", [](int) { return std::make_unique<EchoBolt>(); }, 1);
-  topology.Subscribe(a, spout, Grouping<Msg>::Shuffle());
-  topology.Subscribe(b, a, Grouping<Msg>::Global(), 512);
-  topology.Subscribe(b, spout, Grouping<Msg>::Shuffle(), 64);
-  EXPECT_EQ(topology.QueueCapacityFor(a, 16), 16u);   // No override.
-  EXPECT_EQ(topology.QueueCapacityFor(b, 16), 512u);  // Largest floor.
-  EXPECT_EQ(topology.QueueCapacityFor(b, 4096), 4096u);  // Never lowers.
-}
-
-/// The acceptance regression: the full Fig. 2 cyclic pipeline at global
-/// capacity TWO. Without per-edge credits this lives off the bounded-stall
-/// escape (stall_escapes > 0, see PoolRuntime.FullTopologyTinyQueues);
-/// with the feedback edges carrying a real budget the cycle never stalls.
-void RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind kind) {
-  ops::PipelineConfig pipeline;
-  pipeline.algorithm = AlgorithmKind::kDS;
-  pipeline.num_calculators = 4;
-  pipeline.num_partitioners = 3;
-  pipeline.window_span = kMillisPerMinute;
-  pipeline.report_period = kMillisPerMinute;
-  pipeline.bootstrap_time = kMillisPerMinute;
-  pipeline.queue_capacity = 2;
-  pipeline.feedback_queue_capacity = 4096;
-  pipeline.runtime = kind;
-  pipeline.num_threads = 2;
-
-  gen::GeneratorConfig workload;
-  workload.seed = 5;
-  workload.topics.num_topics = 60;
-  const uint64_t num_docs = 6000;
-
-  Topology<ops::Message> topology;
-  const auto handles = ops::BuildCorrelationTopology(
-      &topology, std::make_unique<ops::GeneratorSpout>(workload, num_docs),
-      pipeline, nullptr, /*with_centralized_baseline=*/false);
-  auto runtime = ops::MakeConfiguredRuntime(&topology, pipeline);
-  runtime->Run(pipeline.report_period);
-  EXPECT_EQ(runtime->TuplesDelivered(handles.parser), num_docs);
-  EXPECT_EQ(runtime->stats().stall_escapes, 0u)
-      << "feedback credits must keep the Disseminator<->Merger cycle "
-         "stall-free at capacity 2 on "
-      << stream::RuntimeKindName(kind);
-}
-
-TEST(PerEdgeCredits, CapacityTwoStaysStallFreePool) {
-  RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind::kPool);
 }
 
 // ---------------------------------------------------------------------------

@@ -423,11 +423,47 @@ gen::GeneratorConfig DiffWorkload() {
   return generator;
 }
 
+/// Passes a spout's stream through and slips `extra` in after `after`
+/// documents, stamped with the time of the document before it.
+class InjectingSpout : public stream::Spout<ops::Message> {
+ public:
+  InjectingSpout(std::unique_ptr<stream::Spout<ops::Message>> inner,
+                 uint64_t after, ops::RawTweet extra)
+      : inner_(std::move(inner)), after_(after), extra_(std::move(extra)) {}
+
+  bool Next(ops::Message* out, Timestamp* time) override {
+    if (seen_ == after_ && !injected_) {
+      injected_ = true;
+      extra_.time = last_time_;
+      *time = last_time_;
+      *out = ops::Message(std::move(extra_));
+      return true;
+    }
+    if (!inner_->Next(out, time)) return false;
+    ++seen_;
+    last_time_ = *time;
+    return true;
+  }
+
+ private:
+  std::unique_ptr<stream::Spout<ops::Message>> inner_;
+  uint64_t after_;
+  ops::RawTweet extra_;
+  uint64_t seen_ = 0;
+  Timestamp last_time_ = 0;
+  bool injected_ = false;
+};
+
 const ops::TrackerBolt* RunTracked(const ops::PipelineConfig& pipeline,
                                    stream::Topology<ops::Message>* topology,
-                                   std::unique_ptr<stream::Runtime<ops::Message>>* runtime) {
-  auto spout =
+                                   std::unique_ptr<stream::Runtime<ops::Message>>* runtime,
+                                   const ops::RawTweet* inject = nullptr) {
+  std::unique_ptr<stream::Spout<ops::Message>> spout =
       std::make_unique<ops::GeneratorSpout>(DiffWorkload(), /*num_docs=*/20000);
+  if (inject != nullptr) {
+    spout = std::make_unique<InjectingSpout>(std::move(spout),
+                                             /*after=*/10000, *inject);
+  }
   const ops::TopologyHandles handles = ops::BuildCorrelationTopology(
       topology, std::move(spout), pipeline, /*metrics=*/nullptr,
       /*with_centralized_baseline=*/false);
@@ -435,6 +471,26 @@ const ops::TrackerBolt* RunTracked(const ops::PipelineConfig& pipeline,
   (*runtime)->Run(pipeline.report_period);
   return static_cast<const ops::TrackerBolt*>(
       (*runtime)->bolt(handles.tracker, 0));
+}
+
+void ExpectSamePeriodMaps(const ops::TrackerBolt& expected,
+                          const ops::TrackerBolt& actual) {
+  ASSERT_EQ(expected.periods().size(), actual.periods().size());
+  ASSERT_GT(expected.periods().size(), 0u);
+  auto it_actual = actual.periods().begin();
+  for (const auto& [period_end, results_expected] : expected.periods()) {
+    EXPECT_EQ(period_end, it_actual->first);
+    const auto& results_actual = it_actual->second;
+    ASSERT_EQ(results_expected.size(), results_actual.size()) << period_end;
+    for (const auto& [tags, estimate] : results_expected) {
+      const auto found = results_actual.find(tags);
+      ASSERT_NE(found, results_actual.end());
+      EXPECT_EQ(found->second.coefficient, estimate.coefficient);
+      EXPECT_EQ(found->second.intersection_count, estimate.intersection_count);
+      EXPECT_EQ(found->second.union_count, estimate.union_count);
+    }
+    ++it_actual;
+  }
 }
 
 TEST(TelemetryDifferential, PeriodMapsIdenticalWithTelemetryOnAndOff) {
@@ -458,23 +514,27 @@ TEST(TelemetryDifferential, PeriodMapsIdenticalWithTelemetryOnAndOff) {
   EXPECT_GT(telemetry.docs_parsed->value(), 0u);
   EXPECT_EQ(telemetry.docs_sampled->value(), telemetry.docs_parsed->value());
   EXPECT_GT(telemetry.doc_e2e->Snapshot().count, 0u);
+  ExpectSamePeriodMaps(*tracker_off, *tracker_on);
 
-  ASSERT_EQ(tracker_off->periods().size(), tracker_on->periods().size());
-  ASSERT_GT(tracker_off->periods().size(), 0u);
-  auto it_on = tracker_on->periods().begin();
-  for (const auto& [period_end, results_off] : tracker_off->periods()) {
-    EXPECT_EQ(period_end, it_on->first);
-    const auto& results_on = it_on->second;
-    ASSERT_EQ(results_off.size(), results_on.size()) << period_end;
-    for (const auto& [tags, estimate] : results_off) {
-      const auto found = results_on.find(tags);
-      ASSERT_NE(found, results_on.end());
-      EXPECT_EQ(found->second.coefficient, estimate.coefficient);
-      EXPECT_EQ(found->second.intersection_count, estimate.intersection_count);
-      EXPECT_EQ(found->second.union_count, estimate.union_count);
-    }
-    ++it_on;
+  // A hostile tweet mid-stream, with more distinct tags than subset
+  // enumeration supports (all of them new), is dropped and counted, and
+  // leaves the period maps exactly as they were without it.
+  ops::RawTweet hostile;
+  hostile.id = 1u << 30;
+  for (int t = 0; t <= kMaxTagsPerDocument; ++t) {
+    hostile.text += " #hostile" + std::to_string(t);
   }
+  telemetry::PipelineTelemetry hostile_telemetry;
+  ops::PipelineConfig hostile_run = DiffPipeline();
+  hostile_run.telemetry = &hostile_telemetry;
+  stream::Topology<ops::Message> topology_hostile;
+  std::unique_ptr<stream::Runtime<ops::Message>> runtime_hostile;
+  const ops::TrackerBolt* tracker_hostile = RunTracked(
+      hostile_run, &topology_hostile, &runtime_hostile, &hostile);
+  EXPECT_EQ(hostile_telemetry.docs_rejected_too_many_tags->value(), 1u);
+  EXPECT_EQ(hostile_telemetry.docs_parsed->value(),
+            telemetry.docs_parsed->value() + 1);
+  ExpectSamePeriodMaps(*tracker_off, *tracker_hostile);
 }
 
 TEST(TelemetryDriver, ExperimentSurfacesLatencyPercentiles) {
