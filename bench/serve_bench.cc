@@ -140,6 +140,55 @@ void BM_ServeIngestPeriod(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeIngestPeriod)->Unit(benchmark::kMillisecond);
 
+/// The live writer's shape: a Calculator report (~65 estimates, five per
+/// period) applied to a steady index of ~2k sets at its retention plateau.
+/// This is the per-report publish cost a live Tracker pays, where
+/// BM_ServeIngestPeriod applies a whole period per call.
+void BM_ServeApplyReport(benchmark::State& state) {
+  constexpr int kReportsPerPeriod = 5;
+  static const auto reports = [] {
+    constexpr int kNumPeriods = 16;
+    constexpr int kDocsPerPeriod = 5000;
+    gen::GeneratorConfig config;
+    config.seed = 7;
+    gen::TweetGenerator generator(config);
+    std::vector<std::vector<JaccardEstimate>> out;
+    for (int p = 0; p < kNumPeriods; ++p) {
+      SubsetCounterTable counters;
+      for (int d = 0; d < kDocsPerPeriod; ++d) {
+        counters.Observe(generator.Next().tags);
+      }
+      const std::vector<JaccardEstimate> period = counters.ReportAll(1);
+      for (int r = 0; r < kReportsPerPeriod; ++r) {
+        std::vector<JaccardEstimate>& report = out.emplace_back();
+        for (size_t i = r; i < period.size(); i += kReportsPerPeriod) {
+          report.push_back(period[i]);
+        }
+      }
+    }
+    return out;
+  }();
+  serve::CorrelationIndex index;
+  size_t i = 0;
+  auto apply_next = [&] {
+    const Timestamp period_end =
+        static_cast<Timestamp>(i / kReportsPerPeriod + 1) * kPeriodSpan;
+    const auto& report = reports[i++ % reports.size()];
+    index.ApplyPeriod(period_end, report);
+    return report.size();
+  };
+  // Warm up past the retention horizon so the index sits at its plateau.
+  while (i < reports.size()) apply_next();
+  uint64_t estimates = 0;
+  for (auto _ : state) estimates += apply_next();
+  state.SetItemsProcessed(static_cast<int64_t>(estimates));
+  state.counters["index_sets"] =
+      static_cast<double>(index.NewReader().TotalSets());
+  state.counters["estimates_per_report"] =
+      static_cast<double>(estimates) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ServeApplyReport)->Unit(benchmark::kMicrosecond);
+
 /// State of the mixed benchmark: no background thread — thread 0 of the
 /// benchmark itself is the single writer. The magic static makes first-use
 /// construction a safe rendezvous for all benchmark threads; the writer

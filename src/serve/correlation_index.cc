@@ -112,7 +112,7 @@ void CorrelationIndex::ApplyPeriod(
         entry.intersection_count = estimate.intersection_count;
         entry.union_count = estimate.union_count;
         entry.period_end = period_end;
-        shard.dirty = true;
+        shard.changed.push_back(estimate.tags);
       } else if (period_end == entry.period_end) {
         if (config_.merge == EstimateMerge::kAdditive) {
           entry.intersection_count += estimate.intersection_count;
@@ -122,12 +122,12 @@ void CorrelationIndex::ApplyPeriod(
           entry.coefficient =
               static_cast<double>(entry.intersection_count) /
               static_cast<double>(entry.union_count);
-          shard.dirty = true;
+          shard.changed.push_back(estimate.tags);
         } else if (estimate.intersection_count > entry.intersection_count) {
           entry.coefficient = estimate.coefficient;
           entry.intersection_count = estimate.intersection_count;
           entry.union_count = estimate.union_count;
-          shard.dirty = true;
+          shard.changed.push_back(estimate.tags);
         }
       }
     }
@@ -139,9 +139,10 @@ void CorrelationIndex::ApplyPeriod(
   const uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    if (!shard.dirty) continue;
-    Publish(shard, BuildSnapshot(s, next_epoch));
-    shard.dirty = false;
+    if (shard.changed.empty()) continue;
+    // The writer is the only thread that swaps the slot, so it may read
+    // the published snapshot without the slot mutex.
+    Publish(shard, BuildSnapshot(s, *shard.slot, next_epoch));
     published = true;
   }
   if (published) {
@@ -175,73 +176,118 @@ void CorrelationIndex::EvictExpired(Timestamp period_end) {
   recent_periods_.erase(recent_periods_.begin(),
                         recent_periods_.end() - static_cast<ptrdiff_t>(keep));
   const Timestamp cutoff = recent_periods_.front();
-  std::vector<TagSet> expired;
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    expired.clear();
+    const size_t first = shard.changed.size();
     for (const auto& [tags, entry] : shard.builder) {
-      if (entry.period_end < cutoff) expired.push_back(tags);
+      if (entry.period_end < cutoff) shard.changed.push_back(tags);
     }
-    if (expired.empty()) continue;
-    for (const TagSet& tags : expired) shard.builder.erase(tags);
-    shard.dirty = true;
+    for (size_t i = first; i < shard.changed.size(); ++i) {
+      shard.builder.erase(shard.changed[i]);
+    }
   }
 }
 
 std::shared_ptr<const ShardSnapshot> CorrelationIndex::BuildSnapshot(
-    size_t s, uint64_t epoch) const {
-  const Shard& shard = shards_[s];
+    size_t s, const ShardSnapshot& base, uint64_t epoch) {
+  Shard& shard = shards_[s];
+  std::vector<TagSet>& changed = shard.changed;
+  std::sort(changed.begin(), changed.end());
+  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+
   auto snapshot = std::make_shared<ShardSnapshot>();
   snapshot->epoch_ = epoch;
+  std::vector<ShardSnapshot::Entry>& entries = snapshot->entries_;
+  const std::vector<ShardSnapshot::Entry>& old_entries = base.entries_;
 
-  snapshot->entries_.reserve(shard.builder.size());
-  for (const auto& [tags, entry] : shard.builder) {
-    ShardSnapshot::Entry e;
-    e.tags = tags;
-    e.coefficient = entry.coefficient;
-    e.intersection_count = entry.intersection_count;
-    e.union_count = entry.union_count;
-    e.period_end = entry.period_end;
-    snapshot->entries_.push_back(std::move(e));
-  }
-  std::sort(snapshot->entries_.begin(), snapshot->entries_.end(),
-            [](const ShardSnapshot::Entry& a, const ShardSnapshot::Entry& b) {
-              return a.tags < b.tags;
-            });
-  for (size_t i = 0; i < snapshot->entries_.size(); ++i) {
-    snapshot->by_set_.emplace(snapshot->entries_[i].tags,
-                              static_cast<uint32_t>(i));
-  }
-
-  // Per-tag postings, CSR layout: gather (tag, entry) pairs for the tags
-  // this shard owns, order by tag then posting rank, truncate each tag's
-  // run to the SpaceSaving-style capacity.
+  // Entries: one merge of the base's sorted entries with the sorted
+  // changed keys. An unchanged entry is copied and remapped; a changed key
+  // takes its current builder value, or vanishes when it was erased.
+  // Postings: a changed key holds the same tags before and after, so the
+  // runs that move are exactly those of the changed keys' owned tags
+  // (`touched`); `pairs` are the changed entries' postings.
+  constexpr uint32_t kGone = UINT32_MAX;
+  std::vector<uint32_t> remap(old_entries.size(), kGone);
+  std::vector<TagId> touched;
   std::vector<std::pair<TagId, uint32_t>> pairs;
-  for (size_t i = 0; i < snapshot->entries_.size(); ++i) {
-    for (const TagId tag : snapshot->entries_[i].tags) {
-      if (ShardOf(tag) == s) pairs.emplace_back(tag, static_cast<uint32_t>(i));
+  entries.reserve(shard.builder.size());
+  size_t old = 0;
+  auto keep_old = [&] {
+    remap[old] = static_cast<uint32_t>(entries.size());
+    entries.push_back(old_entries[old++]);
+  };
+  for (const TagSet& key : changed) {
+    while (old < old_entries.size() && old_entries[old].tags < key) keep_old();
+    if (old < old_entries.size() && old_entries[old].tags == key) ++old;
+    const auto it = shard.builder.find(key);
+    const bool held = it != shard.builder.end();
+    const auto e = static_cast<uint32_t>(entries.size());
+    if (held) {
+      const BuilderEntry& value = it->second;
+      entries.push_back({key, value.coefficient, value.intersection_count,
+                         value.union_count, value.period_end});
+    }
+    for (const TagId tag : key) {
+      if (ShardOf(tag) != s) continue;
+      touched.push_back(tag);
+      if (held) pairs.emplace_back(tag, e);
     }
   }
-  const std::vector<ShardSnapshot::Entry>& entries = snapshot->entries_;
+  while (old < old_entries.size()) keep_old();
+  changed.clear();
+  snapshot->prefixes_.reserve(entries.size());
+  for (const ShardSnapshot::Entry& entry : entries) {
+    snapshot->prefixes_.push_back(ShardSnapshot::Prefix(entry.tags));
+  }
+
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  const auto rank = [&entries](uint32_t a, uint32_t b) {
+    return PostingLess(entries[a], entries[b]);
+  };
   std::sort(pairs.begin(), pairs.end(),
-            [&entries](const std::pair<TagId, uint32_t>& a,
-                       const std::pair<TagId, uint32_t>& b) {
+            [&rank](const std::pair<TagId, uint32_t>& a,
+                    const std::pair<TagId, uint32_t>& b) {
               if (a.first != b.first) return a.first < b.first;
-              return PostingLess(entries[a.second], entries[b.second]);
+              return rank(a.second, b.second);
             });
+
+  std::vector<uint32_t>& postings = snapshot->postings_;
+  postings.reserve(base.postings_.size() + pairs.size());
   snapshot->postings_offsets_.push_back(0);
-  size_t i = 0;
-  while (i < pairs.size()) {
-    const TagId tag = pairs[i].first;
-    size_t run_end = i;
-    while (run_end < pairs.size() && pairs[run_end].first == tag) ++run_end;
-    const size_t take = std::min(run_end - i, config_.top_k_capacity);
-    snapshot->tag_keys_.push_back(tag);
-    for (size_t j = i; j < i + take; ++j) {
-      snapshot->postings_.push_back(pairs[j].second);
+  const std::vector<TagId>& old_keys = base.tag_keys_;
+  size_t k = 0;  // Into old_keys.
+  size_t t = 0;  // Into touched.
+  size_t p = 0;  // Into pairs.
+  while (k < old_keys.size() || t < touched.size()) {
+    const bool in_base = k < old_keys.size() &&
+                         (t == touched.size() || old_keys[k] <= touched[t]);
+    const bool is_touched = t < touched.size() &&
+                            (k == old_keys.size() || touched[t] <= old_keys[k]);
+    const TagId tag = in_base ? old_keys[k++] : touched[t];
+    const size_t start = postings.size();
+    if (in_base) {
+      for (size_t j = base.postings_offsets_[k - 1];
+           j < base.postings_offsets_[k]; ++j) {
+        const uint32_t e = remap[base.postings_[j]];
+        if (e != kGone) postings.push_back(e);
+      }
     }
-    snapshot->postings_offsets_.push_back(snapshot->postings_.size());
-    i = run_end;
+    if (is_touched) {
+      // Surviving postings keep their relative order; merge the changed
+      // entries' sorted run in.
+      const size_t mid = postings.size();
+      for (; p < pairs.size() && pairs[p].first == tag; ++p) {
+        postings.push_back(pairs[p].second);
+      }
+      std::inplace_merge(postings.begin() + static_cast<ptrdiff_t>(start),
+                         postings.begin() + static_cast<ptrdiff_t>(mid),
+                         postings.end(), rank);
+      ++t;
+    }
+    if (postings.size() == start) continue;  // Every entry left the tag.
+    snapshot->tag_keys_.push_back(tag);
+    snapshot->postings_offsets_.push_back(postings.size());
   }
   return snapshot;
 }
@@ -258,7 +304,7 @@ void CorrelationIndex::ExportState(std::string* out) const {
     w.PutU64(shard.builder.size());
     // Insertion order: FlatTagSetMap iterates in it, and restoring in the
     // same order reproduces the builder's internal layout — and therefore
-    // every future snapshot — bit for bit.
+    // every future export — bit for bit.
     for (const auto& [tags, entry] : shard.builder) {
       w.PutU32(static_cast<uint32_t>(tags.size()));
       for (const TagId tag : tags) w.PutU32(tag);
@@ -291,39 +337,52 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
     if (!r.GetI64(&t)) return false;
     recent.push_back(t);
   }
+  // Parse everything before touching the index, so a malformed blob
+  // leaves it untouched.
+  std::vector<std::vector<std::pair<TagSet, BuilderEntry>>> restored(
+      num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    shard.builder.clear();
-    shard.dirty = false;
     uint64_t entries = 0;
     if (!r.GetU64(&entries)) return false;
     for (uint64_t i = 0; i < entries; ++i) {
       uint32_t num_tags = 0;
       if (!r.GetU32(&num_tags)) return false;
-      if (num_tags > static_cast<uint32_t>(kMaxTagsPerDocument)) return false;
+      // ApplyPeriod never stores a set of fewer than two tags.
+      if (num_tags < 2 ||
+          num_tags > static_cast<uint32_t>(kMaxTagsPerDocument)) {
+        return false;
+      }
       TagId tag_buf[kMaxTagsPerDocument];
       for (uint32_t t = 0; t < num_tags; ++t) {
         if (!r.GetU32(&tag_buf[t])) return false;
       }
-      // Exported via TagSet iteration, so the run is canonical already.
-      const TagSet tags = TagSet::FromSorted(tag_buf, tag_buf + num_tags);
       BuilderEntry entry;
       if (!r.GetDouble(&entry.coefficient) ||
           !r.GetU64(&entry.intersection_count) ||
           !r.GetU64(&entry.union_count) || !r.GetI64(&entry.period_end)) {
         return false;
       }
-      shard.builder.emplace(tags, entry);
+      // Exported via TagSet iteration, so the run is canonical already.
+      restored[s].emplace_back(
+          TagSet::FromSorted(tag_buf, tag_buf + num_tags), entry);
     }
   }
   recent_periods_ = std::move(recent);
   latest_period_.store(latest, std::memory_order_release);
   epoch_.store(epoch, std::memory_order_release);
-  // Republish every shard so readers serve the restored state immediately
-  // (the constructor's empty snapshots would otherwise linger until the
-  // next dirtying ApplyPeriod).
+  // Republish every shard so readers serve the restored state immediately:
+  // every restored key is a change against an empty base, which builds
+  // the snapshot from scratch through the one publish path.
+  const ShardSnapshot empty;
   for (size_t s = 0; s < num_shards_; ++s) {
-    Publish(shards_[s], BuildSnapshot(s, epoch));
+    Shard& shard = shards_[s];
+    shard.builder.clear();
+    shard.changed.clear();
+    for (const auto& [tags, entry] : restored[s]) {
+      shard.builder.emplace(tags, entry);
+      shard.changed.push_back(tags);
+    }
+    Publish(shard, BuildSnapshot(s, empty, epoch));
   }
   return true;
 }
@@ -353,7 +412,8 @@ size_t CorrelationIndex::Reader::TopCorrelated(
   const int64_t t0 = hist != nullptr ? telemetry::MonotonicNanos() : 0;
   out->clear();
   const ShardSnapshot* snapshot = Acquire(index_->ShardOf(tag));
-  const auto [postings, available] = snapshot->TopForTag(tag);
+  const auto [postings, available] =
+      snapshot->TopForTag(tag, index_->config_.top_k_capacity);
   const size_t n = std::min(k, available);
   for (size_t i = 0; i < n; ++i) {
     const ShardSnapshot::Entry& entry = snapshot->entries()[postings[i]];

@@ -40,9 +40,11 @@ struct LookupResult {
 /// Immutable, epoch-versioned read view of one shard. Built off the read
 /// path by the single writer and published wholesale; readers never observe
 /// a partially built snapshot. Layout is read-optimised: a dense entry
-/// array, a FlatTagSetMap for exact lookups, and CSR-shaped per-tag
-/// postings (sorted tag keys + one flat index array) so TopCorrelated is a
-/// binary search plus a contiguous copy.
+/// array sorted by tagset (an exact lookup binary-searches a lane of the
+/// sets' first two tags) and CSR-shaped per-tag postings (sorted tag keys
+/// + one flat index array) so TopCorrelated is a binary search plus a
+/// contiguous copy. The sorted layout is also what lets the writer derive
+/// the next snapshot from this one by merging in only what changed.
 class ShardSnapshot {
  public:
   struct Entry {
@@ -57,19 +59,27 @@ class ShardSnapshot {
 
   /// The entry for `tags`, or nullptr when the shard does not hold it.
   const Entry* FindSet(const TagSet& tags) const {
-    const auto it = by_set_.find(tags);
-    if (it == by_set_.end()) return nullptr;
-    return &entries_[it->second];
+    const uint64_t prefix = Prefix(tags);
+    for (size_t i = static_cast<size_t>(
+             std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix) -
+             prefixes_.begin());
+         i < prefixes_.size() && prefixes_[i] == prefix; ++i) {
+      if (entries_[i].tags == tags) return &entries_[i];
+    }
+    return nullptr;
   }
 
-  /// The postings of `tag`: entry indices sorted by descending coefficient,
-  /// at most ServeConfig::top_k_capacity of them.
-  std::pair<const uint32_t*, size_t> TopForTag(TagId tag) const {
+  /// The head of `tag`'s postings: entry indices sorted by descending
+  /// coefficient, at most `capacity` (ServeConfig::top_k_capacity) of
+  /// them. The stored run is complete, so evicting one of the top entries
+  /// promotes the next one exactly.
+  std::pair<const uint32_t*, size_t> TopForTag(TagId tag,
+                                               size_t capacity) const {
     const auto it = std::lower_bound(tag_keys_.begin(), tag_keys_.end(), tag);
     if (it == tag_keys_.end() || *it != tag) return {nullptr, 0};
     const size_t i = static_cast<size_t>(it - tag_keys_.begin());
-    return {postings_.data() + postings_offsets_[i],
-            postings_offsets_[i + 1] - postings_offsets_[i]};
+    const size_t run = postings_offsets_[i + 1] - postings_offsets_[i];
+    return {postings_.data() + postings_offsets_[i], std::min(capacity, run)};
   }
 
   const std::vector<Entry>& entries() const { return entries_; }
@@ -78,8 +88,16 @@ class ShardSnapshot {
  private:
   friend class CorrelationIndex;
 
+  /// A set's first two tags packed into one word (0 for a missing second
+  /// tag, which no stored set lacks). Canonical tagset order sorts these
+  /// too, so a lookup binary-searches this dense lane, not the entries.
+  static uint64_t Prefix(const TagSet& tags) {
+    return static_cast<uint64_t>(tags[0]) << 32 |
+           (tags.size() > 1 ? tags[1] : 0);
+  }
+
   std::vector<Entry> entries_;         // Sorted by tagset (canonical order).
-  FlatTagSetMap<uint32_t> by_set_;     // Tagset -> index into entries_.
+  std::vector<uint64_t> prefixes_;     // Prefix(entries_[i].tags).
   std::vector<TagId> tag_keys_;        // Sorted tags owned by this shard.
   std::vector<size_t> postings_offsets_;  // CSR offsets, size keys + 1.
   std::vector<uint32_t> postings_;     // Entry indices, per-tag coef-desc.
@@ -99,8 +117,11 @@ class ShardSnapshot {
 ///
 /// Concurrency (RCU-style): each shard publishes an immutable
 /// ShardSnapshot. The single writer (ApplyPeriod) mutates private builder
-/// state, constructs fresh snapshots off-path, and swaps them in; old
-/// snapshots are reclaimed by shared_ptr once the last reader drops them.
+/// state, records which keys it upserted or erased, and builds each
+/// touched shard's next snapshot off-path by merging that delta into the
+/// previous snapshot — O(n + d log d) for d changed keys, not a rebuild of
+/// the shard — then swaps it in; old snapshots are reclaimed by shared_ptr
+/// once the last reader drops them.
 /// Readers go through per-thread Reader handles that cache the shared_ptr
 /// per shard and re-copy it only when the shard's atomic version counter
 /// changed, so a steady-state query performs no reference-count traffic
@@ -202,8 +223,8 @@ class CorrelationIndex {
   /// `out`. RestoreState parses a blob back, rebuilds every shard's builder
   /// and republishes fresh snapshots, so a restored index serves exactly
   /// what the captured one did. Returns false (leaving the index
-  /// untouched or cleared) on a malformed blob or a shard-count mismatch
-  /// with this index's configuration.
+  /// untouched) on a malformed blob or a shard-count mismatch with this
+  /// index's configuration.
   void ExportState(std::string* out) const;
   bool RestoreState(std::string_view blob);
 
@@ -238,7 +259,9 @@ class CorrelationIndex {
     std::shared_ptr<const ShardSnapshot> slot;
     // Writer-only state below.
     FlatTagSetMap<BuilderEntry> builder;
-    bool dirty = false;
+    /// Keys upserted or erased since the last publish (may repeat); the
+    /// shard republishes when this is non-empty.
+    std::vector<TagSet> changed;
   };
 
   /// Swaps in `snapshot` and bumps the shard's version (writer side).
@@ -249,12 +272,14 @@ class CorrelationIndex {
     return static_cast<size_t>(HashTagSpan(&tag, 1)) & shard_mask_;
   }
 
-  /// Builds shard `s`'s next immutable snapshot from its builder state.
-  std::shared_ptr<const ShardSnapshot> BuildSnapshot(size_t s,
-                                                     uint64_t epoch) const;
+  /// Builds shard `s`'s next immutable snapshot by merging its changed
+  /// keys' builder state into `base` (the shard's published snapshot, or
+  /// an empty one to build from scratch), and clears the changed keys.
+  std::shared_ptr<const ShardSnapshot> BuildSnapshot(
+      size_t s, const ShardSnapshot& base, uint64_t epoch);
 
-  /// Applies the retention policy after ingesting `period_end`; marks
-  /// shards it evicted from as dirty.
+  /// Applies the retention policy after ingesting `period_end`; records
+  /// the keys it evicts as changed.
   void EvictExpired(Timestamp period_end);
 
   ServeConfig config_;

@@ -13,8 +13,9 @@ namespace corrtrack::serve {
 /// SpaceSaving-style sketch recovery (Cormode & Dark) and applies a
 /// screening threshold so only significant correlations occupy memory
 /// (Hero & Rajaratnam, *Large Scale Correlation Screening*): a tag's
-/// answer list never exceeds `top_k_capacity` entries, and coefficients
-/// below `min_coefficient` are dropped at ingest.
+/// answer list never exceeds `top_k_capacity` entries, coefficients
+/// below `min_coefficient` are dropped at ingest, and `retention_periods`
+/// bounds how long an entry is stored.
 struct ServeConfig {
   /// Number of index shards; rounded up to the next power of two. A tag's
   /// shard is HashTagSpan(tag) & (shards - 1) — the same hashing
@@ -22,8 +23,10 @@ struct ServeConfig {
   int num_shards = 16;
 
   /// Bound on the per-tag top-k answer list (SpaceSaving-style bounded
-  /// state): only the `top_k_capacity` highest-coefficient sets containing
-  /// a tag survive a snapshot rebuild.
+  /// answers): TopCorrelated returns at most the `top_k_capacity`
+  /// highest-coefficient sets containing a tag. The stored per-tag run is
+  /// complete — bounded by the entry store, which screening and retention
+  /// bound — so an evicted top entry is replaced by the next one exactly.
   size_t top_k_capacity = 64;
 
   /// Screening threshold: estimates with a Jaccard coefficient below this

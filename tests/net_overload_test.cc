@@ -209,6 +209,17 @@ class NetOverloadTest : public ::testing::Test {
     for (int i = 0; i < snapshots; ++i) client->QueueSnapshot(0.0, 0);
   }
 
+  /// Waits until the server has read all of a QueueOccupier batch of
+  /// `snapshots` frames (the test's only traffic so far).
+  bool WaitForOccupierRead(int snapshots) {
+    std::string frames;
+    for (int i = 0; i < snapshots; ++i) {
+      AppendSnapshotRequest(static_cast<uint32_t>(i + 1), 0.0, 0, &frames);
+    }
+    return WaitForCounterFinely("corrtrack_net_bytes_read_total",
+                                frames.size());
+  }
+
   /// Joins a flush thread even when an ASSERT unwinds the test early.
   struct Joiner {
     std::thread thread;
@@ -541,7 +552,7 @@ TEST_F(NetOverloadTest, DrainDeliversEveryOwedResponseBeforeClosing) {
     }
     pongs.store(ok_count);
   })};
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(WaitForOccupierRead(5000));
 
   EXPECT_TRUE(server_->Drain(/*deadline_ms=*/10'000));
   flusher.thread.join();
@@ -565,15 +576,15 @@ TEST_F(NetOverloadTest, DrainRejectsNewConnectionsWhileFinishingOldWork) {
   config.num_reader_threads = 1;
   StartServer(config);
 
-  // Small enough (~105 KB) for the server to have READ the whole flood
-  // before the drain starts: drain owes answers only to received frames,
-  // so a bigger batch could legitimately be cut off mid-socket.
+  // Drain starts only once the server has READ the whole flood: drain owes
+  // answers only to received frames, so an unread tail could legitimately
+  // be cut off mid-socket.
   Client client;
   ASSERT_TRUE(ConnectClient(&client)) << client.last_error();
   QueueOccupier(&client, /*snapshots=*/5000);
   std::atomic<bool> flush_ok{false};
   Joiner flusher{std::thread([&] { flush_ok.store(client.Flush(nullptr)); })};
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(WaitForOccupierRead(5000));
 
   Joiner drainer{
       std::thread([&] { server_->Drain(/*deadline_ms=*/10'000); })};

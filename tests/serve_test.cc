@@ -1,9 +1,13 @@
 #include "serve/correlation_index.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -201,6 +205,171 @@ TEST(CorrelationIndex, MultiShardSetsServedOnceAndEverywhere) {
   }
   EXPECT_EQ(reader.Snapshot(0.0, &results), 32u);
   EXPECT_EQ(reader.TotalSets(), 32u);
+}
+
+TEST(CorrelationIndex, MalformedRestoreLeavesIndexUntouched) {
+  ServeConfig config;
+  config.num_shards = 1;
+  CorrelationIndex source(config);
+  source.ApplyPeriod(1000, {Estimate({1, 2}, 0.5, 5, 10)});
+  std::string blob;
+  source.ExportState(&blob);
+
+  CorrelationIndex index(config);
+  index.ApplyPeriod(2000, {Estimate({3, 4}, 0.7, 7, 10)});
+  EXPECT_FALSE(index.RestoreState(blob.substr(0, blob.size() - 1)));
+  // The entry rewritten to one tag: its tag count follows the header (u32
+  // shards, u64 epoch, i64 latest period, u64 + i64 for the one retained
+  // period) and the shard's u64 entry count; drop its second tag.
+  constexpr size_t kTagCount = 4 + 8 + 8 + 8 + 8 + 8;
+  std::string one_tag = blob;
+  one_tag[kTagCount] = 1;
+  one_tag.erase(kTagCount + 8, 4);
+  EXPECT_FALSE(index.RestoreState(one_tag));
+
+  // Untouched: the index serves its own state and keeps publishing.
+  CorrelationIndex::Reader reader = index.NewReader();
+  EXPECT_FALSE(reader.Lookup(TagSet({1, 2})).has_value());
+  EXPECT_TRUE(reader.Lookup(TagSet({3, 4})).has_value());
+  index.ApplyPeriod(2000, {Estimate({5, 6}, 0.6, 6, 10)});
+  EXPECT_EQ(reader.TotalSets(), 2u);
+  ASSERT_TRUE(index.RestoreState(blob));
+  EXPECT_TRUE(reader.Lookup(TagSet({1, 2})).has_value());
+  EXPECT_EQ(reader.TotalSets(), 1u);
+}
+
+/// Every answer `index` serves must equal the from-scratch twin's:
+/// RestoreState rebuilds each shard against an empty base, so a twin
+/// restored from ExportState is the full-rebuild oracle for the
+/// incremental publish.
+void ExpectMatchesScratchRebuild(const CorrelationIndex& index,
+                                 const std::set<TagId>& tags,
+                                 const std::set<TagSet>& sets) {
+  std::string blob;
+  index.ExportState(&blob);
+  CorrelationIndex twin(index.config());
+  ASSERT_TRUE(twin.RestoreState(blob));
+  EXPECT_EQ(twin.epoch(), index.epoch());
+  CorrelationIndex::Reader live = index.NewReader();
+  CorrelationIndex::Reader scratch = twin.NewReader();
+  const auto expect_same = [](const std::vector<ScoredSet>& got,
+                              const std::vector<ScoredSet>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].tags, want[i].tags) << i;
+      EXPECT_EQ(got[i].coefficient, want[i].coefficient) << i;
+      EXPECT_EQ(got[i].period_end, want[i].period_end) << i;
+    }
+  };
+  std::vector<ScoredSet> got;
+  std::vector<ScoredSet> want;
+  live.Snapshot(0.0, &got);
+  scratch.Snapshot(0.0, &want);
+  expect_same(got, want);
+  for (const TagId tag : tags) {
+    live.TopCorrelated(tag, 100, &got);
+    scratch.TopCorrelated(tag, 100, &want);
+    SCOPED_TRACE(tag);
+    expect_same(got, want);
+  }
+  for (const TagSet& set : sets) {
+    const std::optional<LookupResult> hit = live.Lookup(set);
+    const std::optional<LookupResult> oracle = scratch.Lookup(set);
+    ASSERT_EQ(hit.has_value(), oracle.has_value()) << set.ToString();
+    if (!hit.has_value()) continue;
+    EXPECT_EQ(hit->coefficient, oracle->coefficient) << set.ToString();
+    EXPECT_EQ(hit->intersection_count, oracle->intersection_count);
+    EXPECT_EQ(hit->union_count, oracle->union_count);
+    EXPECT_EQ(hit->period_end, oracle->period_end);
+    // Untouched shards keep the epoch of their last publish.
+    EXPECT_LE(hit->epoch, index.epoch());
+  }
+}
+
+/// Differential: a seeded stream of small reports, published incrementally
+/// after each ApplyPeriod, against a from-scratch rebuild of the same
+/// state. The stream re-reports the current period, sends late reports
+/// for older periods, evicts through a two-period retention window, lets
+/// every entry of one tag expire, and overflows the per-tag answer bound
+/// so evicting a top entry must promote the next one.
+void RunIncrementalVsScratch(EstimateMerge merge) {
+  ServeConfig config;
+  config.num_shards = 4;
+  config.top_k_capacity = 3;
+  config.retention_periods = 2;
+  config.merge = merge;
+  auto index = std::make_unique<CorrelationIndex>(config);
+
+  constexpr TagId kTags = 10;
+  constexpr TagId kDoomedTag = 99;  // Reported in the first periods only.
+  constexpr int kReports = 240;
+  std::mt19937_64 rng(merge == EstimateMerge::kMaxCN ? 17 : 18);
+  std::set<TagId> tags_seen;
+  std::set<TagSet> sets_seen;
+  Timestamp period = 1000;
+  bool overflowed = false;  // Some tag held more sets than its bound.
+  std::vector<ScoredSet> all;
+  for (int report = 0; report < kReports; ++report) {
+    SCOPED_TRACE(report);
+    if (rng() % 5 == 0) period += 1000;  // About five reports a period.
+    Timestamp period_end = period;
+    if (rng() % 6 == 0) {
+      period_end -= 1000 * static_cast<Timestamp>(1 + rng() % 3);
+    }
+    std::vector<JaccardEstimate> estimates;
+    const int count = 1 + static_cast<int>(rng() % 6);
+    for (int e = 0; e < count; ++e) {
+      std::vector<TagId> tags;
+      const size_t size = 2 + rng() % 2;
+      while (tags.size() < size) {
+        const TagId tag = static_cast<TagId>(rng() % kTags);
+        if (std::find(tags.begin(), tags.end(), tag) == tags.end()) {
+          tags.push_back(tag);
+        }
+      }
+      if (report < 20 && e == 0) tags.back() = kDoomedTag;
+      // Coarse coefficients force ties, so the posting order's period and
+      // tagset tie-breaks are exercised too.
+      const uint64_t intersection = 1 + rng() % 4;
+      estimates.push_back(Estimate(tags, static_cast<double>(intersection) / 4,
+                                   intersection, 4));
+      tags_seen.insert(tags.begin(), tags.end());
+      sets_seen.insert(estimates.back().tags);
+    }
+    index->ApplyPeriod(period_end, estimates);
+    ExpectMatchesScratchRebuild(*index, tags_seen, sets_seen);
+    if (testing::Test::HasFailure()) return;  // Report the first divergence.
+    index->NewReader().Snapshot(0.0, &all);
+    for (const TagId tag : tags_seen) {
+      overflowed |= std::count_if(all.begin(), all.end(),
+                                  [tag](const ScoredSet& scored) {
+                                    return scored.tags.Contains(tag);
+                                  }) >
+                    static_cast<ptrdiff_t>(config.top_k_capacity);
+    }
+    if (report == kReports / 2) {
+      // Keep ingesting on a restored index: incremental publishes must
+      // build on a snapshot that RestoreState produced.
+      std::string blob;
+      index->ExportState(&blob);
+      index = std::make_unique<CorrelationIndex>(config);
+      ASSERT_TRUE(index->RestoreState(blob));
+    }
+  }
+
+  // The stream did what it claims: the doomed tag's entries all expired,
+  // and the answer bound truncated some tag's run.
+  std::vector<ScoredSet> results;
+  EXPECT_EQ(index->NewReader().TopCorrelated(kDoomedTag, 100, &results), 0u);
+  EXPECT_TRUE(overflowed);
+}
+
+TEST(CorrelationIndex, IncrementalPublishMatchesScratchRebuild) {
+  for (const EstimateMerge merge :
+       {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
+    SCOPED_TRACE(merge == EstimateMerge::kMaxCN ? "max-CN" : "additive");
+    RunIncrementalVsScratch(merge);
+  }
 }
 
 /// Differential oracle (flat_counter_table_test style): stream a workload
