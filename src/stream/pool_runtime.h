@@ -50,10 +50,15 @@ namespace corrtrack::stream {
 ///
 /// Backpressure: mailboxes are bounded; a producer that finds a mailbox
 /// full first tries to *help* — claim the destination task and drain a
-/// slice of it inline on the producing thread — and only blocks when the
-/// destination is already executing elsewhere (its runner is draining the
-/// mailbox, so the wait is short). Helping is what makes tiny capacities
-/// safe under tasks >> threads: progress never requires a free worker.
+/// slice of it inline on the producing thread. When the destination is
+/// already executing elsewhere, the spout thread (which holds no task)
+/// claims the oldest queued slice — injector first, then the front of each
+/// worker's queue — and runs it instead of sleeping, so a queued slice
+/// does not wait behind a busy worker while the spout thread idles. Only
+/// when nothing can be claimed does the producer block (the destination's
+/// runner is draining the mailbox, so the wait is short). Helping is what
+/// makes tiny capacities safe under tasks >> threads: progress never
+/// requires a free worker.
 /// Inline helping nests (a helped task may itself hit a full queue); a
 /// destination already held somewhere in this thread's help chain is
 /// pushed over capacity instead of blocking, which bounds the chain by the
@@ -103,7 +108,8 @@ class PoolRuntime : public Runtime<Message> {
           std::thread([this, w] { WorkerLoop(w); });
     }
     // Drive the spout from this thread; it participates in helping like
-    // any producer, so a saturated pool backpressures the source.
+    // any producer (and runs queued slices while a full destination is
+    // busy), so a saturated pool backpressures the source.
     DeliveryBuffer spout_buffer(tasks_.size());
     ThreadBuffer() = &spout_buffer;
     Spout<Message>* spout =
@@ -197,6 +203,7 @@ class PoolRuntime : public Runtime<Message> {
                      static_cast<uint64_t>(task->mailbox->max_depth()));
       }
     }
+    stats.steals = spout_steals_;
     for (const auto& worker : workers_) {
       stats.steals += worker->steals;
     }
@@ -565,8 +572,10 @@ class PoolRuntime : public Runtime<Message> {
   }
 
   /// The destination's mailbox is full: claim and drain a slice of it on
-  /// this thread when possible (returns true), otherwise wait — bounded —
-  /// for its current runner to make room (returns false).
+  /// this thread when possible (returns true). Failing that, the spout
+  /// thread outside any slice runs the oldest queued slice instead
+  /// (returns true). Otherwise wait — bounded — for the destination's
+  /// current runner to make room (returns false).
   bool HelpOrWait(Task* task) {
     int expected = kIdle;
     if (task->state.compare_exchange_strong(expected, kRunning,
@@ -581,6 +590,15 @@ class PoolRuntime : public Runtime<Message> {
       // be skipped by whoever pops it.
       RunSlice(task);
       return true;
+    }
+    if (WorkerIndex() < 0 && HelpChain().empty()) {
+      // The spout thread holds no task, so it is in no push cycle and any
+      // slice may run here; otherwise a hint can wait behind a busy
+      // worker's queue while this thread sleeps.
+      if (Task* other = FindWork(-1)) {
+        RunSlice(other);
+        return true;
+      }
     }
     if (block_wait_hist_ != nullptr) {
       const int64_t blocked_at = telemetry::MonotonicNanos();
@@ -709,41 +727,55 @@ class PoolRuntime : public Runtime<Message> {
     return task_id;
   }
 
-  /// Claims the next runnable task, nearest work first: own queue (LIFO),
-  /// the spout injector queue, then steals from peers in ring order.
+  /// Pops the oldest hint queued by another thread: the front of each
+  /// worker's queue in ring order after `self` (the spout thread, -1,
+  /// starts at worker 0 and visits every worker). Returns -1 when all are
+  /// empty.
+  int StealFront(int self) {
+    const int victims = self < 0 ? num_threads_ : num_threads_ - 1;
+    for (int i = 1; i <= victims; ++i) {
+      const int victim_id = (self + i) % num_threads_;
+      Worker* victim = workers_[static_cast<size_t>(victim_id)].get();
+      std::lock_guard<std::mutex> lock(victim->mutex);
+      if (!victim->run_queue.empty()) {
+        const int task_id = victim->run_queue.front();
+        victim->run_queue.pop_front();
+        return task_id;
+      }
+    }
+    return -1;
+  }
+
+  /// Claims the next runnable task for worker `self`, or for the spout
+  /// thread when `self` is -1. A worker takes its own queue first (LIFO);
+  /// then every caller takes the oldest foreign work: the spout injector
+  /// queue, then steals. Slices the spout thread claims count as steals.
   /// Returns nullptr when no hint yields a claim.
-  Task* FindWork(int worker_id) {
-    Worker* self = workers_[static_cast<size_t>(worker_id)].get();
+  Task* FindWork(int self) {
     while (true) {
       int task_id = -1;
-      bool stolen = false;
-      {
-        std::lock_guard<std::mutex> lock(self->mutex);
-        if (!self->run_queue.empty()) {
-          task_id = self->run_queue.back();
-          self->run_queue.pop_back();
+      if (self >= 0) {
+        Worker* own = workers_[static_cast<size_t>(self)].get();
+        std::lock_guard<std::mutex> lock(own->mutex);
+        if (!own->run_queue.empty()) {
+          task_id = own->run_queue.back();
+          own->run_queue.pop_back();
         }
       }
       if (task_id < 0) task_id = PopInjected();
-      if (task_id < 0) {
-        for (int i = 1; i < num_threads_ && task_id < 0; ++i) {
-          const int victim_id = (worker_id + i) % num_threads_;
-          Worker* victim = workers_[static_cast<size_t>(victim_id)].get();
-          std::lock_guard<std::mutex> lock(victim->mutex);
-          if (!victim->run_queue.empty()) {
-            task_id = victim->run_queue.front();
-            victim->run_queue.pop_front();
-            stolen = true;
-          }
-        }
-      }
+      const bool stolen = task_id < 0;
+      if (stolen) task_id = StealFront(self);
       if (task_id < 0) return nullptr;
       pending_hints_.fetch_sub(1, std::memory_order_seq_cst);
       Task* task = tasks_[static_cast<size_t>(task_id)].get();
       int expected = kQueued;
       if (task->state.compare_exchange_strong(expected, kRunning,
                                               std::memory_order_acq_rel)) {
-        if (stolen) ++self->steals;
+        if (self < 0) {
+          ++spout_steals_;
+        } else if (stolen) {
+          ++workers_[static_cast<size_t>(self)]->steals;
+        }
         return task;
       }
       // Stale hint (a helper claimed the task); keep looking.
@@ -784,6 +816,7 @@ class PoolRuntime : public Runtime<Message> {
   std::vector<int> task_base_;
   std::vector<EdgeList<Message>> edges_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  uint64_t spout_steals_ = 0;  // Written by the Run() caller only.
   bool ran_ = false;
 
   std::mutex inject_mutex_;

@@ -139,7 +139,9 @@ inline Timestamp FirstTickAfter(Timestamp period, Timestamp start_time) {
 struct RuntimeStats {
   /// Envelopes executed by bolt tasks (all components, all instances).
   uint64_t envelopes_moved = 0;
-  /// Pool: task slices obtained from another worker's queue.
+  /// Pool: task slices a worker took from another worker's queue, plus
+  /// the queued slices the spout thread ran instead of waiting on a full
+  /// mailbox (PoolRuntime::HelpOrWait).
   uint64_t steals = 0;
   /// Times a producer found a destination queue full and had to block
   /// (or, in the pool, help drain the destination inline).

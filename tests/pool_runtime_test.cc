@@ -1,7 +1,12 @@
 #include "stream/pool_runtime.h"
 
+#include <chrono>
+#include <condition_variable>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
@@ -190,6 +195,221 @@ TEST(PoolRuntime, ChainWithCapacityOne) {
   runtime.Run();
   EXPECT_EQ(last->count, n);
   EXPECT_EQ(last->sum, static_cast<long long>(n) * (n - 1) / 2);
+}
+
+/// Shared state of SpoutThreadRunsQueuedWorkInsteadOfWaiting. Values >= 0
+/// are A's stream, values < 0 are B's.
+struct HandOff {
+  static constexpr int kBatch = static_cast<int>(kQueueBatch);
+  static constexpr int kBlockAt = kBatch - 1;  // A waits on the latch here.
+  static constexpr int kReleaseAt = -kBatch;   // B opens the latch here.
+
+  /// Waits up to 2 s for `ready`; returns false on timeout.
+  template <typename Pred>
+  bool WaitFor(std::unique_lock<std::mutex>& lock, Pred ready) {
+    return cv.wait_for(lock, std::chrono::seconds(2), ready);
+  }
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool worker_in_a = false;
+  bool released = false;
+  bool latch_timed_out = false;
+  std::thread::id release_thread;
+};
+
+/// Phase 1: A's values 0..kBlockAt (one lane flush; the last one reaches
+/// the mailbox in the final round, so only a worker can run it). Phase 2,
+/// once that worker waits in A: B's values -1..kReleaseAt (the spout helps
+/// B until the last two, which stay queued). Phase 3: more of A's values
+/// until the latch opens or times out.
+class HandOffSpout : public Spout<Msg> {
+ public:
+  explicit HandOffSpout(HandOff* hand_off) : hand_off_(hand_off) {}
+  bool Next(Msg* out, Timestamp* time) override {
+    *time = 0;
+    if (next_a_ < HandOff::kBatch) {
+      *out = Value{next_a_++};
+      return true;
+    }
+    if (next_b_ == -1) {
+      std::unique_lock<std::mutex> lock(hand_off_->mutex);
+      hand_off_->WaitFor(lock, [this] { return hand_off_->worker_in_a; });
+    }
+    if (next_b_ >= HandOff::kReleaseAt) {
+      *out = Value{next_b_--};
+      return true;
+    }
+    {
+      std::lock_guard<std::mutex> lock(hand_off_->mutex);
+      if (hand_off_->released || hand_off_->latch_timed_out) return false;
+    }
+    *out = Value{next_a_++};
+    return true;
+  }
+
+  int emitted_a() const { return next_a_; }
+
+ private:
+  HandOff* hand_off_;
+  int next_a_ = 0;
+  int next_b_ = -1;
+};
+
+/// Bolt A holds its runner on the latch at kBlockAt; bolt B opens it at
+/// kReleaseAt and records the thread that did.
+class HandOffBolt : public Bolt<Msg> {
+ public:
+  HandOffBolt(HandOff* hand_off, bool is_a)
+      : hand_off_(hand_off), is_a_(is_a) {}
+  void Execute(const Envelope<Msg>& in, Emitter<Msg>&) override {
+    const int v = std::get<Value>(in.payload()).v;
+    ++count;
+    std::unique_lock<std::mutex> lock(hand_off_->mutex);
+    if (is_a_ && v == HandOff::kBlockAt) {
+      hand_off_->worker_in_a = true;
+      hand_off_->cv.notify_all();
+      if (!hand_off_->WaitFor(lock, [this] { return hand_off_->released; })) {
+        hand_off_->latch_timed_out = true;
+      }
+    } else if (!is_a_ && v == HandOff::kReleaseAt) {
+      hand_off_->released = true;
+      hand_off_->release_thread = std::this_thread::get_id();
+      hand_off_->cv.notify_all();
+    }
+  }
+  long long count = 0;
+
+ private:
+  HandOff* hand_off_;
+  bool is_a_;
+};
+
+TEST(PoolRuntime, SpoutThreadRunsQueuedWorkInsteadOfWaiting) {
+  // The only worker waits inside A until B runs, and B's last slice is
+  // queued behind that worker. The spout then fills A's mailbox: it must
+  // run B's queued slice itself instead of sleeping on A's full mailbox,
+  // or the latch times out after 2 s.
+  HandOff hand_off;
+  Topology<Msg> topology;
+  auto owned_spout = std::make_unique<HandOffSpout>(&hand_off);
+  HandOffSpout* spout_ptr = owned_spout.get();
+  const int spout = topology.AddSpout("src", std::move(owned_spout));
+  HandOffBolt* a = nullptr;
+  HandOffBolt* b = nullptr;
+  const int a_comp = topology.AddBolt(
+      "A",
+      [&](int) {
+        auto bolt = std::make_unique<HandOffBolt>(&hand_off, true);
+        a = bolt.get();
+        return bolt;
+      },
+      1);
+  const int b_comp = topology.AddBolt(
+      "B",
+      [&](int) {
+        auto bolt = std::make_unique<HandOffBolt>(&hand_off, false);
+        b = bolt.get();
+        return bolt;
+      },
+      1);
+  topology.Subscribe(a_comp, spout,
+                     Grouping<Msg>::GlobalWhere([](const Msg& m) {
+                       return std::get<Value>(m).v >= 0;
+                     }));
+  topology.Subscribe(b_comp, spout,
+                     Grouping<Msg>::GlobalWhere([](const Msg& m) {
+                       return std::get<Value>(m).v < 0;
+                     }));
+  RuntimeOptions options;
+  options.num_threads = 1;
+  options.queue_capacity = 2;
+  PoolRuntime<Msg> runtime(&topology, options);
+  runtime.Run();
+
+  EXPECT_TRUE(hand_off.worker_in_a);
+  EXPECT_FALSE(hand_off.latch_timed_out)
+      << "the spout thread slept on A's full mailbox instead of running B";
+  EXPECT_TRUE(hand_off.released);
+  EXPECT_EQ(hand_off.release_thread, std::this_thread::get_id());
+  EXPECT_EQ(a->count, spout_ptr->emitted_a());
+  EXPECT_EQ(b->count, HandOff::kBatch);
+  EXPECT_EQ(runtime.TuplesDelivered(a_comp),
+            static_cast<uint64_t>(spout_ptr->emitted_a()));
+  EXPECT_EQ(runtime.TuplesDelivered(b_comp),
+            static_cast<uint64_t>(HandOff::kBatch));
+  EXPECT_GT(runtime.stats().steals, 0u);  // The spout thread's claim.
+}
+
+/// Checks per-edge FIFO: each producer instance's values must arrive
+/// strictly increasing. Optionally forwards its own sequence number.
+class FifoCheckingBolt : public Bolt<Msg> {
+ public:
+  explicit FifoCheckingBolt(bool forward) : forward_(forward) {}
+  void Execute(const Envelope<Msg>& in, Emitter<Msg>& out) override {
+    const int v = std::get<Value>(in.payload()).v;
+    const auto [it, first] = last_.try_emplace(in.source.instance, v);
+    if (!first) {
+      if (v <= it->second) ++violations;
+      it->second = v;
+    }
+    ++count;
+    if (forward_) out.Emit(Value{next_++});
+  }
+  long long count = 0;
+  long long violations = 0;
+
+ private:
+  bool forward_;
+  std::map<int, int> last_;  // Producer instance -> last value seen.
+  int next_ = 0;
+};
+
+TEST(PoolRuntime, PerEdgeFifoHoldsWhenSpoutThreadRunsSlices) {
+  // spout -> mid (2) -> sink (2) on 2 workers with tiny mailboxes: the
+  // spout thread keeps finding full mailboxes and runs queued mid and sink
+  // slices itself. Slices migrate between three threads, and every edge
+  // must still deliver in emission order.
+  for (size_t capacity : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("queue_capacity=" + std::to_string(capacity));
+    const int n = 20000;
+    Topology<Msg> topology;
+    const int spout =
+        topology.AddSpout("src", std::make_unique<CountingSpout>(n));
+    std::vector<FifoCheckingBolt*> mids(2, nullptr);
+    std::vector<FifoCheckingBolt*> sinks(2, nullptr);
+    const int mid = topology.AddBolt(
+        "mid",
+        [&mids](int instance) {
+          auto b = std::make_unique<FifoCheckingBolt>(true);
+          mids[static_cast<size_t>(instance)] = b.get();
+          return b;
+        },
+        2);
+    const int sink = topology.AddBolt(
+        "sink",
+        [&sinks](int instance) {
+          auto b = std::make_unique<FifoCheckingBolt>(false);
+          sinks[static_cast<size_t>(instance)] = b.get();
+          return b;
+        },
+        2);
+    topology.Subscribe(mid, spout, Grouping<Msg>::Shuffle());
+    topology.Subscribe(sink, mid, Grouping<Msg>::Shuffle());
+    RuntimeOptions options;
+    options.num_threads = 2;
+    options.queue_capacity = capacity;
+    PoolRuntime<Msg> runtime(&topology, options);
+    runtime.Run();
+    for (const auto* bolts : {&mids, &sinks}) {
+      long long count = 0;
+      for (const FifoCheckingBolt* b : *bolts) {
+        EXPECT_EQ(b->violations, 0);
+        count += b->count;
+      }
+      EXPECT_EQ(count, n);
+    }
+  }
 }
 
 TEST(PoolRuntime, TicksFireFromStreamTime) {
