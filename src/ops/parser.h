@@ -59,6 +59,10 @@ class ParserBolt : public stream::Bolt<Message> {
       }
       return;
     }
+    if (telemetry_ != nullptr && dictionary_.size() != interned) {
+      telemetry_->tag_dictionary_size->Set(
+          static_cast<double>(dictionary_.size()));
+    }
     if (trace_id != 0) {
       telemetry_->docs_sampled->Increment();
       const int64_t now = telemetry::MonotonicNanos();
@@ -116,6 +120,10 @@ class ParserBolt : public stream::Bolt<Message> {
     for (size_t id = 0; id < state.tags.size(); ++id) {
       CORRTRACK_CHECK_EQ(
           static_cast<size_t>(dictionary_.GetOrAdd(state.tags[id])), id);
+    }
+    if (telemetry_ != nullptr) {
+      telemetry_->tag_dictionary_size->Set(
+          static_cast<double>(dictionary_.size()));
     }
   }
 

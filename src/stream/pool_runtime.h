@@ -48,17 +48,22 @@ namespace corrtrack::stream {
 ///    accounting, residual feedback traffic discarded — the documented
 ///    cyclic-topology contract of runtime.h.
 ///
-/// Backpressure: mailboxes are bounded; a producer that finds a mailbox
-/// full first tries to *help* — claim the destination task and drain a
-/// slice of it inline on the producing thread. When the destination is
-/// already executing elsewhere, the spout thread (which holds no task)
-/// claims the oldest queued slice — injector first, then the front of each
-/// worker's queue — and runs it instead of sleeping, so a queued slice
-/// does not wait behind a busy worker while the spout thread idles. Only
-/// when nothing can be claimed does the producer block (the destination's
-/// runner is draining the mailbox, so the wait is short). Helping is what
-/// makes tiny capacities safe under tasks >> threads: progress never
-/// requires a free worker.
+/// Backpressure: producers stage envelopes per destination and hand a lane
+/// of at most kQueueBatch to its mailbox under one lock. The spout thread,
+/// outside any slice, hands a lane over at once while no worker runs a
+/// slice, and the last worker to go idle pushes what the spout staged
+/// meanwhile: with the pool idle a batch saves nothing, and paced ingest
+/// would otherwise wait for 64 documents. Mailboxes are bounded; a
+/// producer that finds a mailbox full first tries to *help* — claim the
+/// destination task and drain a slice of it inline on the producing
+/// thread. When the destination is already executing elsewhere, the spout
+/// thread (which holds no task) claims the oldest queued slice — injector
+/// first, then the front of each worker's queue — and runs it instead of
+/// sleeping, so a queued slice does not wait behind a busy worker while
+/// the spout thread idles. Only when nothing can be claimed does the
+/// producer block (the destination's runner is draining the mailbox, so
+/// the wait is short). Helping is what makes tiny capacities safe under
+/// tasks >> threads: progress never requires a free worker.
 /// Inline helping nests (a helped task may itself hit a full queue); a
 /// destination already held somewhere in this thread's help chain is
 /// pushed over capacity instead of blocking, which bounds the chain by the
@@ -101,6 +106,7 @@ class PoolRuntime : public Runtime<Message> {
   void Run(Timestamp flush_horizon) override {
     CORRTRACK_CHECK(!ran_);
     ran_ = true;
+    spout_buffer_ = std::make_unique<DeliveryBuffer>(tasks_.size());
     workers_.resize(static_cast<size_t>(num_threads_));
     for (auto& worker : workers_) worker = std::make_unique<Worker>();
     for (int w = 0; w < num_threads_; ++w) {
@@ -110,8 +116,7 @@ class PoolRuntime : public Runtime<Message> {
     // Drive the spout from this thread; it participates in helping like
     // any producer (and runs queued slices while a full destination is
     // busy), so a saturated pool backpressures the source.
-    DeliveryBuffer spout_buffer(tasks_.size());
-    ThreadBuffer() = &spout_buffer;
+    ThreadBuffer() = spout_buffer_.get();
     Spout<Message>* spout =
         topology_->mutable_components()[static_cast<size_t>(
             spout_component_)].spout.get();
@@ -123,12 +128,16 @@ class PoolRuntime : public Runtime<Message> {
     while (spout->Next(&msg, &time)) {
       CORRTRACK_CHECK_GE(time, last_time);
       last_time = time;
+      std::lock_guard<std::mutex> lock(spout_mutex_);
       RouteFrom(spout_component_, 0, std::move(msg), time,
                 /*direct_instance=*/-1);
     }
-    FlushDeliveries();
-    FloodPoison(spout_component_, last_time + flush_horizon);
-    FlushDeliveries();
+    {
+      std::lock_guard<std::mutex> lock(spout_mutex_);
+      FlushSpoutLanes();
+      FloodPoison(spout_component_, last_time + flush_horizon);
+      FlushSpoutLanes();
+    }
     ThreadBuffer() = nullptr;
     // Wait until every bolt task has drained its forward inputs, then stop
     // the workers; items still in flight on feedback edges are dropped.
@@ -487,6 +496,8 @@ class PoolRuntime : public Runtime<Message> {
 
   /// Stages `item` in the current thread's delivery buffer, moving the
   /// destination's lane into its mailbox once it reaches kQueueBatch.
+  /// Lanes are also pushed when a slice ends and, for the spout thread,
+  /// at once while no worker runs a slice.
   void Deliver(int component, int instance, Item item) {
     const size_t task_id = static_cast<size_t>(TaskId(component, instance));
     DeliveryBuffer* buffer = ThreadBuffer();
@@ -499,18 +510,28 @@ class PoolRuntime : public Runtime<Message> {
     lane.push_back(std::move(item));
     if (lane.size() >= kQueueBatch) {
       PushToTask(tasks_[task_id].get(), &lane);
+    } else if (WorkerIndex() < 0 && HelpChain().empty()) {
+      // The spout thread outside any slice: its lanes batch only while a
+      // worker runs a slice, and the last worker to go idle pushes what
+      // is still staged (WorkerLoop). With no worker running, a batch
+      // saves nothing and the envelope would wait for the lane to fill.
+      // The flag is stored before the count is read, and WorkerLoop
+      // reads them in the opposite order, so one side sees the other.
+      spout_staged_.store(true, std::memory_order_seq_cst);
+      if (running_workers_.load(std::memory_order_seq_cst) == 0) {
+        PushToTask(tasks_[task_id].get(), &lane);
+      }
     }
   }
 
-  /// Pushes every staged envelope of the current thread's buffer
-  /// (per-destination FIFO order preserved). Every slice calls this before
-  /// releasing its task, so no envelope is held back by a descheduled
-  /// producer. Helping inside PushToTask can stage *new* envelopes into
-  /// this same buffer (nested slices share it), so loop until no lane is
-  /// dirty — each pass un-stages before pushing so nested deliveries
-  /// re-dirty their lane and are picked up by the next pass.
-  void FlushDeliveries() {
-    DeliveryBuffer* buffer = ThreadBuffer();
+  /// Pushes every staged envelope of `buffer`, by default the current
+  /// thread's (per-destination FIFO order preserved). Every slice calls
+  /// this before releasing its task, so no envelope is held back by a
+  /// descheduled producer. Helping inside PushToTask can stage *new*
+  /// envelopes into this same buffer (nested slices share it), so loop
+  /// until no lane is dirty — each pass un-stages before pushing so nested
+  /// deliveries re-dirty their lane and are picked up by the next pass.
+  void FlushDeliveries(DeliveryBuffer* buffer = ThreadBuffer()) {
     std::vector<int> dirty;
     while (!buffer->dirty.empty()) {
       dirty.clear();
@@ -616,6 +637,13 @@ class PoolRuntime : public Runtime<Message> {
       if (held == task) return true;
     }
     return false;
+  }
+
+  /// Pushes every envelope the spout thread has staged. The caller holds
+  /// spout_mutex_: the spout thread, or a worker that found the pool idle.
+  void FlushSpoutLanes() {
+    FlushDeliveries(spout_buffer_.get());
+    spout_staged_.store(false, std::memory_order_relaxed);
   }
 
   /// If the task is idle, mark it queued and enqueue a hint for the
@@ -789,7 +817,18 @@ class PoolRuntime : public Runtime<Message> {
     while (true) {
       Task* task = FindWork(worker_id);
       if (task != nullptr) {
+        running_workers_.fetch_add(1, std::memory_order_seq_cst);
         RunSlice(task);
+        running_workers_.fetch_sub(1, std::memory_order_seq_cst);
+        continue;
+      }
+      if (running_workers_.load(std::memory_order_seq_cst) == 0 &&
+          spout_staged_.load(std::memory_order_seq_cst)) {
+        // The pool is going idle with envelopes the spout thread staged
+        // while workers ran. The spout may be blocked in Next() for a
+        // long time, so push them here rather than strand them.
+        std::lock_guard<std::mutex> lock(spout_mutex_);
+        FlushSpoutLanes();
         continue;
       }
       std::unique_lock<std::mutex> lock(work_mutex_);
@@ -822,6 +861,14 @@ class PoolRuntime : public Runtime<Message> {
   std::mutex inject_mutex_;
   std::deque<int> inject_queue_;  // Task-id hints from the spout thread.
   std::atomic<int> pending_hints_{0};
+  std::atomic<int> running_workers_{0};  // Workers inside RunSlice.
+  // The spout thread's delivery buffer. The spout thread holds
+  // spout_mutex_ while it routes or flushes, and so does the last worker
+  // to go idle when it flushes the buffer; spout_staged_ is set while an
+  // envelope the spout thread routed may still be staged in it.
+  std::unique_ptr<DeliveryBuffer> spout_buffer_;
+  std::mutex spout_mutex_;
+  std::atomic<bool> spout_staged_{false};
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
   std::atomic<bool> stop_{false};

@@ -27,8 +27,10 @@ struct RoutingEdge {
 template <typename Message>
 using EdgeList = std::vector<std::unique_ptr<RoutingEdge<Message>>>;
 
-/// Envelopes staged per destination before a mailbox hand-off — the pool
-/// runtime's batched lock-coalescing convention.
+/// Most envelopes staged per destination before a mailbox hand-off — the
+/// pool runtime's batched lock-coalescing convention. A lane goes to its
+/// mailbox once it holds this many, when the slice that staged it ends,
+/// or, for the spout thread, at once while no pool worker runs a slice.
 inline constexpr size_t kQueueBatch = 64;
 
 /// Consecutive no-progress full-queue rounds (1 ms bounded waits) before a
@@ -42,11 +44,13 @@ inline constexpr size_t kQueueBatch = 64;
 inline constexpr int kStallEscapeRounds = 64;
 
 /// Per-producer-thread staging area of the pool runtime: envelopes headed
-/// to each destination task accumulate in a lane and are moved to the
-/// task's mailbox kQueueBatch at a time. Owned by one thread —
-/// no synchronisation. `staged` is 1 while the task id is in `dirty`,
-/// keeping `dirty` bounded by the task count even when a lane fills and
-/// flushes mid-run.
+/// to each destination task accumulate in a lane of at most kQueueBatch
+/// and are moved to the task's mailbox when it fills, when the producing
+/// slice ends, or — for the spout thread — while no worker runs a slice.
+/// Not synchronised: one thread uses it at a time (a worker flushes the
+/// spout thread's buffer only under the pool's spout mutex).
+/// `staged` is 1 while the task id is in `dirty`, keeping `dirty` bounded
+/// by the task count even when a lane fills and flushes mid-run.
 template <typename Item>
 struct StagingBuffer {
   explicit StagingBuffer(size_t num_tasks)

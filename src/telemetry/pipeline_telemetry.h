@@ -21,6 +21,8 @@ namespace corrtrack::telemetry {
 ///   corrtrack_docs_rejected_total{reason="too_many_tags"}
 ///                                          Parser drops: more than
 ///                                          kMaxTagsPerDocument distinct tags
+///   corrtrack_tag_dictionary_size          tags the Parser has interned
+///                                          (gauge; see tag_dictionary_size)
 ///   corrtrack_notifications_routed_total   Disseminator -> Calculator sends
 ///   corrtrack_reports_tracked_total        JaccardReports into the Tracker
 ///   corrtrack_stage_proc_us{stage=...}     per-stage processing time
@@ -36,6 +38,8 @@ struct PipelineTelemetry {
         docs_sampled(registry.GetCounter("corrtrack_docs_sampled_total")),
         docs_rejected_too_many_tags(registry.GetCounter(
             "corrtrack_docs_rejected_total{reason=\"too_many_tags\"}")),
+        tag_dictionary_size(
+            registry.GetGauge("corrtrack_tag_dictionary_size")),
         notifications_routed(
             registry.GetCounter("corrtrack_notifications_routed_total")),
         reports_tracked(
@@ -76,6 +80,12 @@ struct PipelineTelemetry {
   Counter* docs_parsed;
   Counter* docs_sampled;
   Counter* docs_rejected_too_many_tags;
+  /// Entries in the Parser's TagDictionary, set after each document that
+  /// interns a new tag. The dictionary never forgets an accepted tag, so
+  /// it grows by one entry per distinct tag ever seen in an accepted
+  /// document (a dropped document's new tags are rolled back); memory is
+  /// bounded only by the tag universe of the stream.
+  Gauge* tag_dictionary_size;
   Counter* notifications_routed;
   Counter* reports_tracked;
 

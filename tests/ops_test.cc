@@ -18,6 +18,7 @@
 #include "ops/topology_builder.h"
 #include "ops/tracker_op.h"
 #include "stream/simulation.h"
+#include "telemetry/pipeline_telemetry.h"
 
 namespace corrtrack::ops {
 namespace {
@@ -101,6 +102,30 @@ TEST(ParserBolt, EmitsParsedDocAndDropsUntagged) {
   EXPECT_EQ(emitter.All<ParsedDoc>().size(), 1u);
   EXPECT_EQ(parser.dictionary().size(), 2u);  // Just #a and #b.
   EXPECT_FALSE(parser.dictionary().Find("h0").has_value());
+}
+
+TEST(ParserBolt, TagDictionaryGaugeTracksInterning) {
+  telemetry::PipelineTelemetry telemetry;
+  ParserBolt parser(/*extract_mentions=*/false, &telemetry);
+  CapturingEmitter emitter;
+  EXPECT_EQ(telemetry.tag_dictionary_size->value(), 0.0);
+  parser.Execute(Env(Message(Tweet(1, 100, "x #a #b")), 100), emitter);
+  EXPECT_EQ(telemetry.tag_dictionary_size->value(), 2.0);
+  parser.Execute(Env(Message(Tweet(2, 200, "#a again")), 200), emitter);
+  EXPECT_EQ(telemetry.tag_dictionary_size->value(), 2.0);
+  parser.Execute(Env(Message(Tweet(3, 300, "#c #a")), 300), emitter);
+  EXPECT_EQ(telemetry.tag_dictionary_size->value(), 3.0);
+
+  // A document dropped for too many tags rolls its new tags back and
+  // leaves the gauge where it was.
+  std::string hostile = "#a";
+  for (int t = 0; t < kMaxTagsPerDocument; ++t) {
+    hostile += " #h" + std::to_string(t);
+  }
+  parser.Execute(Env(Message(Tweet(4, 400, hostile)), 400), emitter);
+  EXPECT_EQ(telemetry.docs_rejected_too_many_tags->value(), 1u);
+  EXPECT_EQ(telemetry.tag_dictionary_size->value(), 3.0);
+  EXPECT_EQ(parser.dictionary().size(), 3u);
 }
 
 TEST(ParserBolt, MutatedTextsNeverAbort) {

@@ -341,6 +341,97 @@ TEST(PoolRuntime, SpoutThreadRunsQueuedWorkInsteadOfWaiting) {
   EXPECT_GT(runtime.stats().steals, 0u);  // The spout thread's claim.
 }
 
+/// Opened by the sink of SpoutLaneIsPushedWhileNoWorkerRuns when it executes
+/// document 0.
+struct FirstDocLatch {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool opened = false;
+};
+
+/// Emits 0..n-1 like CountingSpout, but before document 1 waits up to 2 s
+/// for the sink to have executed document 0.
+class LatchedSpout : public Spout<Msg> {
+ public:
+  LatchedSpout(FirstDocLatch* latch, int n) : latch_(latch), n_(n) {}
+  bool Next(Msg* out, Timestamp* time) override {
+    if (i_ >= n_) return false;
+    if (i_ == 1) {
+      std::unique_lock<std::mutex> lock(latch_->mutex);
+      opened_in_time_ = latch_->cv.wait_for(
+          lock, std::chrono::seconds(2), [this] { return latch_->opened; });
+    }
+    *out = Value{i_};
+    *time = static_cast<Timestamp>(i_);
+    ++i_;
+    return true;
+  }
+  bool opened_in_time() const { return opened_in_time_; }
+
+ private:
+  FirstDocLatch* latch_;
+  int n_;
+  int i_ = 0;
+  bool opened_in_time_ = false;
+};
+
+/// SummingBolt that opens the latch when it executes document 0.
+class LatchOpeningBolt : public SummingBolt {
+ public:
+  explicit LatchOpeningBolt(FirstDocLatch* latch)
+      : SummingBolt(false), latch_(latch) {}
+  void Execute(const Envelope<Msg>& in, Emitter<Msg>& out) override {
+    SummingBolt::Execute(in, out);
+    if (std::get<Value>(in.payload()).v != 0) return;
+    std::lock_guard<std::mutex> lock(latch_->mutex);
+    latch_->opened = true;
+    latch_->cv.notify_all();
+  }
+
+ private:
+  FirstDocLatch* latch_;
+};
+
+TEST(PoolRuntime, SpoutLaneIsPushedWhileNoWorkerRuns) {
+  // No worker has anything to run when the spout emits document 0, so its
+  // lane must reach the mailbox at once rather than wait for 63 more
+  // documents that the spout only emits after document 0 has executed.
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const int n = 1000;
+    FirstDocLatch latch;
+    Topology<Msg> topology;
+    auto owned_spout = std::make_unique<LatchedSpout>(&latch, n);
+    LatchedSpout* spout_ptr = owned_spout.get();
+    const int spout = topology.AddSpout("src", std::move(owned_spout));
+    std::vector<LatchOpeningBolt*> sinks(2, nullptr);
+    const int sink = topology.AddBolt(
+        "sink",
+        [&](int instance) {
+          auto b = std::make_unique<LatchOpeningBolt>(&latch);
+          sinks[static_cast<size_t>(instance)] = b.get();
+          return b;
+        },
+        2);
+    topology.Subscribe(sink, spout, Grouping<Msg>::Shuffle());
+    RuntimeOptions options;
+    options.num_threads = threads;
+    PoolRuntime<Msg> runtime(&topology, options);
+    runtime.Run();
+    EXPECT_TRUE(spout_ptr->opened_in_time())
+        << "document 0 stayed in the spout thread's lane";
+    long long total = 0;
+    long long count = 0;
+    for (const LatchOpeningBolt* b : sinks) {
+      total += b->sum;
+      count += b->count;
+    }
+    EXPECT_EQ(count, n);
+    EXPECT_EQ(total, static_cast<long long>(n) * (n - 1) / 2);
+    EXPECT_EQ(runtime.TuplesDelivered(sink), static_cast<uint64_t>(n));
+  }
+}
+
 /// Checks per-edge FIFO: each producer instance's values must arrive
 /// strictly increasing. Optionally forwards its own sequence number.
 class FifoCheckingBolt : public Bolt<Msg> {
