@@ -1,8 +1,10 @@
 // Micro-benchmarks of the per-document hot path: subset counting
 // (Calculator), routing through the tag -> partition index (Disseminator),
-// inclusion-exclusion reporting, hashtag parsing, and partition-quality
-// evaluation.
+// inclusion-exclusion reporting, hashtag parsing (tokenizer alone and the
+// Parser bolt's whole per-document step), and partition-quality evaluation.
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -87,6 +89,36 @@ void BM_ParserExtract(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// Drops every emission: BM_ParserExecute measures the bolt, not a queue.
+class NullEmitter : public stream::Emitter<ops::Message> {
+ public:
+  void Emit(ops::Message msg) override { benchmark::DoNotOptimize(msg); }
+  void EmitDirect(int, ops::Message msg) override {
+    benchmark::DoNotOptimize(msg);
+  }
+  Timestamp now() const override { return 0; }
+};
+
+void BM_ParserExecute(benchmark::State& state) {
+  const auto docs = MakeDocs(5000);
+  std::vector<stream::Envelope<ops::Message>> envelopes(docs.size());
+  for (size_t i = 0; i < docs.size(); ++i) {
+    ops::RawTweet raw;
+    raw.id = docs[i].id;
+    raw.time = docs[i].time;
+    raw.text = gen::TweetGenerator::RenderText(docs[i]);
+    envelopes[i].set_payload(ops::Message(std::move(raw)));
+  }
+  ops::ParserBolt parser;
+  NullEmitter emitter;
+  size_t i = 0;
+  for (auto _ : state) {
+    parser.Execute(envelopes[i], emitter);
+    i = (i + 1) % envelopes.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
 void BM_EvaluatePartitionQuality(benchmark::State& state) {
   const auto docs = MakeDocs(20000);
   const auto snapshot =
@@ -120,6 +152,7 @@ BENCHMARK(BM_DisseminatorRoute)
     ->Arg(static_cast<int>(AlgorithmKind::kDS))
     ->Arg(static_cast<int>(AlgorithmKind::kSCL));
 BENCHMARK(BM_ParserExtract);
+BENCHMARK(BM_ParserExecute);
 BENCHMARK(BM_EvaluatePartitionQuality)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GeneratorNext);
 

@@ -1,6 +1,7 @@
 #include "core/partition.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/check.h"
 #include "core/stats.h"
@@ -87,38 +88,35 @@ std::optional<int> PartitionSet::CoveringPartition(const TagSet& tags) const {
   return std::nullopt;
 }
 
-int PartitionSet::Route(const TagSet& tags,
-                        std::vector<RoutedSubset>* out) const {
+int PartitionSet::Route(const TagSet& tags, std::vector<RoutedSubset>* out,
+                        bool* covered) const {
   if (out != nullptr) out->clear();
-  // Merge the per-tag partition lists; partition ids are small, so a simple
-  // bitmap over k partitions is the fastest dedup.
-  uint64_t seen_mask = 0;
-  InlinedVector<uint16_t, 16> touched;
-  CORRTRACK_CHECK_LE(partitions_.size(), 64u);
+  CORRTRACK_CHECK_LE(partitions_.size(), static_cast<size_t>(kMaxPartitions));
+  CORRTRACK_CHECK_LE(tags.size(), static_cast<size_t>(kMaxTagsPerDocument));
+  // One pass over the ascending tags appends each tag to the subset of
+  // every partition holding it, so each subset is sorted by construction.
+  // `subsets` is left uninitialised (4 KiB per call): only its first
+  // sizes[p] entries of row p are ever read.
+  TagId subsets[kMaxPartitions][kMaxTagsPerDocument];
+  uint8_t sizes[kMaxPartitions] = {};
+  uint64_t touched_mask = 0;
   for (TagId t : tags) {
     for (uint16_t p : PartitionsWithTag(t)) {
-      const uint64_t bit = uint64_t{1} << p;
-      if (seen_mask & bit) continue;
-      seen_mask |= bit;
-      touched.push_back(p);
+      touched_mask |= uint64_t{1} << p;
+      subsets[p][sizes[p]++] = t;
     }
   }
-  std::sort(touched.begin(), touched.end());
-  if (out != nullptr) {
-    out->reserve(touched.size());
-    for (uint16_t p : touched) {
-      RoutedSubset routed;
-      routed.partition = static_cast<int>(p);
-      const auto& set = partitions_[p];
-      std::vector<TagId> subset;
-      for (TagId t : tags) {
-        if (set.count(t) > 0) subset.push_back(t);
-      }
-      routed.tags = TagSet(subset);
-      out->push_back(std::move(routed));
-    }
+  bool all_tags = false;
+  for (uint64_t mask = touched_mask; mask != 0; mask &= mask - 1) {
+    const int p = std::countr_zero(mask);
+    all_tags = all_tags || sizes[p] == tags.size();
+    if (out == nullptr) continue;
+    RoutedSubset& routed = out->emplace_back();
+    routed.partition = p;
+    routed.tags = TagSet::FromSorted(subsets[p], subsets[p] + sizes[p]);
   }
-  return static_cast<int>(touched.size());
+  if (covered != nullptr) *covered = all_tags;
+  return std::popcount(touched_mask);
 }
 
 uint64_t PartitionSet::load(int p) const {

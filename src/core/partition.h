@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/check.h"
 #include "core/cooccurrence.h"
 #include "core/inlined_vector.h"
 #include "core/tagset.h"
@@ -47,6 +48,10 @@ struct PartitionQuality {
 /// and the Merger uses the same value to place single additions.
 class PartitionSet {
  public:
+  /// Routing tracks the touched partitions in a 64-bit mask, so Route and
+  /// ForEachTouchedPartition take at most this many partitions.
+  static constexpr int kMaxPartitions = 64;
+
   PartitionSet() = default;
   explicit PartitionSet(int k);
 
@@ -78,14 +83,20 @@ class PartitionSet {
   /// Computes the notifications for a document tagged `tags`: one per
   /// partition holding at least one of the tags, carrying the held subset.
   /// Returns the number of notified partitions; `out` (optional) receives
-  /// the subsets ordered by partition id.
-  int Route(const TagSet& tags, std::vector<RoutedSubset>* out) const;
+  /// the subsets ordered by partition id, and `covered` (optional) whether
+  /// some partition holds every tag (CoveringPartition(tags).has_value()).
+  /// Allocation-free apart from `out`'s growth. Requires
+  /// num_partitions() <= kMaxPartitions and
+  /// tags.size() <= kMaxTagsPerDocument.
+  int Route(const TagSet& tags, std::vector<RoutedSubset>* out,
+            bool* covered = nullptr) const;
 
   /// Count-only variant of Route: invokes `fn(partition)` once per touched
   /// partition (unspecified order) and returns the count. No subset
   /// materialisation — used by quality evaluation over whole snapshots.
   template <typename Fn>
   int ForEachTouchedPartition(const TagSet& tags, Fn&& fn) const {
+    CORRTRACK_CHECK_LE(num_partitions(), kMaxPartitions);
     uint64_t seen_mask = 0;
     int touched = 0;
     for (TagId t : tags) {

@@ -93,7 +93,8 @@ void DisseminatorBolt::HandleDoc(const ParsedDoc& parsed,
   }
 
   const TagSet& tags = parsed.doc.tags;
-  const int notified = partitions()->Route(tags, &routed_scratch_);
+  bool covered = false;
+  const int notified = partitions()->Route(tags, &routed_scratch_, &covered);
   for (const RoutedSubset& routed : routed_scratch_) {
     Notification notification;
     notification.tags = routed.tags;
@@ -116,7 +117,7 @@ void DisseminatorBolt::HandleDoc(const ParsedDoc& parsed,
 
   // §7.1: tagsets found in no Calculator accumulate towards a Single
   // Addition after sn sightings.
-  if (!partitions()->CoveringPartition(tags).has_value()) {
+  if (!covered) {
     int& count = uncovered_counts_[tags];
     if (count >= 0) {
       ++count;

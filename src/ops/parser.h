@@ -1,6 +1,8 @@
 #ifndef CORRTRACK_OPS_PARSER_H_
 #define CORRTRACK_OPS_PARSER_H_
 
+#include <algorithm>
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,13 +45,16 @@ class ParserBolt : public stream::Bolt<Message> {
     const int64_t t0 = trace_id != 0 ? telemetry::MonotonicNanos() : 0;
     if (telemetry_ != nullptr) telemetry_->docs_parsed->Increment();
     const size_t interned = dictionary_.size();
-    const std::vector<TagId> tags = ExtractTags(raw->text);
-    if (tags.empty()) return;  // Untagged tweets add nothing (§1.1).
-    ParsedDoc parsed;
-    parsed.doc.id = raw->id;
-    parsed.doc.time = raw->time;
-    parsed.doc.tags = TagSet(tags);
-    if (parsed.doc.tags.size() > static_cast<size_t>(kMaxTagsPerDocument)) {
+    // The tagset is built in place in a reused scratch vector: no heap
+    // traffic per document once the scratch has grown.
+    tags_scratch_.clear();
+    AppendTags(raw->text, &tags_scratch_);
+    if (tags_scratch_.empty()) return;  // Untagged tweets add nothing (§1.1).
+    std::sort(tags_scratch_.begin(), tags_scratch_.end());
+    tags_scratch_.erase(
+        std::unique(tags_scratch_.begin(), tags_scratch_.end()),
+        tags_scratch_.end());
+    if (tags_scratch_.size() > static_cast<size_t>(kMaxTagsPerDocument)) {
       // Subset enumeration cannot take the document. Dropping it leaves no
       // trace: the tags it alone introduced are forgotten, so later tags
       // get the ids they would have had without it.
@@ -59,6 +64,11 @@ class ParserBolt : public stream::Bolt<Message> {
       }
       return;
     }
+    ParsedDoc parsed;
+    parsed.doc.id = raw->id;
+    parsed.doc.time = raw->time;
+    parsed.doc.tags = TagSet::FromSorted(
+        tags_scratch_.data(), tags_scratch_.data() + tags_scratch_.size());
     if (telemetry_ != nullptr && dictionary_.size() != interned) {
       telemetry_->tag_dictionary_size->Set(
           static_cast<double>(dictionary_.size()));
@@ -76,28 +86,11 @@ class ParserBolt : public stream::Bolt<Message> {
   }
 
   /// Tokenises `text` and interns every "#tag" (letters, digits and '_'
-  /// after the '#'), plus "@mention"s when enabled.
+  /// after the '#'), plus "@mention"s when enabled. Returns the ids in text
+  /// order, duplicates kept.
   std::vector<TagId> ExtractTags(std::string_view text) {
     std::vector<TagId> tags;
-    size_t i = 0;
-    while (i < text.size()) {
-      const char marker = text[i];
-      if (marker != '#' && !(extract_mentions_ && marker == '@')) {
-        ++i;
-        continue;
-      }
-      size_t j = i + 1;
-      while (j < text.size() && (std::isalnum(static_cast<unsigned char>(
-                                     text[j])) != 0 ||
-                                 text[j] == '_')) {
-        ++j;
-      }
-      if (j > i + 1) {
-        const size_t start = marker == '#' ? i + 1 : i;  // Keep '@'.
-        tags.push_back(dictionary_.GetOrAdd(text.substr(start, j - start)));
-      }
-      i = j;
-    }
+    AppendTags(text, &tags);
     return tags;
   }
 
@@ -128,9 +121,33 @@ class ParserBolt : public stream::Bolt<Message> {
   }
 
  private:
+  /// The tokenizer behind ExtractTags: appends to `*tags`.
+  void AppendTags(std::string_view text, std::vector<TagId>* tags) {
+    size_t i = 0;
+    while (i < text.size()) {
+      const char marker = text[i];
+      if (marker != '#' && !(extract_mentions_ && marker == '@')) {
+        ++i;
+        continue;
+      }
+      size_t j = i + 1;
+      while (j < text.size() && (std::isalnum(static_cast<unsigned char>(
+                                     text[j])) != 0 ||
+                                 text[j] == '_')) {
+        ++j;
+      }
+      if (j > i + 1) {
+        const size_t start = marker == '#' ? i + 1 : i;  // Keep '@'.
+        tags->push_back(dictionary_.GetOrAdd(text.substr(start, j - start)));
+      }
+      i = j;
+    }
+  }
+
   bool extract_mentions_;
   telemetry::PipelineTelemetry* telemetry_;  // Null = no instrumentation.
   TagDictionary dictionary_;
+  std::vector<TagId> tags_scratch_;  // Execute's tagset under construction.
 };
 
 }  // namespace corrtrack::ops

@@ -28,6 +28,10 @@ TopologyHandles BuildCorrelationTopology(
     bool with_centralized_baseline, PeriodSink* tracker_sink,
     PeriodSink* baseline_sink,
     std::shared_ptr<const PipelineCheckpointState> restore) {
+  // The Disseminator routes with one bit per Calculator; fail at build time
+  // rather than at the first install.
+  CORRTRACK_CHECK_LE(config.EffectiveMaxCalculators(),
+                     PartitionSet::kMaxPartitions);
   TopologyHandles handles;
   // The elastic install protocol's participants need the Calculator's
   // component id, which is only known after the components below are

@@ -44,7 +44,9 @@ namespace corrtrack::stream {
 ///    workers cannot reorder an edge.
 ///  * Ticks fire on whichever worker runs the slice, from the timestamps
 ///    the task observes (virtual-time watermarks).
-///  * Shutdown: forward-poison flood, feedback edges excluded from the
+///  * Shutdown: once the spout is exhausted the pool first drains to
+///    quiescence (every envelope in flight, feedback included, executed),
+///    then a forward-poison flood, feedback edges excluded from the
 ///    accounting, residual feedback traffic discarded — the documented
 ///    cyclic-topology contract of runtime.h.
 ///
@@ -135,6 +137,18 @@ class PoolRuntime : public Runtime<Message> {
     {
       std::lock_guard<std::mutex> lock(spout_mutex_);
       FlushSpoutLanes();
+    }
+    // Let every envelope in flight, feedback included, finish before the
+    // end-of-stream poison: a control round still running at the last
+    // document completes, as it does on the simulator.
+    {
+      std::unique_lock<std::mutex> lock(done_mutex_);
+      all_done_.wait(lock, [this] {
+        return unfinished_.load(std::memory_order_seq_cst) == 0;
+      });
+    }
+    {
+      std::lock_guard<std::mutex> lock(spout_mutex_);
       FloodPoison(spout_component_, last_time + flush_horizon);
       FlushSpoutLanes();
     }
@@ -283,9 +297,12 @@ class PoolRuntime : public Runtime<Message> {
   /// bolt's state to the next claimer's acquire.
   enum : int { kIdle = 0, kQueued = 1, kRunning = 2 };
 
-  /// Bounded MPSC mailbox. Pops are non-blocking (a task only runs when
-  /// scheduled, never waits for input); pushes are non-blocking too — the
-  /// caller handles a full mailbox by helping or waiting on not_full.
+  /// Bounded MPSC mailbox: a FIFO ring over a vector that starts empty,
+  /// doubles on demand (an overflow push may take it past the capacity)
+  /// and keeps its high-water storage, so steady traffic allocates
+  /// nothing. Pops are non-blocking (a task only runs when scheduled,
+  /// never waits for input); pushes are non-blocking too — the caller
+  /// handles a full mailbox by helping or waiting on not_full.
   class Mailbox {
    public:
     explicit Mailbox(size_t capacity,
@@ -296,11 +313,10 @@ class PoolRuntime : public Runtime<Message> {
     /// advancing *offset. Returns true when everything fit.
     bool TryPushBatch(std::vector<Item>* items, size_t* offset) {
       std::lock_guard<std::mutex> lock(mutex_);
-      while (*offset < items->size() && items_.size() < capacity_) {
-        items_.push_back(std::move((*items)[(*offset)++]));
+      while (*offset < items->size() && size_ < capacity_) {
+        PushLocked(std::move((*items)[(*offset)++]));
       }
-      max_depth_ = std::max(max_depth_, items_.size());
-      if (depth_hist_ != nullptr) depth_hist_->Record(items_.size());
+      RecordDepthLocked();
       return *offset == items->size();
     }
 
@@ -310,27 +326,27 @@ class PoolRuntime : public Runtime<Message> {
     void PushBatchOverflow(std::vector<Item>* items, size_t offset) {
       std::lock_guard<std::mutex> lock(mutex_);
       for (; offset < items->size(); ++offset) {
-        items_.push_back(std::move((*items)[offset]));
+        PushLocked(std::move((*items)[offset]));
       }
-      max_depth_ = std::max(max_depth_, items_.size());
-      if (depth_hist_ != nullptr) depth_hist_->Record(items_.size());
+      RecordDepthLocked();
     }
 
     /// Moves up to max_items into *out. Never blocks; returns the count.
     size_t PopBatch(std::vector<Item>* out, size_t max_items) {
       std::lock_guard<std::mutex> lock(mutex_);
-      const size_t n = std::min(max_items, items_.size());
+      const size_t n = std::min(max_items, size_);
       for (size_t i = 0; i < n; ++i) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
+        out->push_back(std::move(ring_[head_]));
+        head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
       }
+      size_ -= n;
       if (n > 0) not_full_.notify_all();
       return n;
     }
 
     bool Empty() const {
       std::lock_guard<std::mutex> lock(mutex_);
-      return items_.empty();
+      return size_ == 0;
     }
 
     /// Waits (bounded) for the destination's runner to make room. The wait
@@ -340,7 +356,7 @@ class PoolRuntime : public Runtime<Message> {
     void WaitNotFull() {
       std::unique_lock<std::mutex> lock(mutex_);
       not_full_.wait_for(lock, std::chrono::milliseconds(1),
-                         [this] { return items_.size() < capacity_; });
+                         [this] { return size_ < capacity_; });
     }
 
     size_t max_depth() const {
@@ -349,11 +365,35 @@ class PoolRuntime : public Runtime<Message> {
     }
 
    private:
+    void PushLocked(Item&& item) {
+      if (size_ == ring_.size()) {
+        // Full ring: move the items, oldest first, into one twice the
+        // size (a lane's worth to begin with).
+        std::vector<Item> grown(std::max(kQueueBatch, 2 * ring_.size()));
+        for (size_t i = 0; i < size_; ++i) {
+          grown[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+        }
+        ring_.swap(grown);
+        head_ = 0;
+      }
+      const size_t tail = head_ + size_;
+      ring_[tail < ring_.size() ? tail : tail - ring_.size()] =
+          std::move(item);
+      ++size_;
+    }
+
+    void RecordDepthLocked() {
+      max_depth_ = std::max(max_depth_, size_);
+      if (depth_hist_ != nullptr) depth_hist_->Record(size_);
+    }
+
     const size_t capacity_;
     telemetry::LatencyHistogram* depth_hist_;  // Null = not recording.
     mutable std::mutex mutex_;
     std::condition_variable not_full_;
-    std::deque<Item> items_;
+    std::vector<Item> ring_;  // Items at [head_, head_ + size_) mod size.
+    size_t head_ = 0;
+    size_t size_ = 0;
     size_t max_depth_ = 0;
   };
 
@@ -543,6 +583,11 @@ class PoolRuntime : public Runtime<Message> {
                                       &lane);
       }
     }
+    // Hand the larger of the two lists back, empty, for the next slice.
+    if (dirty.capacity() > buffer->dirty.capacity()) {
+      dirty.clear();
+      dirty.swap(buffer->dirty);
+    }
   }
 
   // The bounded-stall escape window is routing.h's kStallEscapeRounds:
@@ -558,38 +603,47 @@ class PoolRuntime : public Runtime<Message> {
   /// helping (which shares this thread's buffer) never observes a
   /// half-pushed lane; anything a nested slice stages for the same
   /// destination is strictly newer traffic on other edges and may
-  /// legitimately overtake nothing.
+  /// legitimately overtake nothing. The emptied buffer goes back to the
+  /// lane unless nested helping staged into it meanwhile, so a lane keeps
+  /// its storage from push to push.
   void PushToTask(Task* task, std::vector<Item>* items) {
     std::vector<Item> local;
     local.swap(*items);
+    // Counted before any item becomes visible to a consumer, so the count
+    // cannot reach zero while this traffic is on its way.
+    unfinished_.fetch_add(static_cast<int64_t>(local.size()),
+                          std::memory_order_seq_cst);
     size_t offset = 0;
     if (InHelpChain(task)) {
       // Blocking would deadlock (this thread is the task's runner);
       // feedback traffic into a task we are currently executing spills
       // over capacity instead.
       task->mailbox->PushBatchOverflow(&local, offset);
-      ScheduleIfIdle(task);
-      return;
-    }
-    int stalled_rounds = 0;
-    size_t last_offset = 0;
-    while (!task->mailbox->TryPushBatch(&local, &offset)) {
-      // Whatever fit must become visible for draining before we stall.
-      ScheduleIfIdle(task);
-      queue_full_blocks_.fetch_add(1, std::memory_order_relaxed);
-      if (offset > last_offset) {
-        last_offset = offset;
-        stalled_rounds = 0;
-      }
-      if (HelpOrWait(task)) {
-        stalled_rounds = 0;  // Helped: the destination drained a slice.
-      } else if (++stalled_rounds >= kStallEscapeRounds) {
-        stall_escapes_.fetch_add(1, std::memory_order_relaxed);
-        task->mailbox->PushBatchOverflow(&local, offset);
-        break;
+    } else {
+      int stalled_rounds = 0;
+      size_t last_offset = 0;
+      while (!task->mailbox->TryPushBatch(&local, &offset)) {
+        // Whatever fit must become visible for draining before we stall.
+        ScheduleIfIdle(task);
+        queue_full_blocks_.fetch_add(1, std::memory_order_relaxed);
+        if (offset > last_offset) {
+          last_offset = offset;
+          stalled_rounds = 0;
+        }
+        if (HelpOrWait(task)) {
+          stalled_rounds = 0;  // Helped: the destination drained a slice.
+        } else if (++stalled_rounds >= kStallEscapeRounds) {
+          stall_escapes_.fetch_add(1, std::memory_order_relaxed);
+          task->mailbox->PushBatchOverflow(&local, offset);
+          break;
+        }
       }
     }
     ScheduleIfIdle(task);
+    if (items->empty()) {
+      local.clear();
+      items->swap(local);
+    }
   }
 
   /// The destination's mailbox is full: claim and drain a slice of it on
@@ -694,10 +748,15 @@ class PoolRuntime : public Runtime<Message> {
   /// releases the task (re-scheduling it when mail remains). The caller
   /// must have claimed `task` (state == kRunning).
   void RunSlice(Task* task) {
+    // The batch is borrowed from this thread's per-depth store (nested
+    // helping runs a slice while this one holds its batch), so its
+    // storage outlives the slice.
+    const size_t depth = HelpChain().size();
+    if (SliceBatches().size() <= depth) SliceBatches().resize(depth + 1);
+    std::vector<Item> batch = std::move(SliceBatches()[depth]);
     HelpChain().push_back(task);
-    std::vector<Item> batch;
-    batch.reserve(kSliceBatch);
-    task->mailbox->PopBatch(&batch, kSliceBatch);
+    const int64_t popped =
+        static_cast<int64_t>(task->mailbox->PopBatch(&batch, kSliceBatch));
     for (Item& item : batch) {
       if (task->done) continue;  // Residual feedback traffic: discard.
       if (item.poison) {
@@ -714,7 +773,15 @@ class PoolRuntime : public Runtime<Message> {
       EmitterImpl emitter(this, task->addr, item.envelope.time);
       task->bolt->Execute(item.envelope, emitter);
     }
+    batch.clear();
+    SliceBatches()[depth] = std::move(batch);
     FlushDeliveries();
+    // What this slice emitted is counted now, so its own envelopes retire.
+    if (popped > 0 && unfinished_.fetch_sub(popped, std::memory_order_seq_cst) ==
+                          popped) {
+      std::lock_guard<std::mutex> lock(done_mutex_);
+      all_done_.notify_one();
+    }
     HelpChain().pop_back();
     task->state.store(kIdle, std::memory_order_release);
     if (!task->mailbox->Empty()) ScheduleIfIdle(task);
@@ -874,8 +941,11 @@ class PoolRuntime : public Runtime<Message> {
   std::atomic<bool> stop_{false};
 
   std::mutex done_mutex_;
-  std::condition_variable all_done_;
+  std::condition_variable all_done_;  // Run() waits on quiescence, then done.
   size_t done_tasks_ = 0;
+  // Envelopes pushed to a mailbox whose slice has not yet flushed its
+  // emissions; zero once the pool is quiescent.
+  std::atomic<int64_t> unfinished_{0};
 
   std::atomic<uint64_t> queue_full_blocks_{0};
   std::atomic<uint64_t> stall_escapes_{0};
@@ -893,13 +963,19 @@ class PoolRuntime : public Runtime<Message> {
   // thread_locals (out-of-class thread_local static members of a class
   // template trip GCC's __tls_guard emission once a TU instantiates three
   // Message types). HelpChain() is the stack of tasks this thread
-  // currently runs (nested helping); ThreadBuffer() the thread's delivery
-  // buffer; WorkerIndex() -1 outside worker threads. The state is safe
-  // across sequential PoolRuntime instances: the chain is push/pop
-  // balanced and the buffer/index are reset on exit.
+  // currently runs (nested helping); SliceBatches() RunSlice's batch per
+  // help-chain depth; ThreadBuffer() the thread's delivery buffer;
+  // WorkerIndex() -1 outside worker threads. The state is safe across
+  // sequential PoolRuntime instances: the chain is push/pop balanced, the
+  // batches are empty between slices and the buffer/index are reset on
+  // exit.
   static std::vector<Task*>& HelpChain() {
     static thread_local std::vector<Task*> chain;
     return chain;
+  }
+  static std::vector<std::vector<Item>>& SliceBatches() {
+    static thread_local std::vector<std::vector<Item>> batches;
+    return batches;
   }
   static DeliveryBuffer*& ThreadBuffer() {
     static thread_local DeliveryBuffer* buffer = nullptr;

@@ -186,10 +186,11 @@ struct RuntimeStats {
 /// runtime is also a TopologyControl, so bolts handed the control surface
 /// (Bolt::AttachControl) can resize components mid-run.
 ///
-/// Shutdown contract (all runtimes): when the spout is exhausted, tick
-/// boundaries up to (last timestamp + flush_horizon) still fire; in the
-/// pool a poison watermark floods forward edges and messages still in
-/// flight on feedback edges at end-of-stream are dropped. Run() may be
+/// Shutdown contract (all runtimes): when the spout is exhausted, every
+/// message in flight, feedback included, is executed (so feedback cycles
+/// must damp), and tick boundaries up to (last timestamp + flush_horizon)
+/// still fire; in the pool a poison watermark then floods forward edges
+/// and feedback messages emitted after it are dropped. Run() may be
 /// called once.
 template <typename Message>
 class Runtime : public TopologyControl {

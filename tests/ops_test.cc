@@ -224,6 +224,24 @@ ParsedDoc MakeDoc(DocId id, Timestamp time, std::vector<TagId> tags) {
   return parsed;
 }
 
+TEST(BuildCorrelationTopologyDeathTest, RejectsMoreThan64Calculators) {
+  // The Disseminator routes with one bit per Calculator, so a config past
+  // the mask fails when the topology is built, not at the first install.
+  const auto build = [](int num_calculators, int max_calculators) {
+    PipelineConfig config;
+    config.num_calculators = num_calculators;
+    config.max_calculators = max_calculators;
+    stream::Topology<Message> topology;
+    BuildCorrelationTopology(
+        &topology,
+        std::make_unique<GeneratorSpout>(gen::GeneratorConfig{}, 1), config,
+        /*metrics=*/nullptr, /*with_centralized_baseline=*/false);
+  };
+  EXPECT_DEATH(build(PartitionSet::kMaxPartitions + 1, 0), "kMaxPartitions");
+  EXPECT_DEATH(build(4, PartitionSet::kMaxPartitions + 1), "kMaxPartitions");
+  build(PartitionSet::kMaxPartitions, 0);
+}
+
 TEST(PartitionerBolt, ProposesFromWindowOnRequest) {
   const PipelineConfig config = SmallConfig();
   PartitionerBolt partitioner(config, /*instance=*/3);

@@ -1,6 +1,9 @@
 #include "core/partition.h"
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,6 +108,82 @@ TEST(PartitionSet, ForEachTouchedPartitionAgreesWithRoute) {
     for (const auto& r : routed) expected.insert(r.partition);
     EXPECT_EQ(touched, expected);
   }
+}
+
+/// Route's reference: for each partition in id order, the document's tags
+/// found in partition(p), kept when non-empty.
+std::vector<RoutedSubset> BruteForceRoute(const PartitionSet& ps,
+                                          const TagSet& tags) {
+  std::vector<RoutedSubset> expected;
+  for (int p = 0; p < ps.num_partitions(); ++p) {
+    std::vector<TagId> held;
+    for (TagId t : tags) {
+      if (ps.partition(p).count(t) > 0) held.push_back(t);
+    }
+    if (!held.empty()) expected.push_back({p, TagSet(held)});
+  }
+  return expected;
+}
+
+TEST(PartitionSet, RouteMatchesBruteForceOnRandomPartitions) {
+  // DS-like sets put each tag in one partition; SCL-like sets replicate
+  // tags into up to four. Documents draw 1..16 distinct tags from a
+  // universe a little larger than the assigned tags, so some are unknown.
+  std::mt19937_64 rng(20);
+  for (int round = 0; round < 60; ++round) {
+    const bool overlapping = round % 2 == 1;
+    const int k = std::uniform_int_distribution<int>(
+        1, PartitionSet::kMaxPartitions)(rng);
+    const TagId universe = std::uniform_int_distribution<TagId>(8, 300)(rng);
+    SCOPED_TRACE("round=" + std::to_string(round) + " k=" +
+                 std::to_string(k) + " universe=" + std::to_string(universe));
+    PartitionSet ps(k);
+    std::uniform_int_distribution<int> pick_partition(0, k - 1);
+    for (TagId t = 0; t < universe - universe / 8; ++t) {
+      const int copies =
+          overlapping ? std::uniform_int_distribution<int>(1, 4)(rng) : 1;
+      for (int c = 0; c < copies; ++c) ps.AddTag(pick_partition(rng), t);
+    }
+    if (!overlapping) EXPECT_TRUE(ps.IsDisjoint());
+    std::uniform_int_distribution<TagId> pick_tag(0, universe - 1);
+    std::vector<RoutedSubset> routed;
+    for (int doc = 0; doc < 200; ++doc) {
+      const size_t want = std::min<size_t>(
+          std::uniform_int_distribution<size_t>(
+              1, static_cast<size_t>(kMaxTagsPerDocument))(rng),
+          universe);
+      std::set<TagId> drawn;
+      while (drawn.size() < want) drawn.insert(pick_tag(rng));
+      const TagSet tags(std::vector<TagId>(drawn.begin(), drawn.end()));
+      // Seeded with the wrong answer: Route must overwrite it.
+      bool covered = !ps.CoveringPartition(tags).has_value();
+      const int n = ps.Route(tags, &routed, &covered);
+      const std::vector<RoutedSubset> expected = BruteForceRoute(ps, tags);
+      ASSERT_EQ(n, static_cast<int>(expected.size())) << tags.ToString();
+      ASSERT_EQ(routed.size(), expected.size()) << tags.ToString();
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(routed[i].partition, expected[i].partition);
+        EXPECT_EQ(routed[i].tags, expected[i].tags)
+            << routed[i].tags.ToString() << " vs "
+            << expected[i].tags.ToString();
+      }
+      EXPECT_EQ(covered, ps.CoveringPartition(tags).has_value())
+          << tags.ToString();
+      // The count-only call agrees without materialising subsets.
+      bool covered_count_only = false;
+      EXPECT_EQ(ps.Route(tags, nullptr, &covered_count_only), n);
+      EXPECT_EQ(covered_count_only, covered);
+    }
+  }
+}
+
+TEST(PartitionSetDeathTest, RoutingRejectsMoreThan64Partitions) {
+  PartitionSet ps(PartitionSet::kMaxPartitions + 1);
+  ps.AddTag(PartitionSet::kMaxPartitions, 7);
+  std::vector<RoutedSubset> routed;
+  EXPECT_DEATH(ps.Route(TagSet({7}), &routed), "kMaxPartitions");
+  EXPECT_DEATH(ps.ForEachTouchedPartition(TagSet({7}), [](int) {}),
+               "kMaxPartitions");
 }
 
 TEST(PartitionSet, LoadsAndReplication) {

@@ -503,6 +503,76 @@ TEST(PoolRuntime, PerEdgeFifoHoldsWhenSpoutThreadRunsSlices) {
   }
 }
 
+/// Echoes each spout value kEchoesPerValue times to itself, numbering the
+/// echoes, and checks that both its input edges arrive in order with no
+/// gap or repeat.
+class EchoingBolt : public Bolt<Msg> {
+ public:
+  // More than a lane per value, so every value's echoes overflow the
+  // echoing task's own mailbox past its first ring size.
+  static constexpr int kEchoesPerValue =
+      static_cast<int>(kQueueBatch + kQueueBatch / 2);
+
+  explicit EchoingBolt(int spout) : spout_(spout) {}
+  void Execute(const Envelope<Msg>& in, Emitter<Msg>& out) override {
+    const int v = std::get<Value>(in.payload()).v;
+    if (in.source.component == spout_) {
+      if (v != values) ++violations;
+      ++values;
+      for (int i = 0; i < kEchoesPerValue; ++i) out.Emit(Value{next_echo_++});
+      return;
+    }
+    if (v != echoes) ++violations;
+    ++echoes;
+  }
+  long long values = 0;
+  long long echoes = 0;
+  long long violations = 0;
+
+ private:
+  int spout_;
+  int next_echo_ = 0;
+};
+
+TEST(PoolRuntime, MailboxRingKeepsFifoThroughOverflowGrowth) {
+  // A task that feeds its own 2-slot mailbox: it is in its own help chain
+  // when its lanes flush, so every echo batch is pushed past capacity.
+  // Pops have moved the ring's head before the first overflow, so the
+  // ring fills wrapped and grows while wrapped. Both edges must stay in
+  // order and deliver every value and every echo exactly once; the echoes
+  // still in flight at end of stream finish before the shutdown poison.
+  const int n = 1000;
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Topology<Msg> topology;
+    const int spout =
+        topology.AddSpout("src", std::make_unique<CountingSpout>(n));
+    EchoingBolt* bolt = nullptr;
+    const int echo = topology.AddBolt(
+        "echo",
+        [&bolt, spout](int) {
+          auto b = std::make_unique<EchoingBolt>(spout);
+          bolt = b.get();
+          return b;
+        },
+        1);
+    topology.Subscribe(echo, spout, Grouping<Msg>::Shuffle());
+    topology.Subscribe(echo, echo, Grouping<Msg>::Shuffle());  // Feedback.
+    RuntimeOptions options;
+    options.num_threads = threads;
+    options.queue_capacity = 2;
+    PoolRuntime<Msg> runtime(&topology, options);
+    runtime.Run();
+    EXPECT_EQ(bolt->violations, 0);
+    EXPECT_EQ(bolt->values, n);
+    EXPECT_EQ(bolt->echoes,
+              static_cast<long long>(n) * EchoingBolt::kEchoesPerValue);
+    // The overflow took the mailbox past its capacity and past the ring's
+    // first size.
+    EXPECT_GT(runtime.stats().max_queue_depth, kQueueBatch);
+  }
+}
+
 TEST(PoolRuntime, TicksFireFromStreamTime) {
   const int n = 100;  // Times 0..99.
   Topology<Msg> topology;
