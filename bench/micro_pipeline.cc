@@ -1,8 +1,12 @@
 // Micro-benchmarks of the per-document hot path: subset counting
 // (Calculator), routing through the tag -> partition index (Disseminator),
-// inclusion-exclusion reporting, hashtag parsing (tokenizer alone and the
-// Parser bolt's whole per-document step), and partition-quality evaluation.
+// Calculator reporting (the lattice pass against per-set inclusion-exclusion
+// from the public API, on generated and hostile tables), hashtag parsing
+// (tokenizer alone and the Parser bolt's whole per-document step), and
+// partition-quality evaluation.
 
+#include <algorithm>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,6 +53,73 @@ void BM_CalculatorReportAll(benchmark::State& state) {
   for (const Document& doc : docs) table.Observe(doc.tags);
   for (auto _ : state) {
     auto estimates = table.ReportAll();
+    benchmark::DoNotOptimize(estimates.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.num_counters()));
+}
+
+/// The reporting path before the lattice pass, from the public API alone:
+/// Eq. 2 by Compute for every counter of two or more tags, then a sort by
+/// tagset. The in-binary baseline for BM_CalculatorReportAll.
+std::vector<JaccardEstimate> ComputeEach(const SubsetCounterTable& table) {
+  std::vector<JaccardEstimate> out;
+  for (const auto& [tags, count] : table.ExportCounters()) {
+    if (tags.size() < 2) continue;
+    out.push_back(*table.Compute(tags));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const JaccardEstimate& a, const JaccardEstimate& b) {
+              return a.tags < b.tags;
+            });
+  return out;
+}
+
+void BM_CalculatorComputeEach(benchmark::State& state) {
+  const auto docs = MakeDocs(20000);
+  SubsetCounterTable table;
+  for (const Document& doc : docs) table.Observe(doc.tags);
+  for (auto _ : state) {
+    auto estimates = ComputeEach(table);
+    benchmark::DoNotOptimize(estimates.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.num_counters()));
+}
+
+/// Hostile shape: 5,000 documents of k tags, the tag at position i drawn
+/// from its own pool of 200 ids, so almost every k-set is new and each
+/// document brings up to 2^k − 1 fresh counters.
+SubsetCounterTable HostileTable(int k) {
+  std::mt19937 rng(91);
+  std::uniform_int_distribution<TagId> pick(0, 199);
+  SubsetCounterTable table;
+  std::vector<TagId> tags(static_cast<size_t>(k));
+  for (int doc = 0; doc < 5000; ++doc) {
+    for (int i = 0; i < k; ++i) {
+      tags[static_cast<size_t>(i)] = static_cast<TagId>(i) * 200 + pick(rng);
+    }
+    table.Observe(TagSet(tags));
+  }
+  return table;
+}
+
+void BM_CalculatorReportAllHostile(benchmark::State& state) {
+  const SubsetCounterTable table =
+      HostileTable(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto estimates = table.ReportAll();
+    benchmark::DoNotOptimize(estimates.size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.num_counters()));
+}
+
+void BM_CalculatorComputeEachHostile(benchmark::State& state) {
+  const SubsetCounterTable table =
+      HostileTable(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    auto estimates = ComputeEach(table);
     benchmark::DoNotOptimize(estimates.size());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -148,6 +219,26 @@ void BM_GeneratorNext(benchmark::State& state) {
 
 BENCHMARK(BM_CalculatorObserve)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CalculatorReportAll)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CalculatorComputeEach)->Unit(benchmark::kMillisecond);
+// One iteration per repetition (at k = 10 the table holds about 5M
+// counters); the median of three keeps a single slow run from deciding
+// the A/B.
+BENCHMARK(BM_CalculatorReportAllHostile)
+    ->Arg(6)
+    ->Arg(8)
+    ->Arg(10)
+    ->Iterations(1)
+    ->Repetitions(3)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMillisecond);
+// The baseline stops at k = 8: at k = 10 it takes about 85 s.
+BENCHMARK(BM_CalculatorComputeEachHostile)
+    ->Arg(6)
+    ->Arg(8)
+    ->Iterations(1)
+    ->Repetitions(3)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DisseminatorRoute)
     ->Arg(static_cast<int>(AlgorithmKind::kDS))
     ->Arg(static_cast<int>(AlgorithmKind::kSCL));

@@ -49,22 +49,55 @@ class FlatCounterTable {
 
   /// Counter of `key`, or 0 when absent.
   uint64_t Find(const PackedTagKey& key) const {
-    if (size_ == 0) return 0;
+    const size_t slot = FindSlot(key);
+    return slot == kNoSlot ? 0 : counts_[slot];
+  }
+
+  /// Slot access: slots are stable until the next Increment (which may
+  /// grow the table) or Reset, and range over [0, capacity()).
+  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+
+  /// Slot holding `key`, or kNoSlot when absent.
+  size_t FindSlot(const PackedTagKey& key) const {
+    if (size_ == 0) return kNoSlot;
     const uint64_t h = key.Hash();
     size_t i = static_cast<size_t>(h) & mask_;
     while (hashes_[i] != 0) {
-      if (hashes_[i] == h && keys_[i] == key) return counts_[i];
+      if (hashes_[i] == h && keys_[i] == key) return i;
       i = (i + 1) & mask_;
     }
-    return 0;
+    return kNoSlot;
   }
+
+  /// FindSlot for `n` keys at once: slots[i] = FindSlot(keys[i]). Each
+  /// key's home slot is prefetched kAhead keys before its probe, so the
+  /// probes' cache misses overlap instead of queueing one behind another.
+  void FindSlots(const PackedTagKey* keys, size_t n, size_t* slots) const {
+    constexpr size_t kAhead = 16;
+    for (size_t i = 0; i < n + kAhead; ++i) {
+      if (i < n && size_ != 0) {
+        const size_t home = static_cast<size_t>(keys[i].Hash()) & mask_;
+        const char* key = reinterpret_cast<const char*>(&keys_[home]);
+        __builtin_prefetch(&hashes_[home]);
+        __builtin_prefetch(key);
+        __builtin_prefetch(key + sizeof(PackedTagKey) - 1);
+        __builtin_prefetch(&counts_[home]);
+      }
+      if (i >= kAhead) slots[i - kAhead] = FindSlot(keys[i - kAhead]);
+    }
+  }
+
+  bool Occupied(size_t slot) const { return hashes_[slot] != 0; }
+  /// Key and counter of an occupied slot.
+  const PackedTagKey& KeyAt(size_t slot) const { return keys_[slot]; }
+  uint64_t CountAt(size_t slot) const { return counts_[slot]; }
 
   /// Invokes `fn(const PackedTagKey&, uint64_t count)` for every live
   /// counter, in unspecified order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (size_t i = 0; i < hashes_.size(); ++i) {
-      if (hashes_[i] != 0) fn(keys_[i], counts_[i]);
+      if (Occupied(i)) fn(keys_[i], counts_[i]);
     }
   }
 

@@ -105,7 +105,12 @@ class SubsetCounterTable {
   /// Computes coefficients for every tracked tagset with at least two tags
   /// and intersection count > `min_support` ("the maximum possible number
   /// of Jaccard coefficients", §6.2). Deterministic order (sorted by
-  /// tagset).
+  /// tagset). Same integers as calling Compute on each set, but each set is
+  /// computed once from a dense lattice: every counter not contained in a
+  /// larger, earlier root is a root, and one subset-sum pass over the
+  /// signed counters of its 2^k subsets (k·2^k additions, 2^k − 1 probes)
+  /// yields the union count of every subset at once, instead of 3^k probes
+  /// for the set and its subsets.
   std::vector<JaccardEstimate> ReportAll(uint64_t min_support = 0) const;
 
   /// Number of live counters (co-occurring tagsets incl. singletons).

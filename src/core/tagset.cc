@@ -20,6 +20,13 @@ TagSet TagSet::FromSorted(const TagId* first, const TagId* last) {
   return s;
 }
 
+bool TagSet::IsSortedRun(const TagId* first, const TagId* last) {
+  for (const TagId* p = first; p != last; ++p) {
+    if (*p == kInvalidTag || (p != first && *(p - 1) >= *p)) return false;
+  }
+  return true;
+}
+
 bool TagSet::Contains(TagId tag) const {
   return std::binary_search(tags_.begin(), tags_.end(), tag);
 }

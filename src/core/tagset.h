@@ -79,8 +79,13 @@ class TagSet {
   explicit TagSet(const std::vector<TagId>& tags);
 
   /// Builds from a range that is already sorted and duplicate-free.
-  /// Checked in debug: callers must uphold the precondition.
+  /// The precondition is checked (aborting): decoders of untrusted bytes
+  /// test IsSortedRun first.
   static TagSet FromSorted(const TagId* first, const TagId* last);
+
+  /// True when [first, last) is strictly ascending and holds no
+  /// kInvalidTag, i.e. a valid FromSorted input.
+  static bool IsSortedRun(const TagId* first, const TagId* last);
 
   size_t size() const { return tags_.size(); }
   bool empty() const { return tags_.empty(); }
@@ -106,7 +111,9 @@ class TagSet {
   /// The core subset enumerator, allocation-free: writes each non-empty
   /// subset with at least `min_size` tags into the caller-provided
   /// `scratch` buffer (capacity >= size()) and invokes
-  /// `fn(const TagId* subset, size_t subset_size)`. Subsets are ascending.
+  /// `fn(const TagId* subset, size_t subset_size)`. Each subset's tags are
+  /// ascending, and subsets come in ascending bitmask order over this set's
+  /// positions (bit i = i-th smallest tag): with min_size 1, call m is mask m.
   /// Requires size() <= kMaxTagsPerDocument (bitmask enumeration).
   /// ForEachSubset and ForEachSubsetKey are thin adapters over this loop.
   template <typename Fn>

@@ -59,6 +59,9 @@ bool GetTagSet(ByteReader* r, TagSet* out) {
   for (uint32_t i = 0; i < n; ++i) {
     if (!r->GetU32(&buf[i])) return false;
   }
+  // CRC-valid bytes are not canonical by construction: refuse a run that
+  // FromSorted would abort on.
+  if (!TagSet::IsSortedRun(buf, buf + n)) return false;
   *out = TagSet::FromSorted(buf, buf + n);
   return true;
 }

@@ -356,13 +356,13 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
       for (uint32_t t = 0; t < num_tags; ++t) {
         if (!r.GetU32(&tag_buf[t])) return false;
       }
+      if (!TagSet::IsSortedRun(tag_buf, tag_buf + num_tags)) return false;
       BuilderEntry entry;
       if (!r.GetDouble(&entry.coefficient) ||
           !r.GetU64(&entry.intersection_count) ||
           !r.GetU64(&entry.union_count) || !r.GetI64(&entry.period_end)) {
         return false;
       }
-      // Exported via TagSet iteration, so the run is canonical already.
       restored[s].emplace_back(
           TagSet::FromSorted(tag_buf, tag_buf + num_tags), entry);
     }

@@ -26,6 +26,8 @@
 #include "ops/tracker_op.h"
 #include "serve/correlation_index.h"
 #include "serve/index_sink.h"
+#include "storage/checkpoint.h"
+#include "storage/serialize.h"
 #include "storage/storage.h"
 
 namespace corrtrack {
@@ -335,6 +337,45 @@ TEST(KillRestore, FingerprintMismatchRefused) {
       restore_options, nullptr, false, nullptr, nullptr, other.report_period,
       &run2, &error));
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
+}
+
+TEST(KillRestore, NonCanonicalTagListIsRefusedNotFatal) {
+  // A checkpoint whose frames are CRC-valid but whose calculator section
+  // holds a tag list FromSorted would abort on (descending, repeated, or
+  // kInvalidTag): restore must refuse it and the process keep running.
+  const ops::PipelineConfig pipeline =
+      ElasticPipeline(stream::RuntimeKind::kSimulation);
+  const std::vector<std::vector<TagId>> bad = {
+      {5, 3}, {4, 4}, {1, kInvalidTag}};
+  for (const std::vector<TagId>& tags : bad) {
+    storage::MemoryStorage::Global()->Clear();
+    storage::ByteWriter calc;  // EncodeCalculator's layout.
+    calc.PutI64(0);            // instance
+    calc.PutU32(0);            // epoch
+    calc.PutU64(0);            // quiesces
+    calc.PutU64(1);            // one counter
+    calc.PutU32(static_cast<uint32_t>(tags.size()));
+    for (const TagId tag : tags) calc.PutU32(tag);
+    calc.PutU64(3);
+    storage::CheckpointData data = ops::EncodeCheckpoint(
+        ops::PipelineCheckpointState(), /*seq=*/1,
+        ops::PipelineConfigFingerprint(pipeline));
+    data.sections.push_back({"calc_0000", calc.Take()});
+    storage::OpenedStorage opened;
+    ASSERT_TRUE(storage::OpenStorage("mem://bad_tags", &opened).ok());
+    ASSERT_TRUE(
+        storage::CheckpointWriter(opened.storage, opened.root).Write(data).ok());
+
+    ops::CheckpointRunnerOptions options;
+    options.restore_uri = "mem://bad_tags";
+    ops::CheckpointedRun run;
+    std::string error;
+    EXPECT_FALSE(ops::RunCheckpointedPipeline(
+        std::make_unique<ops::GeneratorSpout>(TopicPureWorkload(), 1000),
+        pipeline, options, nullptr, false, nullptr, nullptr,
+        pipeline.report_period, &run, &error));
+    EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  }
 }
 
 TEST(KillRestore, RestoreFromEmptyStoreFails) {

@@ -57,6 +57,34 @@ TEST(FlatCounterTable, IncrementAndFind) {
   EXPECT_EQ(table.size(), 2u);
 }
 
+TEST(FlatCounterTable, SlotAccessAgreesWithFind) {
+  FlatCounterTable table;
+  std::vector<PackedTagKey> keys;
+  std::mt19937 rng(17);
+  for (int i = 0; i < 300; ++i) {
+    keys.push_back(RandomTagSet(rng, 6, 40).PackKey());
+  }
+  std::vector<size_t> slots(keys.size(), 0);
+  table.FindSlots(keys.data(), keys.size(), slots.data());  // Empty table.
+  for (const size_t slot : slots) EXPECT_EQ(slot, FlatCounterTable::kNoSlot);
+
+  for (size_t i = 0; i < keys.size(); i += 2) table.Increment(keys[i], i + 1);
+  table.FindSlots(keys.data(), keys.size(), slots.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const size_t slot = table.FindSlot(keys[i]);
+    ASSERT_EQ(slots[i], slot) << i;
+    if (table.Find(keys[i]) == 0) {
+      EXPECT_EQ(slot, FlatCounterTable::kNoSlot);
+      continue;
+    }
+    ASSERT_NE(slot, FlatCounterTable::kNoSlot);
+    ASSERT_LT(slot, table.capacity());
+    EXPECT_TRUE(table.Occupied(slot));
+    EXPECT_EQ(table.KeyAt(slot), keys[i]);
+    EXPECT_EQ(table.CountAt(slot), table.Find(keys[i]));
+  }
+}
+
 TEST(FlatCounterTable, GrowthUnderLoadFactorPressure) {
   // Thousands of distinct keys force repeated rehashes past the 3/4 load
   // factor; every counter must survive each growth intact.

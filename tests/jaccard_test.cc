@@ -1,7 +1,13 @@
 #include "core/jaccard.h"
 
+#include <algorithm>
+#include <cstring>
+#include <map>
+#include <optional>
 #include <random>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +167,207 @@ TEST_P(JaccardPropertyTest, MatchesDefinitionOnRandomStreams) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JaccardPropertyTest, ::testing::Range(1, 7));
+
+/// Bit equality of the reported coefficient, not closeness: the lattice pass
+/// and Compute must produce the same double.
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Seeded notifications of up to `k` tags from a vocabulary of 2k ids that
+/// mixes small ids with ids near kInvalidTag (the top of the packed sort
+/// prefix). The first notification has exactly k tags, so every k gets a
+/// full k-tag lattice; fewer notifications at larger k keep the 2^k subsets
+/// of each one affordable.
+std::vector<TagSet> RandomNotifications(int k, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<TagId> vocabulary;
+  for (int i = 0; i < k; ++i) {
+    vocabulary.push_back(static_cast<TagId>(7 * i));
+    vocabulary.push_back(kInvalidTag - 1 - static_cast<TagId>(5 * i));
+  }
+  const int num_docs = k <= 8 ? 200 : (k <= 12 ? 20 : 5);
+  std::uniform_int_distribution<int> size(1, k);
+  std::vector<TagSet> docs;
+  for (int d = 0; d < num_docs; ++d) {
+    std::shuffle(vocabulary.begin(), vocabulary.end(), rng);
+    const int n = d == 0 ? k : size(rng);
+    docs.emplace_back(std::vector<TagId>(vocabulary.begin(),
+                                         vocabulary.begin() + n));
+  }
+  return docs;
+}
+
+TEST(SubsetCounterTableDifferential, ReportAllMatchesComputeAndBruteForce) {
+  for (int k = 1; k <= 16; ++k) {
+    for (const uint64_t min_support : {0u, 1u, 3u}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " min_support=" + std::to_string(min_support));
+      const std::vector<TagSet> docs =
+          RandomNotifications(k, static_cast<unsigned>(100 * k + min_support));
+      SubsetCounterTable table;
+      for (const TagSet& d : docs) table.Observe(d);
+
+      // Brute force over the raw notifications: every co-occurring set of
+      // two or more tags with its intersection count, in TagSet order.
+      std::map<TagSet, uint64_t> expected;
+      for (const TagSet& d : docs) {
+        d.ForEachSubset([&](const TagSet& sub) { ++expected[sub]; },
+                        /*min_size=*/2);
+      }
+      std::erase_if(expected,
+                    [&](const auto& e) { return e.second <= min_support; });
+
+      const std::vector<JaccardEstimate> reported = table.ReportAll(min_support);
+      ASSERT_EQ(reported.size(), expected.size());
+      auto want = expected.begin();
+      for (const JaccardEstimate& e : reported) {
+        ASSERT_EQ(e.tags, want->first) << e.tags.ToString();
+        ASSERT_EQ(e.intersection_count, want->second) << e.tags.ToString();
+        uint64_t inter = 0;
+        uint64_t uni = 0;
+        ReferenceJaccard(docs, e.tags, &inter, &uni);
+        ASSERT_EQ(e.union_count, uni) << e.tags.ToString();
+        ASSERT_TRUE(SameBits(e.coefficient, static_cast<double>(inter) /
+                                                 static_cast<double>(uni)))
+            << e.tags.ToString();
+        if (k <= 12) {
+          const std::optional<JaccardEstimate> oracle = table.Compute(e.tags);
+          ASSERT_TRUE(oracle.has_value()) << e.tags.ToString();
+          ASSERT_EQ(e.union_count, oracle->union_count) << e.tags.ToString();
+          ASSERT_TRUE(SameBits(e.coefficient, oracle->coefficient))
+              << e.tags.ToString();
+        }
+        ++want;
+      }
+    }
+  }
+}
+
+TEST(SubsetCounterTableDifferential, TableRebuiltByAddReportsTheSame) {
+  // The handoff/restore shape: a table built by Add from exported counters,
+  // and a table summing two tables' exports (the elastic install: residual
+  // counters plus the new owner's own), report exactly what direct counting
+  // reports.
+  for (int k : {3, 6, 10}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::vector<TagSet> first = RandomNotifications(k, 7 + k);
+    const std::vector<TagSet> second = RandomNotifications(k, 70 + k);
+    SubsetCounterTable a;
+    SubsetCounterTable b;
+    SubsetCounterTable both;
+    for (const TagSet& d : first) a.Observe(d);
+    for (const TagSet& d : second) b.Observe(d);
+    for (const TagSet& d : first) both.Observe(d);
+    for (const TagSet& d : second) both.Observe(d);
+
+    SubsetCounterTable restored;
+    for (const auto& [tags, count] : a.ExportCounters()) {
+      restored.Add(tags, count);
+    }
+    SubsetCounterTable merged;
+    for (const auto& [tags, count] : a.ExportCounters()) merged.Add(tags, count);
+    for (const auto& [tags, count] : b.ExportCounters()) merged.Add(tags, count);
+
+    const auto expect_same_reports = [](const SubsetCounterTable& want,
+                                        const SubsetCounterTable& got,
+                                        uint64_t min_support) {
+      const auto w = want.ReportAll(min_support);
+      const auto g = got.ReportAll(min_support);
+      ASSERT_EQ(w.size(), g.size());
+      for (size_t i = 0; i < w.size(); ++i) {
+        ASSERT_EQ(w[i].tags, g[i].tags);
+        ASSERT_EQ(w[i].intersection_count, g[i].intersection_count);
+        ASSERT_EQ(w[i].union_count, g[i].union_count);
+        ASSERT_TRUE(SameBits(w[i].coefficient, g[i].coefficient));
+      }
+    };
+    for (const uint64_t min_support : {0u, 1u}) {
+      expect_same_reports(a, restored, min_support);
+      expect_same_reports(both, merged, min_support);
+    }
+    EXPECT_EQ(restored.ExportCounters(), a.ExportCounters());
+    EXPECT_EQ(merged.ExportCounters(), both.ExportCounters());
+  }
+}
+
+TEST(SubsetCounterTableDifferential, AddedCountersWithoutSubsetsMatchCompute) {
+  // Add does not create subsets, so a lattice may find holes (counter 0),
+  // exactly as Compute's probes do.
+  SubsetCounterTable table;
+  table.Add(TagSet({1, 2, 3}), 5);
+  table.Add(TagSet({1}), 9);
+  table.Add(TagSet({2}), 6);
+  table.Add(TagSet({3, 4}), 2);
+  table.Add(TagSet({3}), 4);
+  table.Add(TagSet({4}), 3);
+  const auto reported = table.ReportAll();
+  ASSERT_EQ(reported.size(), 2u);
+  for (const JaccardEstimate& e : reported) {
+    const auto oracle = table.Compute(e.tags);
+    ASSERT_TRUE(oracle.has_value());
+    EXPECT_EQ(e.union_count, oracle->union_count) << e.tags.ToString();
+    EXPECT_TRUE(SameBits(e.coefficient, oracle->coefficient));
+  }
+  EXPECT_EQ(reported[0].tags, TagSet({1, 2, 3}));
+  EXPECT_EQ(reported[0].union_count, 9u + 6u + 4u + 5u);
+}
+
+TEST(SubsetCounterTable, ReportAllOrdersPrefixesFirst) {
+  // TagSet::operator< puts a set before its extensions: {1,2} < {1,2,3} <
+  // {1,3}. The packed prefix of {1,2} and {1,2,3} ties, so this pins the
+  // full-key tie break.
+  SubsetCounterTable table;
+  table.Observe(TagSet({1, 2, 3}));
+  table.Observe(TagSet({1, 2, 4, kInvalidTag - 1}));
+  table.Observe(TagSet({0, 9}));
+  std::vector<TagSet> order;
+  for (const JaccardEstimate& e : table.ReportAll()) order.push_back(e.tags);
+  const std::vector<TagSet> expected = {
+      TagSet({0, 9}),
+      TagSet({1, 2}),
+      TagSet({1, 2, 3}),
+      TagSet({1, 2, 4}),
+      TagSet({1, 2, 4, kInvalidTag - 1}),
+      TagSet({1, 2, kInvalidTag - 1}),
+      TagSet({1, 3}),
+      TagSet({1, 4}),
+      TagSet({1, 4, kInvalidTag - 1}),
+      TagSet({1, kInvalidTag - 1}),
+      TagSet({2, 3}),
+      TagSet({2, 4}),
+      TagSet({2, 4, kInvalidTag - 1}),
+      TagSet({2, kInvalidTag - 1}),
+      TagSet({4, kInvalidTag - 1}),
+  };
+  EXPECT_EQ(order, expected);
+}
+
+TEST(SubsetCounterTable, ExportCountersKeepsTagSetOrder) {
+  // Checkpoint and handoff bytes are the export in this order: every
+  // counter, singletons included, sorted by TagSet::operator< — the order
+  // of a std::map keyed by TagSet.
+  for (int k : {2, 5, 9, 14}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::vector<TagSet> docs = RandomNotifications(k, 31 + k);
+    SubsetCounterTable table;
+    std::map<TagSet, uint64_t> expected;
+    for (const TagSet& d : docs) {
+      table.Observe(d);
+      d.ForEachSubset([&](const TagSet& sub) { ++expected[sub]; });
+    }
+    const std::vector<std::pair<TagSet, uint64_t>> in_map_order(
+        expected.begin(), expected.end());
+    EXPECT_EQ(table.ExportCounters(), in_map_order);
+  }
+  SubsetCounterTable table;
+  table.Observe(TagSet({0, 5}));
+  table.Observe(TagSet({5, 6, 7}));
+  const std::vector<std::pair<TagSet, uint64_t>> expected = {
+      {TagSet({0}), 1},    {TagSet({0, 5}), 1},    {TagSet({5}), 2},
+      {TagSet({5, 6}), 1}, {TagSet({5, 6, 7}), 1}, {TagSet({5, 7}), 1},
+      {TagSet({6}), 1},    {TagSet({6, 7}), 1},    {TagSet({7}), 1},
+  };
+  EXPECT_EQ(table.ExportCounters(), expected);
+}
 
 }  // namespace
 }  // namespace corrtrack

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <random>
@@ -236,6 +237,31 @@ TEST(CorrelationIndex, MalformedRestoreLeavesIndexUntouched) {
   ASSERT_TRUE(index.RestoreState(blob));
   EXPECT_TRUE(reader.Lookup(TagSet({1, 2})).has_value());
   EXPECT_EQ(reader.TotalSets(), 1u);
+}
+
+TEST(CorrelationIndex, NonCanonicalTagsInBlobAreRefused) {
+  // Blob bytes are not canonical by construction: tags out of order,
+  // repeated, or kInvalidTag must fail RestoreState, not abort in
+  // TagSet::FromSorted.
+  ServeConfig config;
+  config.num_shards = 1;
+  CorrelationIndex source(config);
+  source.ApplyPeriod(1000, {Estimate({1, 2}, 0.5, 5, 10)});
+  std::string blob;
+  source.ExportState(&blob);
+  // The entry's two tags follow its u32 tag count (see the layout above).
+  constexpr size_t kFirstTag = 4 + 8 + 8 + 8 + 8 + 8 + 4;
+  const std::vector<std::pair<TagId, TagId>> bad = {
+      {2, 1}, {2, 2}, {1, kInvalidTag}};
+  CorrelationIndex index(config);
+  for (const auto& [first, second] : bad) {
+    std::string mutated = blob;
+    std::memcpy(&mutated[kFirstTag], &first, sizeof(first));
+    std::memcpy(&mutated[kFirstTag + 4], &second, sizeof(second));
+    EXPECT_FALSE(index.RestoreState(mutated)) << first << "," << second;
+  }
+  ASSERT_TRUE(index.RestoreState(blob));
+  EXPECT_TRUE(index.NewReader().Lookup(TagSet({1, 2})).has_value());
 }
 
 /// Every answer `index` serves must equal the from-scratch twin's:
