@@ -11,17 +11,7 @@ namespace corrtrack {
 
 namespace {
 
-/// One counter on its way into TagSet::operator< order, named by the tags of
-/// `root`'s key selected by `mask` (bit i = the root's i-th tag). In a
-/// report many records share one root, so the tie compares of equal
-/// prefixes mostly read root keys that are already in cache.
-struct SortRecord {
-  uint64_t prefix;  // The first two selected tags; see SortPrefix.
-  uint32_t root;    // A table slot.
-  uint32_t mask;
-  uint64_t count;
-  int64_t union_count;  // ReportAll only.
-};
+using jaccard_internal::SortRecord;
 
 /// The first two tags of the subset packed into one word, so most compares
 /// are one integer compare. A missing second tag packs as 0, which sorts no
@@ -51,25 +41,26 @@ bool FullLess(const FlatCounterTable& table, const SortRecord& a,
 /// Sorts `records` (distinct subsets) in TagSet::operator< order: an LSD
 /// radix sort on the prefix, one byte per pass (skipping bytes that are the
 /// same in every record), then a comparison sort of each run of equal
-/// prefixes.
+/// prefixes. `buffer` is the radix passes' second array.
 void SortInTagSetOrder(const FlatCounterTable& table,
-                       std::vector<SortRecord>* records) {
+                       std::vector<SortRecord>* records,
+                       std::vector<SortRecord>* buffer) {
   std::vector<SortRecord>& r = *records;
   if (r.size() < 2) return;
   size_t offsets[8][256] = {};
   for (const SortRecord& rec : r) {
     for (int d = 0; d < 8; ++d) ++offsets[d][(rec.prefix >> (8 * d)) & 0xff];
   }
-  std::vector<SortRecord> buffer(r.size());
+  buffer->resize(r.size());
   for (int d = 0; d < 8; ++d) {
     size_t* offset = offsets[d];
     if (offset[(r[0].prefix >> (8 * d)) & 0xff] == r.size()) continue;
     size_t sum = 0;
     for (int b = 0; b < 256; ++b) sum += std::exchange(offset[b], sum);
     for (const SortRecord& rec : r) {
-      buffer[offset[(rec.prefix >> (8 * d)) & 0xff]++] = rec;
+      (*buffer)[offset[(rec.prefix >> (8 * d)) & 0xff]++] = rec;
     }
-    r.swap(buffer);
+    r.swap(*buffer);
   }
   for (size_t i = 0; i < r.size();) {
     size_t j = i + 1;
@@ -112,7 +103,8 @@ void SubsetCounterTable::Add(const TagSet& tags, uint64_t count) {
 
 std::vector<std::pair<TagSet, uint64_t>> SubsetCounterTable::ExportCounters()
     const {
-  std::vector<SortRecord> records;
+  std::vector<SortRecord>& records = scratch_.records;
+  records.clear();
   records.reserve(counters_.size());
   for (size_t slot = 0; slot < counters_.capacity(); ++slot) {
     if (!counters_.Occupied(slot)) continue;
@@ -121,7 +113,7 @@ std::vector<std::pair<TagSet, uint64_t>> SubsetCounterTable::ExportCounters()
     records.push_back({SortPrefix(key, mask), SlotIndex(slot), mask,
                        counters_.CountAt(slot), 0});
   }
-  SortInTagSetOrder(counters_, &records);
+  SortInTagSetOrder(counters_, &records, &scratch_.radix_buffer);
   std::vector<std::pair<TagSet, uint64_t>> out;
   out.reserve(records.size());
   for (const SortRecord& r : records) {
@@ -163,17 +155,20 @@ std::vector<JaccardEstimate> SubsetCounterTable::ReportAll(
     uint64_t min_support) const {
   // Roots: counters of two or more tags, largest first. A counter becomes a
   // root only when no earlier root's lattice contained it.
-  std::vector<uint32_t> by_size[PackedTagKey::kCapacity + 1];
+  auto& by_size = scratch_.roots_by_size;
+  for (std::vector<uint32_t>& roots : by_size) roots.clear();
   for (size_t slot = 0; slot < counters_.capacity(); ++slot) {
     if (!counters_.Occupied(slot)) continue;
     const uint32_t size = counters_.KeyAt(slot).size;
     if (size >= 2) by_size[size].push_back(SlotIndex(slot));
   }
-  std::vector<uint8_t> visited(counters_.capacity(), 0);
-  std::vector<PackedTagKey> subset_keys;
-  std::vector<int64_t> lattice;
-  std::vector<size_t> lattice_slot;
-  std::vector<SortRecord> records;
+  std::vector<uint8_t>& visited = scratch_.visited;
+  visited.assign(counters_.capacity(), 0);
+  std::vector<PackedTagKey>& subset_keys = scratch_.subset_keys;
+  std::vector<int64_t>& lattice = scratch_.lattice;
+  std::vector<size_t>& lattice_slot = scratch_.lattice_slot;
+  std::vector<SortRecord>& records = scratch_.records;
+  records.clear();
   for (uint32_t k = PackedTagKey::kCapacity; k >= 2; --k) {
     const uint32_t n = uint32_t{1} << k;
     for (const uint32_t root : by_size[k]) {
@@ -196,7 +191,7 @@ std::vector<JaccardEstimate> SubsetCounterTable::ReportAll(
             slot == FlatCounterTable::kNoSlot
                 ? 0
                 : static_cast<int64_t>(counters_.CountAt(slot));
-        lattice[s] = std::popcount(s) % 2 == 1 ? count : -count;
+        lattice[s] = subset_keys[s].size % 2 == 1 ? count : -count;
       }
       // Subset-sum (zeta) transform, k·2^k additions: lattice[S] becomes
       // Σ_{B⊆S} term(B), the union count of S for every S at once.
@@ -220,7 +215,7 @@ std::vector<JaccardEstimate> SubsetCounterTable::ReportAll(
       }
     }
   }
-  SortInTagSetOrder(counters_, &records);
+  SortInTagSetOrder(counters_, &records, &scratch_.radix_buffer);
   std::vector<JaccardEstimate> out;
   out.reserve(records.size());
   for (const SortRecord& r : records) {

@@ -63,6 +63,22 @@ inline void MergeEstimate(JaccardEstimate* entry,
                            : 0.0;
 }
 
+namespace jaccard_internal {
+
+/// One counter on its way into TagSet::operator< order, named by the tags of
+/// `root`'s key selected by `mask` (bit i = the root's i-th tag). In a
+/// report many records share one root, so the tie compares of equal
+/// prefixes mostly read root keys that are already in cache.
+struct SortRecord {
+  uint64_t prefix;  // The first two selected tags; see SortPrefix.
+  uint32_t root;    // A table slot.
+  uint32_t mask;
+  uint64_t count;
+  int64_t union_count;  // ReportAll only.
+};
+
+}  // namespace jaccard_internal
+
 /// The Calculator's counting state (§3.1): one exact counter per observed
 /// co-occurring tagset.
 ///
@@ -122,7 +138,23 @@ class SubsetCounterTable {
   void Reset() { counters_.Reset(); }
 
  private:
+  /// Working storage of ReportAll and ExportCounters, kept across periods:
+  /// a table re-reports roughly the same number of counters every period,
+  /// so each report reuses the last one's pages instead of faulting in
+  /// fresh ones. Mutable because reporting is logically const; a table is
+  /// used by one thread at a time.
+  struct Scratch {
+    std::vector<uint32_t> roots_by_size[PackedTagKey::kCapacity + 1];
+    std::vector<uint8_t> visited;
+    std::vector<jaccard_internal::SortRecord> records;
+    std::vector<jaccard_internal::SortRecord> radix_buffer;
+    std::vector<PackedTagKey> subset_keys;
+    std::vector<int64_t> lattice;
+    std::vector<size_t> lattice_slot;
+  };
+
   FlatCounterTable counters_;
+  mutable Scratch scratch_;
 };
 
 }  // namespace corrtrack

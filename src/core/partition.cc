@@ -107,7 +107,9 @@ int PartitionSet::Route(const TagSet& tags, std::vector<RoutedSubset>* out,
     }
   }
   bool all_tags = false;
+  int touched = 0;
   for (uint64_t mask = touched_mask; mask != 0; mask &= mask - 1) {
+    ++touched;
     const int p = std::countr_zero(mask);
     all_tags = all_tags || sizes[p] == tags.size();
     if (out == nullptr) continue;
@@ -116,7 +118,7 @@ int PartitionSet::Route(const TagSet& tags, std::vector<RoutedSubset>* out,
     routed.tags = TagSet::FromSorted(subsets[p], subsets[p] + sizes[p]);
   }
   if (covered != nullptr) *covered = all_tags;
-  return std::popcount(touched_mask);
+  return touched;
 }
 
 uint64_t PartitionSet::load(int p) const {

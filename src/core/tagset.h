@@ -124,16 +124,16 @@ class TagSet {
     const uint32_t full = SubsetMaskFull(n);
     // `mask == full` is tested before the increment, so the loop terminates
     // even when `full` is the all-ones mask (the n == 32 overflow hazard of
-    // a `mask <= full` condition).
+    // a `mask <= full` condition). The fill loop counts the subset's size,
+    // so no popcount is needed; a subset under `min_size` is written too,
+    // but only into positions below `min_size`, which the next accepted
+    // subset overwrites.
     for (uint32_t mask = 1;; ++mask) {
-      const size_t m = static_cast<size_t>(std::popcount(mask));
-      if (m >= min_size) {
-        size_t out = 0;
-        for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-          scratch[out++] = tags_[std::countr_zero(bits)];
-        }
-        fn(static_cast<const TagId*>(scratch), m);
+      size_t m = 0;
+      for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+        scratch[m++] = tags_[std::countr_zero(bits)];
       }
+      if (m >= min_size) fn(static_cast<const TagId*>(scratch), m);
       if (mask == full) break;
     }
   }

@@ -100,10 +100,10 @@ class DisseminatorBolt : public stream::Bolt<Message> {
   void ResetBatch();
 
   /// The live route table, copy-on-write: an install adopts the Merger's
-  /// broadcast PartitionSet by reference (zero-copy — with shared-payload
-  /// envelopes the broadcast itself copied nothing either); the first
-  /// Single Addition of the epoch takes the private deep copy that
-  /// mutation needs. Route/CoveringPartition go through partitions().
+  /// broadcast PartitionSet by reference (the FinalPartitions copies the
+  /// broadcast makes share it through their shared_ptr); the first Single
+  /// Addition of the epoch takes the private deep copy that mutation
+  /// needs. Route/CoveringPartition go through partitions().
   PartitionSet* MutablePartitions();
 
   PipelineConfig config_;

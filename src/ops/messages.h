@@ -23,16 +23,17 @@ namespace corrtrack::ops {
 /// addressed to them (the engine's subscriptions are per-producer, like
 /// Storm streams).
 ///
-/// Payload memory model: an emitted Message is adopted into one refcounted
-/// immutable block (stream/payload.h) and every destination of the fan-out
-/// shares it — a Merger install broadcast or a multi-owner document
-/// notification costs one allocation total, not one deep copy per
-/// consumer. Messages are therefore treated as immutable after Emit; the
-/// single consumer per type that mutates (the Tracker stealing report
-/// estimates, the Disseminator's Single Additions against the installed
-/// PartitionSet) goes through a copy-on-write door
-/// (Envelope::MutablePayload, DisseminatorBolt::MutablePartitions) that
-/// copies only while the value is still shared.
+/// Payload memory model: every envelope owns its Message by value. An
+/// emission with one destination moves the message through; a fan-out to
+/// k destinations copies it k - 1 times (stream/routing.h). A message type
+/// that broadcasts bulk must therefore carry the bulk behind
+/// shared_ptr<const T>, so a copy costs a refcount bump: FinalPartitions
+/// does this for the Merger's install broadcast. Everything else that fans
+/// out (a ParsedDoc, a SingleAdditionDecision) is small and keeps its tags
+/// inline. A consumer may take its own
+/// envelope's message apart (the Tracker moves report estimates out
+/// through Envelope::MutablePayload); a consumer that mutates shared bulk
+/// copies it first (DisseminatorBolt::MutablePartitions).
 
 /// Source -> Parser (shuffle): a raw tweet. `text` carries the hashtags
 /// inline ("... #tag ..."), exactly what the paper's Parser extracts.

@@ -59,13 +59,8 @@ class TrackerBolt : public stream::Bolt<Message> {
             lag > 0 ? static_cast<uint64_t>(lag) : 0u);
       }
     }
-    // Copy-on-write payload steal: the report edge is a filtered global
-    // subscription, so when this envelope executes the Tracker is
-    // normally the payload's last holder — MutablePayload() then mutates
-    // in place (no copy) and each estimate's TagSet storage *moves* into
-    // the period map instead of duplicating. A payload still shared with
-    // another consumer is deep-copied first (a counted payload_copy), so
-    // the other holders keep observing the original bytes.
+    // The envelope owns its report, so each estimate's TagSet storage
+    // *moves* into the period map instead of being duplicated.
     JaccardReport& report = std::get<JaccardReport>(in.MutablePayload());
     ++reports_received_;
     if (report.epoch > latest_epoch_) latest_epoch_ = report.epoch;

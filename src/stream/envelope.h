@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/types.h"
-#include "stream/payload.h"
 
 namespace corrtrack::stream {
 
@@ -20,17 +19,16 @@ struct TaskAddress {
   }
 };
 
-/// A tuple in flight: a shared reference to the (immutable) payload plus
-/// the metadata Storm attaches — source task and, in our virtual-time
-/// engine, the emission timestamp.
+/// A tuple in flight: the payload plus the metadata Storm attaches —
+/// source task and, in our virtual-time engine, the emission timestamp.
 ///
-/// The payload is NOT owned per envelope: one emission fanned out to k
-/// destinations produces k envelopes sharing a single refcounted payload
-/// block (see payload.h), so broadcasts are O(1) in payload size. Bolts
-/// read through payload(); the one consumer per message type that needs to
-/// mutate (or steal) the value goes through MutablePayload(), which is
-/// copy-on-write — sole owners mutate in place, shared payloads get a
-/// private deep copy and every other envelope keeps the original.
+/// Every envelope owns its message by value: one emission fanned out to k
+/// destinations gives k - 1 of them a copy and moves the message into the
+/// last (RouteAlongEdges), so no payload memory is shared between tasks or
+/// threads. A message type that broadcasts bulk keeps it behind a
+/// shared_ptr<const T> (see ops/messages.h). Bolts read through payload();
+/// a consumer that takes the value apart (the Tracker stealing a report's
+/// estimates) goes through MutablePayload().
 template <typename Message>
 class Envelope {
  public:
@@ -38,30 +36,19 @@ class Envelope {
   Timestamp time = 0;
 
   Envelope() = default;
-  explicit Envelope(PayloadRef<Message> payload)
-      : payload_(std::move(payload)) {}
+  explicit Envelope(Message payload) : payload_(std::move(payload)) {}
 
-  const Message& payload() const { return *payload_; }
-  bool has_payload() const { return static_cast<bool>(payload_); }
+  const Message& payload() const { return payload_; }
 
-  /// Copy-on-write access (see class comment). Const because COW never
-  /// alters what other holders of the same block observe; only this
-  /// envelope's view can change (it may reseat onto a private copy).
-  Message& MutablePayload() const { return payload_.MutableCopy(); }
+  /// This envelope's own message. Const because bolts receive the
+  /// envelope by const reference; no other envelope can observe the
+  /// change, since none shares the value.
+  Message& MutablePayload() const { return payload_; }
 
-  /// Shares the payload block (refcount bump; the runtimes' fan-out path).
-  void set_payload_ref(PayloadRef<Message> payload) {
-    payload_ = std::move(payload);
-  }
-  const PayloadRef<Message>& payload_ref() const { return payload_; }
-
-  /// Wraps `msg` in a fresh heap block (tests, hand-built envelopes).
-  void set_payload(Message msg) {
-    payload_ = PayloadRef<Message>::Make(std::move(msg));
-  }
+  void set_payload(Message msg) { payload_ = std::move(msg); }
 
  private:
-  mutable PayloadRef<Message> payload_;
+  mutable Message payload_{};
 };
 
 }  // namespace corrtrack::stream

@@ -15,7 +15,6 @@
 #include "core/check.h"
 #include "core/types.h"
 #include "stream/envelope.h"
-#include "stream/payload.h"
 #include "stream/routing.h"
 #include "stream/runtime.h"
 #include "stream/topology.h"
@@ -212,11 +211,6 @@ class PoolRuntime : public Runtime<Message> {
     stats.stall_escapes = stall_escapes_.load(std::memory_order_relaxed);
     stats.tasks_spawned = tasks_spawned_.load(std::memory_order_relaxed);
     stats.tasks_retired = tasks_retired_.load(std::memory_order_relaxed);
-    stats.payload_shares = payload_shares_.load(std::memory_order_relaxed);
-    for (const auto& arena : arenas_) {
-      stats.payload_copies += arena->copies();
-      stats.arena_reuses += arena->reuses();
-    }
     for (const auto& task : tasks_) {
       stats.envelopes_moved +=
           task->delivered.load(std::memory_order_relaxed);
@@ -462,7 +456,6 @@ class PoolRuntime : public Runtime<Message> {
         task->addr = {static_cast<int>(c), 0};
         task->is_spout = true;
         tasks_.push_back(std::move(task));
-        arenas_.push_back(std::make_unique<PayloadArena<Message>>());
         continue;
       }
       // One slot per *provisioned* instance; the bolt of a spare slot
@@ -482,7 +475,6 @@ class PoolRuntime : public Runtime<Message> {
         task->tick_period = comp.tick_period;
         task->next_tick = FirstTickAfter(comp.tick_period, start_time_);
         tasks_.push_back(std::move(task));
-        arenas_.push_back(std::make_unique<PayloadArena<Message>>());
       }
     }
     CORRTRACK_CHECK_NE(spout_component_, -1);
@@ -508,30 +500,20 @@ class PoolRuntime : public Runtime<Message> {
         std::memory_order_acquire);
   }
 
-  /// Adopts the emitted message into the producer task's payload arena
-  /// once; every destination's envelope shares the block (zero-copy
-  /// fan-out — before this, each destination deep-copied the Message).
-  /// The arena is safe to touch here because a task emits only while
-  /// claimed (one thread at a time), and the claim handoff
-  /// release/acquires the arena's owner-side state.
+  /// Stages `msg`, emitted by (producer, instance), for every destination
+  /// along the producer's edges (see RouteAlongEdges).
   void RouteFrom(int producer, int instance, Message msg, Timestamp time,
                  int direct_instance) {
-    PayloadArena<Message>& arena =
-        *arenas_[static_cast<size_t>(TaskId(producer, instance))];
-    const uint64_t shares = RouteSharedPayload(
-        edges_[static_cast<size_t>(producer)], arena, std::move(msg),
+    RouteAlongEdges(
+        edges_[static_cast<size_t>(producer)], std::move(msg),
         direct_instance,
         [this](int component) { return Parallelism(component); },
-        [&](int component, int target, const PayloadRef<Message>& ref) {
-          Item item;
-          item.envelope.set_payload_ref(ref);
+        [&](int component, int target, Message&& payload) {
+          Item item{Envelope<Message>(std::move(payload))};
           item.envelope.source = {producer, instance};
           item.envelope.time = time;
           Deliver(component, target, std::move(item));
         });
-    if (shares > 0) {
-      payload_shares_.fetch_add(shares, std::memory_order_relaxed);
-    }
   }
 
   /// Stages `item` in the current thread's delivery buffer, moving the
@@ -914,10 +896,6 @@ class PoolRuntime : public Runtime<Message> {
   const int num_threads_;
   const Timestamp start_time_;  // Resume point (checkpoint restore).
   int spout_component_ = -1;
-  /// Per-task payload arenas (indexed by task id). Declared before the
-  /// tasks so they outlive the mailboxes: residual feedback envelopes
-  /// destroyed with a mailbox release their blocks into a live arena.
-  std::vector<std::unique_ptr<PayloadArena<Message>>> arenas_;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<int> task_base_;
   std::vector<EdgeList<Message>> edges_;
@@ -951,7 +929,6 @@ class PoolRuntime : public Runtime<Message> {
   std::atomic<uint64_t> stall_escapes_{0};
   std::atomic<uint64_t> tasks_spawned_{0};
   std::atomic<uint64_t> tasks_retired_{0};
-  std::atomic<uint64_t> payload_shares_{0};
   telemetry::LatencyHistogram* queue_depth_hist_ = nullptr;
   telemetry::LatencyHistogram* block_wait_hist_ = nullptr;
   telemetry::LatencyHistogram* worker_steals_hist_ = nullptr;

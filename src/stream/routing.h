@@ -9,7 +9,6 @@
 
 #include "core/check.h"
 #include "stream/grouping.h"
-#include "stream/payload.h"
 
 namespace corrtrack::stream {
 
@@ -112,12 +111,26 @@ std::vector<EdgeList<Message>> BuildEdgeLists(const Components& components) {
 /// substrates cannot drift apart. `direct_instance` >= 0 marks an
 /// EmitDirect (only kDirect edges see it; plain emissions skip them).
 /// `parallelism(component)` supplies the consumer's instance count and
-/// `deliver(component, instance)` enqueues one copy; the caller owns
-/// envelope construction and queueing.
+/// `deliver(component, instance, Message&&)` enqueues one envelope; the
+/// caller owns envelope construction and queueing. Envelopes own their
+/// message, so every destination but the last is handed a copy and the
+/// last gets `msg` moved in: the common single-destination hop copies
+/// nothing.
 template <typename Message, typename ParallelismFn, typename DeliverFn>
-void RouteAlongEdges(EdgeList<Message>& edges, const Message& msg,
+void RouteAlongEdges(EdgeList<Message>& edges, Message msg,
                      int direct_instance, ParallelismFn&& parallelism,
                      DeliverFn&& deliver) {
+  // The latest destination is held back until the next one is known, so
+  // only the final one receives the moved message.
+  int held_component = -1;
+  int held_instance = 0;
+  auto route = [&](int component, int instance) {
+    if (held_component >= 0) {
+      deliver(held_component, held_instance, Message(msg));
+    }
+    held_component = component;
+    held_instance = instance;
+  };
   for (auto& edge : edges) {
     const bool is_direct_edge = edge->grouping.kind == GroupingKind::kDirect;
     if (is_direct_edge != (direct_instance >= 0)) continue;
@@ -130,55 +143,35 @@ void RouteAlongEdges(EdgeList<Message>& edges, const Message& msg,
       case GroupingKind::kShuffle: {
         const uint64_t n =
             edge->round_robin.fetch_add(1, std::memory_order_relaxed);
-        deliver(edge->consumer,
-                static_cast<int>(n % static_cast<uint64_t>(
-                                         parallelism(edge->consumer))));
+        route(edge->consumer,
+              static_cast<int>(n % static_cast<uint64_t>(
+                                       parallelism(edge->consumer))));
         break;
       }
       case GroupingKind::kAll:
         for (int i = 0; i < parallelism(edge->consumer); ++i) {
-          deliver(edge->consumer, i);
+          route(edge->consumer, i);
         }
         break;
       case GroupingKind::kFields: {
         CORRTRACK_CHECK(edge->grouping.field_hash != nullptr);
         const size_t h = edge->grouping.field_hash(msg);
-        deliver(edge->consumer,
-                static_cast<int>(h % static_cast<size_t>(
-                                         parallelism(edge->consumer))));
+        route(edge->consumer,
+              static_cast<int>(h % static_cast<size_t>(
+                                       parallelism(edge->consumer))));
         break;
       }
       case GroupingKind::kGlobal:
-        deliver(edge->consumer, 0);
+        route(edge->consumer, 0);
         break;
       case GroupingKind::kDirect:
-        deliver(edge->consumer, direct_instance);
+        route(edge->consumer, direct_instance);
         break;
     }
   }
-}
-
-/// Zero-copy fan-out on top of RouteAlongEdges — the single definition of
-/// the shared-payload invariant all runtimes use: the emitted message is
-/// adopted into `arena` ONCE and every destination receives the same
-/// refcounted block through `deliver(component, instance, ref)`. Returns
-/// the number of deliveries that *shared* an already-allocated block
-/// (deliveries - 1; each is a deep copy the engine no longer makes) for
-/// the caller's RuntimeStats::payload_shares accounting.
-template <typename Message, typename ParallelismFn, typename DeliverFn>
-uint64_t RouteSharedPayload(EdgeList<Message>& edges,
-                            PayloadArena<Message>& arena, Message msg,
-                            int direct_instance, ParallelismFn&& parallelism,
-                            DeliverFn&& deliver) {
-  const PayloadRef<Message> ref = arena.Adopt(std::move(msg));
-  uint64_t deliveries = 0;
-  RouteAlongEdges(edges, *ref, direct_instance,
-                  std::forward<ParallelismFn>(parallelism),
-                  [&](int component, int instance) {
-                    deliver(component, instance, ref);
-                    ++deliveries;
-                  });
-  return deliveries > 1 ? deliveries - 1 : 0;
+  if (held_component >= 0) {
+    deliver(held_component, held_instance, std::move(msg));
+  }
 }
 
 }  // namespace corrtrack::stream

@@ -158,19 +158,6 @@ struct RuntimeStats {
   /// retired by TopologyControl::ResizeComponent during the run.
   uint64_t tasks_spawned = 0;
   uint64_t tasks_retired = 0;
-  /// Zero-copy fan-out: envelopes that SHARED an already-allocated payload
-  /// block instead of deep-copying it (every delivery beyond an emission's
-  /// first). Before shared payloads each of these was a full Message copy.
-  uint64_t payload_shares = 0;
-  /// Copy-on-write deep copies: a consumer called
-  /// Envelope::MutablePayload() while the payload was still shared. In
-  /// steady state this stays near zero — the mutating consumer is usually
-  /// the last holder.
-  uint64_t payload_copies = 0;
-  /// Envelope-arena recycling: payload blocks served from a task arena's
-  /// free list instead of fresh slab/heap space. High values mean the
-  /// steady-state hot path allocates nothing.
-  uint64_t arena_reuses = 0;
   /// Physical threads that executed bolts (simulation: 1).
   int num_threads = 0;
   /// The queue capacity the runtime actually ran with (simulation: 0).

@@ -11,7 +11,6 @@
 #include "core/check.h"
 #include "core/types.h"
 #include "stream/envelope.h"
-#include "stream/payload.h"
 #include "stream/routing.h"
 #include "stream/runtime.h"
 #include "stream/topology.h"
@@ -78,7 +77,8 @@ class SimulationRuntime : public Runtime<Message> {
       last_time = time;
       FireTicksUpTo(time);
       now_ = time;
-      DeliverFrom(spout_component_, 0, std::move(msg), time);
+      RouteFrom({spout_component_, 0}, std::move(msg), time,
+                /*direct_instance=*/-1);
       Pump();
     }
     FireTicksUpTo(last_time + flush_horizon);
@@ -107,9 +107,6 @@ class SimulationRuntime : public Runtime<Message> {
     for (uint64_t delivered : delivered_) stats.envelopes_moved += delivered;
     stats.tasks_spawned = tasks_spawned_;
     stats.tasks_retired = tasks_retired_;
-    stats.payload_shares = payload_shares_;
-    stats.payload_copies = arena_.copies();
-    stats.arena_reuses = arena_.reuses();
     return stats;
   }
 
@@ -153,13 +150,11 @@ class SimulationRuntime : public Runtime<Message> {
         : runtime_(runtime), source_(source), time_(time) {}
 
     void Emit(Message msg) override {
-      runtime_->DeliverFrom(source_.component, source_.instance,
-                            std::move(msg), time_);
+      runtime_->RouteFrom(source_, std::move(msg), time_, -1);
     }
 
     void EmitDirect(int instance, Message msg) override {
-      runtime_->DeliverDirect(source_.component, instance, std::move(msg),
-                              time_, source_);
+      runtime_->RouteFrom(source_, std::move(msg), time_, instance);
     }
 
     Timestamp now() const override { return time_; }
@@ -227,41 +222,23 @@ class SimulationRuntime : public Runtime<Message> {
     return active_[static_cast<size_t>(component)];
   }
 
-  /// Routes `msg` emitted by (producer, instance) along all non-direct
-  /// subscription edges. The message is adopted into the payload arena
-  /// once; every destination's envelope shares the block (zero-copy
-  /// fan-out).
-  void DeliverFrom(int producer, int instance, Message msg, Timestamp time) {
-    const TaskAddress source{producer, instance};
-    payload_shares_ += RouteSharedPayload(
-        edges_[static_cast<size_t>(producer)], arena_, std::move(msg),
-        /*direct_instance=*/-1,
+  /// Queues `msg`, emitted by `source`, for every destination along the
+  /// source's edges (see RouteAlongEdges for `direct_instance`).
+  void RouteFrom(TaskAddress source, Message msg, Timestamp time,
+                 int direct_instance) {
+    RouteAlongEdges(
+        edges_[static_cast<size_t>(source.component)], std::move(msg),
+        direct_instance,
         [this](int component) { return Parallelism(component); },
-        [&](int component, int target, const PayloadRef<Message>& ref) {
-          Enqueue(component, target, ref, source, time);
+        [&](int component, int target, Message&& payload) {
+          Envelope<Message> env(std::move(payload));
+          env.source = source;
+          env.time = time;
+          pending_.emplace_back(TaskId(component, target), std::move(env));
+          if (queue_depth_hist_ != nullptr) {
+            queue_depth_hist_->Record(pending_.size());
+          }
         });
-  }
-
-  void DeliverDirect(int producer, int instance, Message msg, Timestamp time,
-                     TaskAddress source) {
-    payload_shares_ += RouteSharedPayload(
-        edges_[static_cast<size_t>(producer)], arena_, std::move(msg),
-        instance,
-        [this](int component) { return Parallelism(component); },
-        [&](int component, int target, const PayloadRef<Message>& ref) {
-          Enqueue(component, target, ref, source, time);
-        });
-  }
-
-  void Enqueue(int component, int instance, const PayloadRef<Message>& ref,
-               TaskAddress source, Timestamp time) {
-    Envelope<Message> env(ref);
-    env.source = source;
-    env.time = time;
-    pending_.emplace_back(TaskId(component, instance), std::move(env));
-    if (queue_depth_hist_ != nullptr) {
-      queue_depth_hist_->Record(pending_.size());
-    }
   }
 
   /// Drains the cascade in global FIFO order.
@@ -306,10 +283,6 @@ class SimulationRuntime : public Runtime<Message> {
 
   Topology<Message>* topology_;
   int spout_component_ = -1;
-  /// Payload-block recycler. Declared before the task/queue state so it
-  /// outlives every envelope still holding a block at destruction.
-  PayloadArena<Message> arena_;
-  uint64_t payload_shares_ = 0;
   std::vector<Task> tasks_;
   std::vector<int> task_base_;
   std::vector<int> active_;  // Live instances per component (routing mask).

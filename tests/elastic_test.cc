@@ -231,13 +231,10 @@ TEST(ElasticResize, DriverRecordsResizeTrail) {
   EXPECT_GT(result.serve_sets, 0u);
   EXPECT_GT(result.serve_lookups_checked, 0u);
   EXPECT_EQ(result.serve_mismatches, 0u);
-  // The runtime counters flow into the result as well — including the
-  // zero-copy fan-out counters (payload blocks shared instead of copied,
-  // arena recycling) surfaced through MetricsSink::OnRuntimeStats.
+  // The runtime counters flow into the result as well, surfaced through
+  // MetricsSink::OnRuntimeStats.
   EXPECT_GE(result.runtime_stats.tasks_spawned, 4u);
   EXPECT_GE(result.runtime_stats.tasks_retired, 5u);
-  EXPECT_GT(result.runtime_stats.payload_shares, 0u);
-  EXPECT_GT(result.runtime_stats.arena_reuses, 0u);
 }
 
 TEST(ElasticResize, CostModelPolicyGrowsWithLoad) {

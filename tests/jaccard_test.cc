@@ -289,6 +289,34 @@ TEST(SubsetCounterTableDifferential, TableRebuiltByAddReportsTheSame) {
   }
 }
 
+TEST(SubsetCounterTableDifferential, ReportAfterResetMatchesFreshTable) {
+  // A Calculator reports, resets and refills one table every period, and
+  // ReportAll keeps its scratch across calls: a period of small sets after
+  // one of large sets must report exactly what a fresh table reports.
+  SubsetCounterTable reused;
+  for (const int k : {10, 3, 6, 2}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const std::vector<TagSet> docs =
+        RandomNotifications(k, static_cast<unsigned>(900 + k));
+    SubsetCounterTable fresh;
+    reused.Reset();
+    for (const TagSet& d : docs) {
+      reused.Observe(d);
+      fresh.Observe(d);
+    }
+    const std::vector<JaccardEstimate> got = reused.ReportAll();
+    const std::vector<JaccardEstimate> want = fresh.ReportAll();
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].tags, want[i].tags);
+      ASSERT_EQ(got[i].intersection_count, want[i].intersection_count);
+      ASSERT_EQ(got[i].union_count, want[i].union_count);
+      ASSERT_TRUE(SameBits(got[i].coefficient, want[i].coefficient));
+    }
+    EXPECT_EQ(reused.ExportCounters(), fresh.ExportCounters());
+  }
+}
+
 TEST(SubsetCounterTableDifferential, AddedCountersWithoutSubsetsMatchCompute) {
   // Add does not create subsets, so a lattice may find holes (counter 0),
   // exactly as Compute's probes do.

@@ -1,11 +1,14 @@
-// Shared-payload envelope lifecycle: refcounted zero-copy fan-out blocks
-// (stream/payload.h), per-task arena recycling, copy-on-write isolation,
-// and refcount release on the feedback-discard shutdown path.
+// Owned-payload envelope lifecycle: every envelope owns its message by
+// value, a fan-out copies the message into every destination but the last
+// and moves it into the last, and runtime teardown (the feedback-discard
+// shutdown path included) destroys every message exactly once.
 //
 // The concurrent cases double as ThreadSanitizer targets (ci.yml runs this
-// suite in the TSan job): cross-thread block release/reuse, COW racing
-// fan-out, and the tiny-mailbox + shared-payload + forced-resize stress.
+// suite in the TSan job): broadcast consumers mutating their own copies on
+// different workers, and the tiny-mailbox + forced-resize stress.
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <variant>
 #include <vector>
@@ -16,7 +19,6 @@
 #include "ops/source.h"
 #include "ops/topology_builder.h"
 #include "ops/tracker_op.h"
-#include "stream/payload.h"
 #include "stream/pool_runtime.h"
 #include "stream/runtime_factory.h"
 #include "stream/simulation.h"
@@ -28,107 +30,81 @@ using stream::Bolt;
 using stream::Emitter;
 using stream::Envelope;
 using stream::Grouping;
-using stream::PayloadArena;
-using stream::PayloadRef;
+using stream::RuntimeKind;
 using stream::Topology;
 
-// ---------------------------------------------------------------------------
-// PayloadRef / PayloadArena unit behaviour.
-// ---------------------------------------------------------------------------
-
-TEST(PayloadRef, SharesAndReleasesHeapBlocks) {
-  auto sentinel = std::make_shared<int>(7);
-  {
-    PayloadRef<std::shared_ptr<int>> a =
-        PayloadRef<std::shared_ptr<int>>::Make(sentinel);
-    EXPECT_EQ(a.use_count(), 1u);
-    EXPECT_EQ(sentinel.use_count(), 2);
-    {
-      PayloadRef<std::shared_ptr<int>> b = a;  // Share, not copy.
-      EXPECT_EQ(a.use_count(), 2u);
-      EXPECT_EQ(sentinel.use_count(), 2);  // Still ONE payload instance.
-      EXPECT_EQ(a.get(), b.get());         // Same block.
-    }
-    EXPECT_EQ(a.use_count(), 1u);
-  }
-  EXPECT_EQ(sentinel.use_count(), 1);  // Last release freed the block.
-}
-
-TEST(PayloadRef, MutableCopyInPlaceWhenUnique) {
-  PayloadRef<int> ref = PayloadRef<int>::Make(41);
-  const int* before = ref.get();
-  ref.MutableCopy() = 42;
-  EXPECT_EQ(ref.get(), before);  // Sole owner: no copy, same block.
-  EXPECT_EQ(*ref, 42);
-}
-
-TEST(PayloadRef, MutableCopyIsolatesSharedHolders) {
-  PayloadRef<std::vector<int>> a =
-      PayloadRef<std::vector<int>>::Make({1, 2, 3});
-  PayloadRef<std::vector<int>> b = a;
-  a.MutableCopy().push_back(4);  // COW: a reseats onto a private copy.
-  EXPECT_EQ(a->size(), 4u);
-  EXPECT_EQ(b->size(), 3u);  // b keeps the original, byte for byte.
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a.use_count(), 1u);
-  EXPECT_EQ(b.use_count(), 1u);
-}
-
-TEST(PayloadArena, RecyclesBlocksThroughTheFreeList) {
-  PayloadArena<std::vector<int>> arena;
-  const void* first_block = nullptr;
-  {
-    PayloadRef<std::vector<int>> ref = arena.Adopt({1, 2, 3});
-    first_block = ref.get();
-    EXPECT_EQ(arena.outstanding(), 1u);
-  }
-  EXPECT_EQ(arena.outstanding(), 0u);  // Released back to the arena.
-  EXPECT_EQ(arena.reuses(), 0u);
-  {
-    PayloadRef<std::vector<int>> ref = arena.Adopt({4, 5});
-    EXPECT_EQ(ref.get(), first_block);  // Same slot, recycled.
-    EXPECT_EQ(arena.reuses(), 1u);
-    EXPECT_EQ(arena.outstanding(), 1u);
-  }
-  EXPECT_EQ(arena.outstanding(), 0u);
-}
-
-TEST(PayloadArena, CountsCopyOnWriteAgainstTheArena) {
-  PayloadArena<int> arena;
-  PayloadRef<int> a = arena.Adopt(10);
-  PayloadRef<int> b = a;
-  b.MutableCopy() = 11;  // Shared: deep copy, charged to the arena.
-  EXPECT_EQ(arena.copies(), 1u);
-  EXPECT_EQ(*a, 10);
-  EXPECT_EQ(*b, 11);
-  a.reset();
-  b.reset();  // b's copy is a heap block; a's block returns to the arena.
-  EXPECT_EQ(arena.outstanding(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Engine-level lifecycle.
-// ---------------------------------------------------------------------------
-
-/// Payload with an observable lifetime: the test keeps the inner
-/// shared_ptr and reads use_count() after the runtime died — every
-/// envelope block still holding a Tracked must have been released.
-struct Tracked {
-  std::shared_ptr<int> alive;
-  uint64_t v = 0;
-};
-struct Plain {
-  uint64_t v = 0;
-};
-using Msg = std::variant<Tracked, Plain>;
-
-class TrackedSpout : public stream::Spout<Msg> {
+/// A message with an observable lifetime: every constructor and the
+/// destructor bump global counters, so once the runtime is gone a test can
+/// check that each Counted ever built was destroyed exactly once. `self_`
+/// catches a second destruction of the same object.
+class Counted {
  public:
-  TrackedSpout(int n, std::shared_ptr<int> sentinel)
-      : n_(n), sentinel_(std::move(sentinel)) {}
+  static std::atomic<int64_t> constructed;
+  static std::atomic<int64_t> copied;
+  static std::atomic<int64_t> destroyed;
+  static std::atomic<int64_t> destroyed_twice;
+
+  static void ResetCounts() {
+    constructed = 0;
+    copied = 0;
+    destroyed = 0;
+    destroyed_twice = 0;
+  }
+
+  Counted() { Born(); }
+  explicit Counted(uint64_t value) : v(value) { Born(); }
+  Counted(const Counted& other) : v(other.v) {
+    Born();
+    copied.fetch_add(1, std::memory_order_relaxed);
+  }
+  Counted(Counted&& other) noexcept : v(other.v) { Born(); }
+  Counted& operator=(const Counted& other) {
+    v = other.v;
+    copied.fetch_add(1, std::memory_order_relaxed);
+    return *this;
+  }
+  Counted& operator=(Counted&& other) noexcept {
+    v = other.v;
+    return *this;
+  }
+  ~Counted() {
+    if (self_ != this) destroyed_twice.fetch_add(1, std::memory_order_relaxed);
+    self_ = nullptr;
+    destroyed.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  uint64_t v = 0;
+
+ private:
+  void Born() {
+    self_ = this;
+    constructed.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  const Counted* self_ = nullptr;
+};
+
+std::atomic<int64_t> Counted::constructed{0};
+std::atomic<int64_t> Counted::copied{0};
+std::atomic<int64_t> Counted::destroyed{0};
+std::atomic<int64_t> Counted::destroyed_twice{0};
+
+using Msg = std::variant<Counted>;
+
+/// Checks the ledger once every runtime and topology of the test is gone.
+void ExpectEveryMessageDestroyedOnce(const char* where) {
+  EXPECT_GT(Counted::constructed.load(), 0) << where;
+  EXPECT_EQ(Counted::destroyed.load(), Counted::constructed.load())
+      << where << ": a message outlived the runtime";
+  EXPECT_EQ(Counted::destroyed_twice.load(), 0) << where;
+}
+
+class CountedSpout : public stream::Spout<Msg> {
+ public:
+  explicit CountedSpout(int n) : n_(n) {}
   bool Next(Msg* out, Timestamp* time) override {
     if (i_ >= n_) return false;
-    *out = Tracked{sentinel_, static_cast<uint64_t>(i_)};
+    *out = Counted(static_cast<uint64_t>(i_));
     *time = static_cast<Timestamp>(i_);
     ++i_;
     return true;
@@ -137,15 +113,17 @@ class TrackedSpout : public stream::Spout<Msg> {
  private:
   int n_;
   int i_ = 0;
-  std::shared_ptr<int> sentinel_;
 };
 
-/// Forwards spout tuples into the loop; swallows feedback tuples.
+/// Forwards spout tuples into the loop; swallows feedback tuples. Forwards
+/// by moving its own envelope's message, so the loop copies nothing.
 class LoopBolt : public Bolt<Msg> {
  public:
   explicit LoopBolt(int forward_source) : forward_source_(forward_source) {}
   void Execute(const Envelope<Msg>& in, Emitter<Msg>& out) override {
-    if (in.source.component == forward_source_) out.Emit(in.payload());
+    if (in.source.component == forward_source_) {
+      out.Emit(std::move(in.MutablePayload()));
+    }
   }
 
  private:
@@ -156,22 +134,29 @@ class LoopBolt : public Bolt<Msg> {
 class EchoBolt : public Bolt<Msg> {
  public:
   void Execute(const Envelope<Msg>& in, Emitter<Msg>& out) override {
-    ++count;
-    out.Emit(in.payload());
+    out.Emit(std::move(in.MutablePayload()));
   }
-  long long count = 0;
+};
+
+class SinkBolt : public Bolt<Msg> {
+ public:
+  void Execute(const Envelope<Msg>& in, Emitter<Msg>&) override {
+    sum += std::get<Counted>(in.payload()).v;
+  }
+  uint64_t sum = 0;
 };
 
 /// Feedback traffic still queued at end-of-stream is *discarded* by the
-/// engine contract — the discard path must still release every payload
-/// block (no leak, no double free). Tiny queues guarantee residue exists.
-void RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind kind) {
-  auto sentinel = std::make_shared<int>(1);
+/// engine contract; the discard path must still destroy every message
+/// (no leak, no double destruction). Tiny queues guarantee residue exists
+/// on the pool. Every hop has one destination, so nothing is copied.
+void RunFeedbackDiscard(RuntimeKind kind, size_t queue_capacity) {
+  Counted::ResetCounts();
+  const int n = 3000;
   {
     Topology<Msg> topology;
-    const int n = 3000;
-    const int spout = topology.AddSpout(
-        "src", std::make_unique<TrackedSpout>(n, sentinel));
+    const int spout =
+        topology.AddSpout("src", std::make_unique<CountedSpout>(n));
     const int loop = topology.AddBolt(
         "loop",
         [spout](int) { return std::make_unique<LoopBolt>(spout); }, 1);
@@ -181,57 +166,38 @@ void RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind kind) {
     topology.Subscribe(echo, loop, Grouping<Msg>::Global());
     topology.Subscribe(loop, echo, Grouping<Msg>::Global());  // Feedback.
     stream::RuntimeOptions options;
-    options.queue_capacity = 4;
+    options.queue_capacity = queue_capacity;
     options.num_threads = 2;
     auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
     runtime->Run();
+    EXPECT_EQ(runtime->TuplesDelivered(echo), static_cast<uint64_t>(n));
     // While the runtime lives, residual feedback envelopes MAY still hold
-    // blocks; destruction must return every one of them.
+    // messages; destruction must destroy every one of them.
   }
-  EXPECT_EQ(sentinel.use_count(), 1)
-      << "a payload block outlived the runtime (refcount leak on the "
-         "feedback-discard shutdown path)";
+  const std::string where = std::string(stream::RuntimeKindName(kind)) +
+                            " capacity " + std::to_string(queue_capacity);
+  EXPECT_EQ(Counted::copied.load(), 0) << where;
+  ExpectEveryMessageDestroyedOnce(where.c_str());
 }
 
-TEST(PayloadLifecycle, FeedbackDiscardReleasesPayloadsPool) {
-  RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind::kPool);
-}
-
-TEST(PayloadLifecycle, SimulationDrainsEveryBlock) {
-  auto sentinel = std::make_shared<int>(1);
-  {
-    Topology<Msg> topology;
-    const int spout = topology.AddSpout(
-        "src", std::make_unique<TrackedSpout>(500, sentinel));
-    const int loop = topology.AddBolt(
-        "loop",
-        [spout](int) { return std::make_unique<LoopBolt>(spout); }, 1);
-    const int echo = topology.AddBolt(
-        "echo", [](int) { return std::make_unique<EchoBolt>(); }, 1);
-    topology.Subscribe(loop, spout, Grouping<Msg>::Shuffle());
-    topology.Subscribe(echo, loop, Grouping<Msg>::Global());
-    topology.Subscribe(loop, echo, Grouping<Msg>::Global());
-    stream::SimulationRuntime<Msg> runtime(&topology);
-    runtime.Run();
-    const stream::RuntimeStats stats = runtime.stats();
-    EXPECT_GT(stats.arena_reuses, 0u);  // Steady state allocates nothing.
+TEST(PayloadLifecycle, FeedbackDiscardDestroysEveryMessageOnce) {
+  RunFeedbackDiscard(RuntimeKind::kSimulation, 4);
+  for (const size_t capacity : {size_t{4}, size_t{2}}) {
+    RunFeedbackDiscard(RuntimeKind::kPool, capacity);
   }
-  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
-/// Two owners of one broadcast payload: the mutating consumer goes through
-/// MutablePayload() (COW) and must not affect what its sibling observes.
+/// Two consumers of one broadcast: instance 0 mutates its envelope's
+/// message, instance 1 only reads. Each owns an independent copy, so the
+/// reader must see the original values whatever the execution order.
 class MutatingBolt : public Bolt<Msg> {
  public:
   void Execute(const Envelope<Msg>& in, Emitter<Msg>&) override {
-    // Instance 0 mutates through the COW door while instance 1's envelope
-    // still shares the block; instance 1 reads afterwards (the simulator
-    // executes the fan-out in instance order).
     if (self_.instance == 0) {
-      std::get<Tracked>(in.MutablePayload()).v += 1000000;
-      mutated_sum += std::get<Tracked>(in.payload()).v;
+      std::get<Counted>(in.MutablePayload()).v += 1000000;
+      mutated_sum += std::get<Counted>(in.payload()).v;
     } else {
-      observed_sum += std::get<Tracked>(in.payload()).v;
+      observed_sum += std::get<Counted>(in.payload()).v;
     }
   }
   void Prepare(stream::TaskAddress self, int) override { self_ = self; }
@@ -242,72 +208,88 @@ class MutatingBolt : public Bolt<Msg> {
   stream::TaskAddress self_;
 };
 
-TEST(PayloadLifecycle, CopyOnWriteIsolatesBroadcastConsumers) {
-  auto sentinel = std::make_shared<int>(1);
-  const int n = 100;
-  Topology<Msg> topology;
-  const int spout =
-      topology.AddSpout("src", std::make_unique<TrackedSpout>(n, sentinel));
-  std::vector<MutatingBolt*> bolts(2, nullptr);
-  const int consumers = topology.AddBolt(
-      "consumer",
-      [&bolts](int instance) {
-        auto b = std::make_unique<MutatingBolt>();
-        bolts[static_cast<size_t>(instance)] = b.get();
-        return b;
-      },
-      2);
-  topology.Subscribe(consumers, spout, Grouping<Msg>::All());
-  stream::SimulationRuntime<Msg> runtime(&topology);
-  runtime.Run();
+TEST(PayloadLifecycle, BroadcastConsumersOwnIndependentCopies) {
+  for (const RuntimeKind kind : {RuntimeKind::kSimulation, RuntimeKind::kPool}) {
+    Counted::ResetCounts();
+    const int n = 1000;
+    {
+      Topology<Msg> topology;
+      const int spout =
+          topology.AddSpout("src", std::make_unique<CountedSpout>(n));
+      std::vector<MutatingBolt*> bolts(2, nullptr);
+      const int consumers = topology.AddBolt(
+          "consumer",
+          [&bolts](int instance) {
+            auto b = std::make_unique<MutatingBolt>();
+            bolts[static_cast<size_t>(instance)] = b.get();
+            return b;
+          },
+          2);
+      topology.Subscribe(consumers, spout, Grouping<Msg>::All());
+      stream::RuntimeOptions options;
+      options.num_threads = 2;
+      options.queue_capacity = 2;
+      auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
+      runtime->Run();
 
-  const uint64_t base = static_cast<uint64_t>(n) * (n - 1) / 2;
-  // The mutator saw its own +1e6 per tuple...
-  EXPECT_EQ(bolts[0]->mutated_sum, base + 1000000ull * n);
-  // ...its sibling saw the original values, untouched.
-  EXPECT_EQ(bolts[1]->observed_sum, base);
-
-  const stream::RuntimeStats stats = runtime.stats();
-  // Every broadcast shared one block two ways...
-  EXPECT_EQ(stats.payload_shares, static_cast<uint64_t>(n));
-  // ...and every mutation found the block still shared: n COW copies.
-  EXPECT_EQ(stats.payload_copies, static_cast<uint64_t>(n));
-}
-
-TEST(PayloadLifecycle, SharesCountedAcrossSubstrates) {
-  // The same broadcast topology must report payload_shares on the
-  // concurrent substrate too (and release everything).
-  const auto kind = stream::RuntimeKind::kPool;
-  auto sentinel = std::make_shared<int>(1);
-  {
-    const int n = 2000;
-    Topology<Msg> topology;
-    const int spout = topology.AddSpout(
-        "src", std::make_unique<TrackedSpout>(n, sentinel));
-    const int consumers = topology.AddBolt(
-        "consumer", [](int) { return std::make_unique<EchoBolt>(); }, 4);
-    topology.Subscribe(consumers, spout, Grouping<Msg>::All());
-    stream::RuntimeOptions options;
-    options.num_threads = 2;
-    auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
-    runtime->Run();
-    EXPECT_EQ(runtime->stats().payload_shares,
-              static_cast<uint64_t>(n) * 3)
-        << stream::RuntimeKindName(kind);
-    EXPECT_EQ(runtime->TuplesDelivered(consumers),
-              static_cast<uint64_t>(n) * 4);
+      const uint64_t base = static_cast<uint64_t>(n) * (n - 1) / 2;
+      // The mutator saw its own +1e6 per tuple...
+      EXPECT_EQ(bolts[0]->mutated_sum, base + 1000000ull * n)
+          << stream::RuntimeKindName(kind);
+      // ...its sibling saw the original values, untouched.
+      EXPECT_EQ(bolts[1]->observed_sum, base)
+          << stream::RuntimeKindName(kind);
+      // A two-way broadcast copies once and moves once.
+      EXPECT_EQ(Counted::copied.load(), n) << stream::RuntimeKindName(kind);
+    }
+    ExpectEveryMessageDestroyedOnce(stream::RuntimeKindName(kind));
   }
-  EXPECT_EQ(sentinel.use_count(), 1) << stream::RuntimeKindName(kind);
+}
+
+TEST(PayloadLifecycle, FanoutCopiesAllButTheLastDestination) {
+  for (const RuntimeKind kind : {RuntimeKind::kSimulation, RuntimeKind::kPool}) {
+    Counted::ResetCounts();
+    const int n = 2000;
+    const int k = 4;
+    {
+      Topology<Msg> topology;
+      const int spout =
+          topology.AddSpout("src", std::make_unique<CountedSpout>(n));
+      std::vector<SinkBolt*> sinks(k, nullptr);
+      const int consumers = topology.AddBolt(
+          "consumer",
+          [&sinks](int instance) {
+            auto b = std::make_unique<SinkBolt>();
+            sinks[static_cast<size_t>(instance)] = b.get();
+            return b;
+          },
+          k);
+      topology.Subscribe(consumers, spout, Grouping<Msg>::All());
+      stream::RuntimeOptions options;
+      options.num_threads = 2;
+      auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
+      runtime->Run();
+      EXPECT_EQ(runtime->TuplesDelivered(consumers),
+                static_cast<uint64_t>(n) * k)
+          << stream::RuntimeKindName(kind);
+      for (const SinkBolt* sink : sinks) {
+        EXPECT_EQ(sink->sum, static_cast<uint64_t>(n) * (n - 1) / 2)
+            << stream::RuntimeKindName(kind);
+      }
+      EXPECT_EQ(Counted::copied.load(), static_cast<int64_t>(n) * (k - 1))
+          << stream::RuntimeKindName(kind);
+    }
+    ExpectEveryMessageDestroyedOnce(stream::RuntimeKindName(kind));
+  }
 }
 
 // ---------------------------------------------------------------------------
-// TSan stress: tiny mailboxes + shared payloads + forced resize — the
-// combination the CI ThreadSanitizer job watches: cross-thread block
-// release/reuse under helping, stealing, stall escapes and task
-// spawn/retire at once.
+// TSan stress: tiny mailboxes + forced resize — the combination the CI
+// ThreadSanitizer job watches: messages crossing threads under helping,
+// stealing, stall escapes and task spawn/retire at once.
 // ---------------------------------------------------------------------------
 
-TEST(PayloadLifecycle, TsanStressTinyMailboxesSharedPayloadsForcedResize) {
+TEST(PayloadLifecycle, TsanStressTinyMailboxesForcedResize) {
   for (int round = 0; round < 2; ++round) {
     ops::PipelineConfig pipeline;
     pipeline.algorithm = AlgorithmKind::kDS;
@@ -342,7 +324,6 @@ TEST(PayloadLifecycle, TsanStressTinyMailboxesSharedPayloadsForcedResize) {
     EXPECT_EQ(runtime.TuplesDelivered(handles.parser), num_docs);
     const stream::RuntimeStats stats = runtime.stats();
     EXPECT_GE(stats.tasks_spawned, 4u);
-    EXPECT_GT(stats.arena_reuses, 0u);
     const auto* tracker =
         static_cast<ops::TrackerBolt*>(runtime.bolt(handles.tracker, 0));
     EXPECT_FALSE(tracker->periods().empty());
