@@ -1,21 +1,29 @@
 #!/usr/bin/env python3
-"""Compares two Google Benchmark JSON documents benchmark by benchmark.
+"""Compares Google Benchmark JSON documents benchmark by benchmark.
 
 Usage:
   bench/compare.py <old.json> <new.json> [--filter REGEX]
+  bench/compare.py --old O1.json O2.json ... --new N1.json N2.json ...
+                   [--filter REGEX]
 
-Benchmarks are matched by name (the run name, so repetitions of one
-benchmark group together). For each match the script prints the median
-of the repetitions on each side and the relative change. The metric is
-items_per_second (higher is better) when both sides report it, real_time
-(lower is better) otherwise.
+Each side is one document or several, e.g. one per process of an
+interleaved A/B (old, new, old, new, ...). Benchmarks are matched by name
+(the run name, so repetitions of one benchmark group together), and a
+side's samples are the repetitions of every one of its documents. For
+each match the script prints the median of each side's samples and the
+relative change. The metric is items_per_second (higher is better) when
+both sides report it, real_time (lower is better) otherwise.
 
-Each change is judged against a noise band taken from the repetitions'
-spread: the larger of the two sides' (max - min) / median. A change
-outside the band is flagged "better" or "worse"; one inside it is "~".
-A side with a single repetition has no spread, so its band is reported
-as "n/a" and the change is not judged — run with
---benchmark_repetitions=N (N >= 3) to get a band.
+Each change is judged against a noise band taken from the samples'
+spread: the larger of the two sides' (max - min) / median. With several
+documents per side the band covers the spread between processes (a
+process's placement, frequency and neighbours), which the repetitions of
+one process do not show and which on a shared host can exceed it several
+times over. A change outside the band is flagged "better" or "worse"; one
+inside it is "~". A side with a single sample has no spread, so its band
+is reported as "n/a" and the change is not judged — run with
+--benchmark_repetitions=N (N >= 3), or pass several documents, to get a
+band.
 
 Aggregate rows (_mean, _median, _stddev, ...) are used only when a
 document holds no per-repetition rows for that benchmark.
@@ -47,6 +55,15 @@ def load(path):
     return iterations
 
 
+def load_all(paths):
+    """Pools the rows of several documents: {run name: [row, ...]}."""
+    pooled = {}
+    for path in paths:
+        for name, rows in load(path).items():
+            pooled.setdefault(name, []).extend(rows)
+    return pooled
+
+
 def values(rows, metric):
     if metric == "items_per_second":
         return [row["items_per_second"] for row in rows]
@@ -63,12 +80,21 @@ def spread(samples):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old")
-    parser.add_argument("new")
+    parser.add_argument("pair", nargs="*", metavar="old.json new.json")
+    parser.add_argument("--old", nargs="+", default=[],
+                        help="the old side's documents")
+    parser.add_argument("--new", nargs="+", default=[],
+                        help="the new side's documents")
     parser.add_argument("--filter", default="",
                         help="only benchmarks whose name matches this regex")
     args = parser.parse_args()
-    old, new = load(args.old), load(args.new)
+    if args.pair:
+        if len(args.pair) != 2 or args.old or args.new:
+            parser.error("give either <old.json> <new.json> or --old/--new")
+        args.old, args.new = [args.pair[0]], [args.pair[1]]
+    if not args.old or not args.new:
+        parser.error("both sides need at least one document")
+    old, new = load_all(args.old), load_all(args.new)
     pattern = re.compile(args.filter)
     names = [n for n in old if n in new and pattern.search(n)]
     if not names:

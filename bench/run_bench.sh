@@ -10,9 +10,12 @@
 # telemetry-off) and the socket-path suite (bench_net_bench: whole-stack
 # request throughput and p50/p99 through loopback TCP, including the
 # batching A/B whose measured depth:16 / depth:1 speedup at 8 connections
-# is attested into context), merged into one Google-Benchmark JSON
-# document: ingest throughput, read QPS, substrate scaling, observability
-# overhead and network serving live side by side.
+# is attested into context) and the checkpoint codec rows
+# (bench_checkpoint_bench: BM_EncodeCheckpoint / BM_DecodeCheckpoint, the
+# CPU cost of turning a pipeline capture into sections and back), merged
+# into one Google-Benchmark JSON document: ingest throughput, read QPS,
+# substrate scaling, observability overhead, network serving and
+# durability codec cost live side by side.
 #
 # Usage: bench/run_bench.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -24,9 +27,10 @@ SERVE_BIN="${BUILD_DIR}/bench_serve_bench"
 RUNTIME_BIN="${BUILD_DIR}/bench_runtime_bench"
 TELEMETRY_BIN="${BUILD_DIR}/bench_telemetry_bench"
 NET_BIN="${BUILD_DIR}/bench_net_bench"
+CHECKPOINT_BIN="${BUILD_DIR}/bench_checkpoint_bench"
 
 for bin in "${PIPELINE_BIN}" "${SERVE_BIN}" "${RUNTIME_BIN}" \
-           "${TELEMETRY_BIN}" "${NET_BIN}"; do
+           "${TELEMETRY_BIN}" "${NET_BIN}" "${CHECKPOINT_BIN}"; do
   if [[ ! -x "${bin}" ]]; then
     echo "error: ${bin} not found — build first:" >&2
     echo "  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j" >&2
@@ -85,6 +89,14 @@ trap 'rm -rf "${TMP_DIR}"' EXIT
   --benchmark_out="${TMP_DIR}/net.json" \
   --benchmark_out_format=json
 
+# Only the codec rows: the write/restore rows time the storage backends
+# (the posix ones fsync), which the codec attestation does not need.
+"${CHECKPOINT_BIN}" \
+  --benchmark_filter='BM_(Encode|Decode)Checkpoint' \
+  --benchmark_format=json \
+  --benchmark_out="${TMP_DIR}/checkpoint.json" \
+  --benchmark_out_format=json
+
 # Merging needs python3; bail out *before* touching BENCH_micro.json
 # rather than silently committing a partial document.
 if ! command -v python3 > /dev/null; then
@@ -92,14 +104,14 @@ if ! command -v python3 > /dev/null; then
   echo "BENCH_micro.json left untouched. Raw outputs:" >&2
   echo "  ${TMP_DIR}/pipeline.json ${TMP_DIR}/serve.json" \
        "${TMP_DIR}/runtime.json ${TMP_DIR}/telemetry.json" \
-       "${TMP_DIR}/net.json" >&2
+       "${TMP_DIR}/net.json ${TMP_DIR}/checkpoint.json" >&2
   trap - EXIT  # Keep the raw outputs around for manual merging.
   exit 1
 fi
 
 python3 - "${TMP_DIR}/pipeline.json" "${TMP_DIR}/serve.json" \
     "${TMP_DIR}/runtime.json" "${TMP_DIR}/telemetry.json" \
-    "${TMP_DIR}/net.json" \
+    "${TMP_DIR}/net.json" "${TMP_DIR}/checkpoint.json" \
     "${REPO_ROOT}/BENCH_micro.json" <<'PY'
 import json
 import os
@@ -107,7 +119,7 @@ import re
 import sys
 
 (pipeline_path, serve_path, runtime_path, telemetry_path, net_path,
- out_path) = sys.argv[1:7]
+ checkpoint_path, out_path) = sys.argv[1:8]
 # Refuse to merge non-Release numbers into the committed document. Two
 # signals, strongest wins:
 #  * context.corrtrack_build_type — our own attestation (bench_main.h,
@@ -120,7 +132,7 @@ import sys
 #    slows the measurement scaffolding, so with a Release attestation it
 #    is annotated, not fatal; without one, "debug" here is fatal.
 for path in (pipeline_path, serve_path, runtime_path, telemetry_path,
-             net_path):
+             net_path, checkpoint_path):
     with open(path) as f:
         ctx = json.load(f).get("context", {})
     corrtrack_build = ctx.get("corrtrack_build_type", "")
@@ -135,7 +147,8 @@ for path in (pipeline_path, serve_path, runtime_path, telemetry_path,
 with open(pipeline_path) as f:
     merged = json.load(f)
 worker_counts = set()
-for path in (serve_path, runtime_path, telemetry_path, net_path):
+for path in (serve_path, runtime_path, telemetry_path, net_path,
+             checkpoint_path):
     with open(path) as f:
         benchmarks = json.load(f)["benchmarks"]
     merged["benchmarks"].extend(benchmarks)
@@ -224,5 +237,5 @@ with open(out_path, "w") as f:
     f.write("\n")
 PY
 echo "wrote ${REPO_ROOT}/BENCH_micro.json (pipeline + serve + runtime +" \
-     "telemetry + net; host cores, traced-pipeline overhead, net batching" \
+     "telemetry + net + checkpoint codec; host cores, traced-pipeline overhead, net batching" \
      "speedup and overload p99 ratio in context)"

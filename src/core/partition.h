@@ -38,6 +38,15 @@ struct PartitionQuality {
   double coverage = 0.0;
 };
 
+/// A PartitionSet flattened for checkpoints: per-partition sorted tags
+/// plus the load accumulators. Rebuilding via AddTag in sorted order and
+/// AddLoad reproduces the tag->partition index deterministically
+/// (ops/checkpoint_state.h converts).
+struct PartitionSetState {
+  std::vector<std::vector<TagId>> partition_tags;
+  std::vector<uint64_t> loads;
+};
+
 /// A set of k tag partitions pr_1..pr_k plus an inverted index from tag to
 /// the partitions containing it — the index the Disseminator keeps (§3.3,
 /// backed by the set-valued-attribute indexing result of Helmer & Moerkotte

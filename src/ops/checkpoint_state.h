@@ -27,14 +27,8 @@ namespace corrtrack::ops {
 /// the layer the bolts themselves see (no storage dependency here, so unit
 /// tests can exercise Export/Restore round-trips without any I/O).
 
-/// PartitionSet, flattened: per-partition sorted tags plus the load
-/// accumulators. Rebuilding via AddTag in sorted order and AddLoad
-/// reproduces the tag->partition index deterministically.
-struct PartitionSetState {
-  std::vector<std::vector<TagId>> partition_tags;
-  std::vector<uint64_t> loads;
-};
-
+/// PartitionSetState (core/partition.h) is a PartitionSet flattened;
+/// these two convert between them.
 inline void FlattenPartitionSet(const PartitionSet& ps,
                                 PartitionSetState* out) {
   const int k = ps.num_partitions();

@@ -12,16 +12,19 @@
 
 namespace corrtrack::ops {
 
-/// Capture / encode / decode between the live pipeline and the storage
+/// Capture and section codec between the live pipeline and the storage
 /// layer's CheckpointData. The division of labour:
 ///
 ///   bolts          Export/RestoreState       (ops/checkpoint_state.h)
-///   this file      capture + (de)serialise   (sections <-> state structs)
-///   storage        chunk frames, CRCs, the manifest commit protocol
+///   this file      capture + section layouts (sections <-> state structs)
+///   storage        field codecs, chunk frames, CRCs, the manifest commit
+///                  protocol (storage/serialize.h, storage/checkpoint.h)
 ///
-/// One section per component instance — calc_<i>, part_<i>, and the
-/// singletons tracker / dissem / merger / central / serve — so the
-/// CheckpointReader's chunk-parallel restore has real parallelism to use.
+/// Each section kind states its layout once, as a field list that both
+/// encodes and decodes (storage/serialize.h). One section per component
+/// instance — calc_<i>, part_<i>, and the singletons parser / tracker /
+/// dissem / merger / central / serve — so the CheckpointReader's
+/// chunk-parallel restore has real parallelism to use.
 
 /// Fingerprint of every config knob the checkpoint format depends on
 /// (semantic state: algorithm, counts, periods, thresholds, seed, merge
@@ -45,9 +48,9 @@ PipelineCheckpointState CapturePipelineState(
 storage::CheckpointData EncodeCheckpoint(const PipelineCheckpointState& state,
                                          uint64_t seq, uint64_t fingerprint);
 
-/// Parses a loaded checkpoint back. Returns false on any malformed section
-/// (the storage layer's CRCs make that unreachable short of a version
-/// skew, but the decoder still refuses rather than trusting bounds).
+/// Parses a loaded checkpoint back. Returns false on any malformed or
+/// unknown section: CRC-valid bytes can still carry a version skew or a
+/// forged count, so nothing read is trusted to be in bounds.
 bool DecodeCheckpoint(const storage::CheckpointData& data,
                       PipelineCheckpointState* out);
 

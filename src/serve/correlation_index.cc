@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/check.h"
 #include "storage/serialize.h"
@@ -292,84 +295,72 @@ std::shared_ptr<const ShardSnapshot> CorrelationIndex::BuildSnapshot(
   return snapshot;
 }
 
-void CorrelationIndex::ExportState(std::string* out) const {
-  storage::ByteWriter w;
-  w.PutU32(static_cast<uint32_t>(num_shards_));
-  w.PutU64(epoch_.load(std::memory_order_acquire));
-  w.PutI64(latest_period_.load(std::memory_order_acquire));
-  w.PutU64(recent_periods_.size());
-  for (const Timestamp t : recent_periods_) w.PutI64(t);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    const Shard& shard = shards_[s];
-    w.PutU64(shard.builder.size());
-    // Insertion order: FlatTagSetMap iterates in it, and restoring in the
-    // same order reproduces the builder's internal layout — and therefore
-    // every future export — bit for bit.
-    for (const auto& [tags, entry] : shard.builder) {
-      w.PutU32(static_cast<uint32_t>(tags.size()));
-      for (const TagId tag : tags) w.PutU32(tag);
-      w.PutDouble(entry.coefficient);
-      w.PutU64(entry.intersection_count);
-      w.PutU64(entry.union_count);
-      w.PutI64(entry.period_end);
-    }
+namespace {
+
+/// The serve blob's contents: on export each shard's entries are a view of
+/// its builder, on restore a vector parsed ahead of any change.
+template <class Entries>
+struct Blob {
+  uint32_t num_shards = 0;
+  uint64_t epoch = 0;
+  Timestamp latest_period = 0;
+  std::vector<Timestamp> recent_periods;
+  std::vector<Entries> shards;  // Sized to the index's shard count.
+};
+
+/// The blob's layout. The shard a tag hashes into depends on the shard
+/// count, so a blob from a differently configured index would scatter
+/// entries wrongly: refused. Entries are in builder insertion order:
+/// FlatTagSetMap iterates in it, and restoring in the same order
+/// reproduces the builder's internal layout — and therefore every future
+/// export — bit for bit.
+template <class Io, class B>
+bool Fields(Io& io, B& b) {
+  if (!io.U32(b.num_shards) || b.num_shards != b.shards.size() ||
+      !io.U64(b.epoch) || !io.I64(b.latest_period) ||
+      !storage::Seq(io, b.recent_periods, storage::kI64)) {
+    return false;
   }
-  *out = w.str();
+  for (auto& entries : b.shards) {
+    const bool ok = storage::Seq(io, entries, [](auto& io, auto& e) {
+      // ApplyPeriod never stores a set of fewer than two tags.
+      return storage::Tags(io, e.first) && io.F64(e.second.coefficient) &&
+             io.U64(e.second.intersection_count) &&
+             io.U64(e.second.union_count) && io.I64(e.second.period_end) &&
+             e.first.size() >= 2;
+    });
+    if (!ok) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+void CorrelationIndex::ExportState(std::string* out) const {
+  Blob<std::span<const std::pair<TagSet, BuilderEntry>>> blob;
+  blob.num_shards = static_cast<uint32_t>(num_shards_);
+  blob.epoch = epoch_.load(std::memory_order_acquire);
+  blob.latest_period = latest_period_.load(std::memory_order_acquire);
+  blob.recent_periods = recent_periods_;
+  for (size_t s = 0; s < num_shards_; ++s) {
+    blob.shards.emplace_back(shards_[s].builder.begin(),
+                             shards_[s].builder.end());
+  }
+  storage::ByteWriter w;
+  Fields(w, std::as_const(blob));
+  *out = w.Take();
 }
 
 bool CorrelationIndex::RestoreState(std::string_view blob) {
-  storage::ByteReader r(blob);
-  uint32_t shards = 0;
-  uint64_t epoch = 0;
-  int64_t latest = 0;
-  uint64_t num_recent = 0;
-  if (!r.GetU32(&shards) || !r.GetU64(&epoch) || !r.GetI64(&latest) ||
-      !r.GetU64(&num_recent)) {
-    return false;
-  }
-  // The shard a tag hashes into depends on the shard count, so a blob from
-  // a differently configured index would scatter entries wrongly: refuse.
-  if (static_cast<size_t>(shards) != num_shards_) return false;
-  std::vector<Timestamp> recent;
-  recent.reserve(static_cast<size_t>(num_recent));
-  for (uint64_t i = 0; i < num_recent; ++i) {
-    int64_t t = 0;
-    if (!r.GetI64(&t)) return false;
-    recent.push_back(t);
-  }
   // Parse everything before touching the index, so a malformed blob
   // leaves it untouched.
-  std::vector<std::vector<std::pair<TagSet, BuilderEntry>>> restored(
-      num_shards_);
-  for (size_t s = 0; s < num_shards_; ++s) {
-    uint64_t entries = 0;
-    if (!r.GetU64(&entries)) return false;
-    for (uint64_t i = 0; i < entries; ++i) {
-      uint32_t num_tags = 0;
-      if (!r.GetU32(&num_tags)) return false;
-      // ApplyPeriod never stores a set of fewer than two tags.
-      if (num_tags < 2 ||
-          num_tags > static_cast<uint32_t>(kMaxTagsPerDocument)) {
-        return false;
-      }
-      TagId tag_buf[kMaxTagsPerDocument];
-      for (uint32_t t = 0; t < num_tags; ++t) {
-        if (!r.GetU32(&tag_buf[t])) return false;
-      }
-      if (!TagSet::IsSortedRun(tag_buf, tag_buf + num_tags)) return false;
-      BuilderEntry entry;
-      if (!r.GetDouble(&entry.coefficient) ||
-          !r.GetU64(&entry.intersection_count) ||
-          !r.GetU64(&entry.union_count) || !r.GetI64(&entry.period_end)) {
-        return false;
-      }
-      restored[s].emplace_back(
-          TagSet::FromSorted(tag_buf, tag_buf + num_tags), entry);
-    }
-  }
-  recent_periods_ = std::move(recent);
-  latest_period_.store(latest, std::memory_order_release);
-  epoch_.store(epoch, std::memory_order_release);
+  Blob<std::vector<std::pair<TagSet, BuilderEntry>>> parsed;
+  parsed.shards.resize(num_shards_);
+  storage::ByteReader r(blob);
+  if (!Fields(r, parsed)) return false;
+  recent_periods_ = std::move(parsed.recent_periods);
+  latest_period_.store(parsed.latest_period, std::memory_order_release);
+  epoch_.store(parsed.epoch, std::memory_order_release);
   // Republish every shard so readers serve the restored state immediately:
   // every restored key is a change against an empty base, which builds
   // the snapshot from scratch through the one publish path.
@@ -378,11 +369,11 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
     Shard& shard = shards_[s];
     shard.builder.clear();
     shard.changed.clear();
-    for (const auto& [tags, entry] : restored[s]) {
+    for (const auto& [tags, entry] : parsed.shards[s]) {
       shard.builder.emplace(tags, entry);
       shard.changed.push_back(tags);
     }
-    Publish(shard, BuildSnapshot(s, empty, epoch));
+    Publish(shard, BuildSnapshot(s, empty, parsed.epoch));
   }
   return true;
 }

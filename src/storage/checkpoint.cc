@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <string_view>
 #include <thread>
+#include <utility>
 
 #include "storage/crc32c.h"
 #include "storage/serialize.h"
@@ -21,41 +23,66 @@ constexpr char kManifestName[] = "MANIFEST";
 constexpr char kManifestTmpName[] = "MANIFEST.tmp";
 constexpr char kDirPrefix[] = "checkpoint_";
 
-std::string EncodeChunkFrame(const std::string& payload) {
+/// Section names become chunk file names, so a name is [a-z0-9_]+ (what
+/// the pipeline's section names are made of): it cannot leave its
+/// checkpoint directory.
+bool IsSectionName(std::string_view name) {
+  return !name.empty() && std::all_of(name.begin(), name.end(), [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+  });
+}
+
+/// The manifest's layout ahead of its CRC tail: the cut header, then the
+/// chunk table. Encodes a const CheckpointData; decoding fills the header
+/// fields of a mutable one.
+template <class Io, class D, class C>
+bool ManifestFields(Io& io, D& data, C& chunks) {
+  uint32_t magic = kManifestMagic;
+  uint32_t version = kFormatVersion;
+  return io.U32(magic) && magic == kManifestMagic && io.U32(version) &&
+         version == kFormatVersion && io.U64(data.seq) &&
+         io.U64(data.docs_ingested) && io.I64(data.last_time) &&
+         io.U32(data.epoch) && io.U32(data.live_calculators) &&
+         io.U32(data.max_calculators) && io.U64(data.config_fingerprint) &&
+         io.U8(data.clean_cut) &&
+         Seq<uint32_t>(io, chunks, [](auto& io, auto& chunk) {
+           return io.Str(chunk.name) && io.U64(chunk.size) &&
+                  io.U32(chunk.crc) && IsSectionName(chunk.name);
+         });
+}
+
+/// A chunk frame's header, ahead of its payload: the magic, then the
+/// payload's CRC-32C and size (which the manifest's entry repeats).
+template <class Io, class C>
+bool FrameHeader(Io& io, C& chunk) {
+  uint32_t magic = kChunkMagic;
+  return io.U32(magic) && magic == kChunkMagic && io.U32(chunk.crc) &&
+         io.U64(chunk.size);
+}
+
+std::string EncodeChunkFrame(const ManifestChunk& chunk,
+                             const std::string& payload) {
   ByteWriter w;
-  w.PutU32(kChunkMagic);
-  w.PutU32(Crc32c::Of(payload));
-  w.PutU64(payload.size());
-  const std::string& header = w.str();
-  std::string frame;
-  frame.reserve(header.size() + payload.size());
-  frame.append(header);
-  frame.append(payload);
-  return frame;
+  FrameHeader(w, chunk);
+  return w.Take() + payload;
 }
 
 Status DecodeChunkFrame(const std::string& frame, const std::string& what,
-                        uint64_t expect_size, uint32_t expect_crc,
-                        std::string* payload) {
+                        const ManifestChunk& chunk, std::string* payload) {
   ByteReader r(frame);
-  uint32_t magic = 0;
-  uint32_t crc = 0;
-  uint64_t size = 0;
-  if (!r.GetU32(&magic) || !r.GetU32(&crc) || !r.GetU64(&size)) {
-    return Status::Corruption("truncated chunk header: " + what);
+  ManifestChunk header;
+  if (!FrameHeader(r, header)) {
+    return Status::Corruption("truncated chunk header or bad magic: " + what);
   }
-  if (magic != kChunkMagic) {
-    return Status::Corruption("bad chunk magic: " + what);
-  }
-  if (size != r.remaining() || size != expect_size || crc != expect_crc) {
+  if (header.size != r.remaining() || header.size != chunk.size ||
+      header.crc != chunk.crc) {
     return Status::Corruption("chunk size/crc does not match manifest: " +
                               what);
   }
-  // The frame body is everything after the fixed header.
-  const size_t header_size = sizeof(uint32_t) * 2 + sizeof(uint64_t);
-  std::string_view raw(frame);
-  raw.remove_prefix(header_size);
-  if (Crc32c::Of(raw) != crc) {
+  // The frame body is everything after the header.
+  const std::string_view raw =
+      std::string_view(frame).substr(frame.size() - header.size);
+  if (Crc32c::Of(raw) != header.crc) {
     return Status::Corruption("chunk checksum mismatch: " + what);
   }
   payload->assign(raw.data(), raw.size());
@@ -104,6 +131,16 @@ Status CheckpointWriter::Write(const CheckpointData& data,
                                uint64_t* chunks_written) {
   if (bytes_written != nullptr) *bytes_written = 0;
   if (chunks_written != nullptr) *chunks_written = 0;
+  std::vector<ManifestChunk> chunks;
+  chunks.reserve(data.sections.size());
+  for (const CheckpointSection& section : data.sections) {
+    chunks.push_back({section.name, section.payload.size(),
+                      Crc32c::Of(section.payload)});
+  }
+  ByteWriter manifest;
+  if (!ManifestFields(manifest, data, std::as_const(chunks))) {
+    return Status::InvalidArgument("checkpoint section name is not [a-z0-9_]+");
+  }
   const std::string dir = JoinPath(root_, CheckpointDirName(data.seq));
 
   Status status = RetryOp(retry_, &retries_,
@@ -116,41 +153,22 @@ Status CheckpointWriter::Write(const CheckpointData& data,
   }
 
   uint64_t bytes = 0;
-  ByteWriter manifest;
-  manifest.PutU32(kManifestMagic);
-  manifest.PutU32(kFormatVersion);
-  manifest.PutU64(data.seq);
-  manifest.PutU64(data.docs_ingested);
-  manifest.PutI64(data.last_time);
-  manifest.PutU32(data.epoch);
-  manifest.PutU32(static_cast<uint32_t>(data.live_calculators));
-  manifest.PutU32(static_cast<uint32_t>(data.max_calculators));
-  manifest.PutU64(data.config_fingerprint);
-  manifest.PutU8(data.clean_cut ? 1 : 0);
-  manifest.PutU32(static_cast<uint32_t>(data.sections.size()));
-
-  for (const CheckpointSection& section : data.sections) {
-    const std::string frame = EncodeChunkFrame(section.payload);
-    status = WriteFileDurably(JoinPath(dir, section.name + ".chunk"), frame);
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const std::string frame =
+        EncodeChunkFrame(chunks[i], data.sections[i].payload);
+    status = WriteFileDurably(JoinPath(dir, chunks[i].name + ".chunk"), frame);
     if (!status.ok()) {
       (void)storage_->DeleteDirRecursive(dir);
       return status;
     }
     bytes += frame.size();
-    manifest.PutBytes(section.name);
-    manifest.PutU64(section.payload.size());
-    manifest.PutU32(Crc32c::Of(section.payload));
   }
 
   // Self-checksummed tail: a torn manifest write (crash before the rename
   // completed, short write, bit rot) fails validation and the whole
   // directory is treated as absent.
-  std::string manifest_bytes = manifest.Take();
-  {
-    ByteWriter tail;
-    tail.PutU32(Crc32c::Of(manifest_bytes));
-    manifest_bytes += tail.str();
-  }
+  manifest.PutU32(Crc32c::Of(manifest.str()));
+  const std::string manifest_bytes = manifest.Take();
   status = WriteFileDurably(JoinPath(dir, kManifestTmpName), manifest_bytes);
   if (!status.ok()) {
     (void)storage_->DeleteDirRecursive(dir);
@@ -203,9 +221,8 @@ CheckpointReader::CheckpointReader(std::shared_ptr<Storage> storage,
       retry_(std::move(retry)),
       num_threads_(std::max(1, num_threads)) {}
 
-Status CheckpointReader::ReadManifest(
-    uint64_t seq, CheckpointData* out,
-    std::vector<std::pair<uint64_t, uint32_t>>* chunk_meta) {
+Status CheckpointReader::ReadManifest(uint64_t seq, CheckpointData* out,
+                                      std::vector<ManifestChunk>* chunks) {
   const std::string path =
       JoinPath(JoinPath(root_, CheckpointDirName(seq)), kManifestName);
   std::string bytes;
@@ -226,44 +243,19 @@ Status CheckpointReader::ReadManifest(
   }
 
   ByteReader r(body);
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint32_t epoch = 0;
-  uint32_t live = 0;
-  uint32_t max = 0;
-  uint8_t clean = 0;
-  uint32_t num_chunks = 0;
-  if (!r.GetU32(&magic) || magic != kManifestMagic || !r.GetU32(&version) ||
-      version != kFormatVersion || !r.GetU64(&out->seq) ||
-      !r.GetU64(&out->docs_ingested) || !r.GetI64(&out->last_time) ||
-      !r.GetU32(&epoch) || !r.GetU32(&live) || !r.GetU32(&max) ||
-      !r.GetU64(&out->config_fingerprint) || !r.GetU8(&clean) ||
-      !r.GetU32(&num_chunks)) {
-    return Status::Corruption("manifest header malformed: " + path);
+  if (!ManifestFields(r, *out, *chunks)) {
+    return Status::Corruption("manifest malformed: " + path);
   }
-  out->epoch = epoch;
-  out->live_calculators = static_cast<int32_t>(live);
-  out->max_calculators = static_cast<int32_t>(max);
-  out->clean_cut = clean != 0;
   out->sections.clear();
-  out->sections.resize(num_chunks);
-  chunk_meta->clear();
-  chunk_meta->resize(num_chunks);
-  for (uint32_t i = 0; i < num_chunks; ++i) {
-    uint64_t size = 0;
-    uint32_t crc = 0;
-    if (!r.GetString(&out->sections[i].name) || !r.GetU64(&size) ||
-        !r.GetU32(&crc)) {
-      return Status::Corruption("manifest chunk table malformed: " + path);
-    }
-    (*chunk_meta)[i] = {size, crc};
+  for (const ManifestChunk& chunk : *chunks) {
+    out->sections.push_back({chunk.name, std::string()});
   }
   return Status::OK();
 }
 
 Status CheckpointReader::Read(uint64_t seq, CheckpointData* out) {
-  std::vector<std::pair<uint64_t, uint32_t>> chunk_meta;
-  Status status = ReadManifest(seq, out, &chunk_meta);
+  std::vector<ManifestChunk> chunks;
+  Status status = ReadManifest(seq, out, &chunks);
   if (!status.ok()) return status;
 
   const std::string dir = JoinPath(root_, CheckpointDirName(seq));
@@ -283,7 +275,7 @@ Status CheckpointReader::Read(uint64_t seq, CheckpointData* out) {
         if (!first_error.ok()) return;
       }
       CheckpointSection& section = out->sections[i];
-      const std::string path = JoinPath(dir, section.name + ".chunk");
+      const std::string path = JoinPath(dir, chunks[i].name + ".chunk");
       std::string frame;
       uint64_t local_retries = 0;
       Status s = RetryOp(retry_, &local_retries, [&]() {
@@ -291,8 +283,7 @@ Status CheckpointReader::Read(uint64_t seq, CheckpointData* out) {
       });
       retry_count.fetch_add(local_retries, std::memory_order_relaxed);
       if (s.ok()) {
-        s = DecodeChunkFrame(frame, path, chunk_meta[i].first,
-                             chunk_meta[i].second, &section.payload);
+        s = DecodeChunkFrame(frame, path, chunks[i], &section.payload);
       }
       if (!s.ok()) {
         std::lock_guard<std::mutex> lock(error_mutex);
@@ -332,8 +323,8 @@ Status CheckpointReader::ListValid(std::vector<uint64_t>* seqs) {
     const uint64_t seq =
         std::strtoull(name.c_str() + sizeof(kDirPrefix) - 1, nullptr, 10);
     CheckpointData manifest_only;
-    std::vector<std::pair<uint64_t, uint32_t>> chunk_meta;
-    if (ReadManifest(seq, &manifest_only, &chunk_meta).ok()) {
+    std::vector<ManifestChunk> chunks;
+    if (ReadManifest(seq, &manifest_only, &chunks).ok()) {
       seqs->push_back(seq);
     }
   }

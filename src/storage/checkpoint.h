@@ -38,6 +38,14 @@ struct CheckpointData {
   std::vector<CheckpointSection> sections;
 };
 
+/// One entry of a manifest's chunk table: a section's name (its chunk file
+/// is <name>.chunk) and its payload's size and CRC-32C.
+struct ManifestChunk {
+  std::string name;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
 /// On-disk layout, all frames CRC-32C checksummed:
 ///
 ///   <root>/checkpoint_<seq>/<section>.chunk   one frame per section
@@ -62,6 +70,8 @@ class CheckpointWriter {
 
   /// Writes one checkpoint. On failure the partial directory is scrubbed
   /// (best effort) and any previously committed checkpoint is untouched.
+  /// A section name outside [a-z0-9_]+ is refused (kInvalidArgument)
+  /// before storage is touched; the reader refuses it too.
   /// `bytes_written`/`chunks_written` (optional) report the payload volume.
   Status Write(const CheckpointData& data, uint64_t* bytes_written = nullptr,
                uint64_t* chunks_written = nullptr);
@@ -106,7 +116,7 @@ class CheckpointReader {
 
  private:
   Status ReadManifest(uint64_t seq, CheckpointData* out,
-                      std::vector<std::pair<uint64_t, uint32_t>>* chunk_meta);
+                      std::vector<ManifestChunk>* chunks);
 
   std::shared_ptr<Storage> storage_;
   std::string root_;
