@@ -214,55 +214,41 @@ int main(int argc, char** argv) {
   ops::MetricsSink* metrics_sink =
       (elastic || with_telemetry) ? &resizes : nullptr;
 
-  // Two run shapes, one harvest: the plain single Run, or the segmented
-  // checkpoint/restore protocol when any durability flag is set. The
-  // BurstSpout is deterministic for a fixed workload config, so a restored
-  // run resumes it by skipping the already-ingested prefix.
-  std::unique_ptr<stream::Topology<ops::Message>> topology;
-  std::unique_ptr<stream::Runtime<ops::Message>> runtime;
-  ops::TopologyHandles handles;
-  const bool durable = !checkpoint_uri.empty() || !restore_from.empty();
-  if (durable) {
-    ops::CheckpointRunnerOptions options;
-    options.checkpoint_uri = checkpoint_uri;
-    options.every_docs = checkpoint_every;
-    options.restore_uri = restore_from;
-    options.telemetry = telemetry.get();
-    ops::CheckpointedRun run;
-    std::string error;
-    if (!ops::RunCheckpointedPipeline(
-            std::move(spout), pipeline, options, metrics_sink,
-            /*with_centralized_baseline=*/false, /*tracker_sink=*/nullptr,
-            /*baseline_sink=*/nullptr,
-            /*final_flush_horizon=*/pipeline.report_period, &run, &error)) {
-      std::fprintf(stderr, "durable run failed: %s\n", error.c_str());
-      return 2;
-    }
-    topology = std::move(run.topology);
-    runtime = std::move(run.runtime);
-    handles = run.handles;
-    if (run.stats.restored) {
-      std::printf("restore: checkpoint %llu, resumed past %llu docs\n",
-                  static_cast<unsigned long long>(run.stats.restored_seq),
-                  static_cast<unsigned long long>(run.stats.restored_docs));
-    }
-    for (const ops::CheckpointEvent& event : run.stats.events) {
-      std::printf("checkpoint %llu: %llu docs, %llu bytes in %llu chunks "
-                  "(t=%lld min) %s\n",
-                  static_cast<unsigned long long>(event.seq),
-                  static_cast<unsigned long long>(event.docs_ingested),
-                  static_cast<unsigned long long>(event.bytes),
-                  static_cast<unsigned long long>(event.chunks),
-                  static_cast<long long>(event.time / kMillisPerMinute),
-                  event.ok ? "committed" : "FAILED");
-    }
-  } else {
-    topology = std::make_unique<stream::Topology<ops::Message>>();
-    handles = ops::BuildCorrelationTopology(
-        topology.get(), std::move(spout), pipeline, metrics_sink,
-        /*with_centralized_baseline=*/false);
-    runtime = ops::MakeConfiguredRuntime(topology.get(), pipeline);
-    runtime->Run(pipeline.report_period);
+  // One run shape: the segmented checkpoint/restore protocol, which with
+  // no durability flag runs a single segment. The BurstSpout is
+  // deterministic for a fixed workload config, so a restored run resumes it
+  // by skipping the already-ingested prefix.
+  ops::CheckpointRunnerOptions options;
+  options.checkpoint_uri = checkpoint_uri;
+  options.every_docs = checkpoint_every;
+  options.restore_uri = restore_from;
+  options.telemetry = telemetry.get();
+  ops::CheckpointedRun run;
+  std::string error;
+  if (!ops::RunCheckpointedPipeline(
+          std::move(spout), pipeline, options, metrics_sink,
+          /*with_centralized_baseline=*/false, /*tracker_sink=*/nullptr,
+          /*baseline_sink=*/nullptr,
+          /*final_flush_horizon=*/pipeline.report_period, &run, &error)) {
+    std::fprintf(stderr, "run failed: %s\n", error.c_str());
+    return 2;
+  }
+  stream::Runtime<ops::Message>* runtime = run.runtime.get();
+  const ops::TopologyHandles& handles = run.handles;
+  if (run.stats.restored) {
+    std::printf("restore: checkpoint %llu, resumed past %llu docs\n",
+                static_cast<unsigned long long>(run.stats.restored_seq),
+                static_cast<unsigned long long>(run.stats.restored_docs));
+  }
+  for (const ops::CheckpointEvent& event : run.stats.events) {
+    std::printf("checkpoint %llu: %llu docs, %llu bytes in %llu chunks "
+                "(t=%lld min) %s\n",
+                static_cast<unsigned long long>(event.seq),
+                static_cast<unsigned long long>(event.docs_ingested),
+                static_cast<unsigned long long>(event.bytes),
+                static_cast<unsigned long long>(event.chunks),
+                static_cast<long long>(event.time / kMillisPerMinute),
+                event.ok ? "committed" : "FAILED");
   }
   std::printf("runtime: %s (deterministic, 1 thread)\n",
               stream::RuntimeKindName(runtime->kind()));

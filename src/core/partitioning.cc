@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "core/check.h"
 #include "core/ds_algorithm.h"
@@ -61,29 +60,23 @@ double ElasticPartitionCost(uint64_t window_load, int k,
 
 int ChooseTargetK(uint64_t window_load, int current_k,
                   const ElasticPolicy& policy) {
-  const int lo = std::max(1, policy.min_partitions);
-  const int hi = policy.max_partitions > 0
-                     ? std::max(lo, policy.max_partitions)
-                     : std::numeric_limits<int>::max();
   // Continuous optimum k* = sqrt(L / overhead); the integer minimiser of a
   // convex cost is one of its two neighbours.
   const double overhead =
       static_cast<double>(std::max<uint64_t>(1, policy.partition_overhead_load));
   const double k_star = std::sqrt(static_cast<double>(window_load) / overhead);
-  int best = std::clamp(static_cast<int>(k_star), lo, hi);
+  int best = std::max(1, static_cast<int>(k_star));
   for (int candidate = best - 1; candidate <= best + 2; ++candidate) {
-    if (candidate < lo || candidate > hi) continue;
+    if (candidate < 1) continue;
     if (ElasticPartitionCost(window_load, candidate, policy) <
         ElasticPartitionCost(window_load, best, policy)) {
       best = candidate;
     }
   }
-  if (current_k > 0) {
-    const double band = policy.resize_hysteresis *
-                        static_cast<double>(current_k);
-    if (std::abs(best - current_k) <= band) {
-      return std::clamp(current_k, lo, hi);
-    }
+  constexpr double kHysteresis = 0.25;
+  if (current_k > 0 && std::abs(best - current_k) <=
+                           kHysteresis * static_cast<double>(current_k)) {
+    return current_k;
   }
   return best;
 }

@@ -85,25 +85,17 @@ struct ElasticPolicy {
   /// Fixed cost of one live partition/Calculator in window-load units
   /// (documents per window).
   uint64_t partition_overhead_load = 500;
-
-  int min_partitions = 1;
-  /// Policy cap; 0 = none (the runtime's provisioned maximum still
-  /// applies).
-  int max_partitions = 0;
-
-  /// Keep the current k while the optimum is within this fraction of it.
-  double resize_hysteresis = 0.25;
 };
 
 /// The cost model above, exposed for tests and tuning. Requires k > 0.
 double ElasticPartitionCost(uint64_t window_load, int k,
                             const ElasticPolicy& policy);
 
-/// Picks the target partition count for an observed window load: the
-/// integer minimiser of ElasticPartitionCost, clamped to the policy
-/// bounds — except that `current_k` wins while the optimum lies inside
-/// the hysteresis band. `current_k` <= 0 disables hysteresis (initial
-/// creation).
+/// Picks the target partition count (>= 1) for an observed window load:
+/// the integer minimiser of ElasticPartitionCost — except that `current_k`
+/// wins while the optimum lies within 25 % of it (hysteresis against
+/// thrash). `current_k` <= 0 disables hysteresis (initial creation). The
+/// caller clamps the result to the provisioned maximum.
 int ChooseTargetK(uint64_t window_load, int current_k,
                   const ElasticPolicy& policy);
 

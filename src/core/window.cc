@@ -4,9 +4,8 @@
 
 namespace corrtrack {
 
-SlidingWindow::SlidingWindow(Timestamp span, size_t max_count)
-    : span_(span), max_count_(max_count) {
-  CORRTRACK_CHECK(span > 0 || max_count > 0);
+SlidingWindow::SlidingWindow(Timestamp span) : span_(span) {
+  CORRTRACK_CHECK_GT(span, 0);
 }
 
 void SlidingWindow::Add(const Document& doc) {
@@ -14,9 +13,6 @@ void SlidingWindow::Add(const Document& doc) {
   last_time_ = doc.time;
   docs_.push_back(doc);
   EvictForTime(doc.time);
-  if (max_count_ > 0) {
-    while (docs_.size() > max_count_) docs_.pop_front();
-  }
 }
 
 void SlidingWindow::AdvanceTo(Timestamp now) {
@@ -26,7 +22,6 @@ void SlidingWindow::AdvanceTo(Timestamp now) {
 }
 
 void SlidingWindow::EvictForTime(Timestamp now) {
-  if (span_ <= 0) return;
   // Exclusive boundary: keep time > now - span, i.e. evict exactly when
   // now - time >= span. Written as an age comparison so a clock near the
   // Timestamp minimum cannot underflow a `now - span_` intermediate; ages

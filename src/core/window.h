@@ -9,14 +9,12 @@
 
 namespace corrtrack {
 
-/// Sliding window over the document stream (§3.2, cf. Krämer & Seeger [14]).
+/// Time-based sliding window over the document stream (§3.2, cf. Krämer &
+/// Seeger [14]), e.g. the last 5 minutes of tweets. Documents must be added
+/// in non-decreasing timestamp order; equal timestamps are allowed and
+/// evicted together.
 ///
-/// Conceptually time-based (e.g. the last 5 minutes of tweets) or count-based
-/// (e.g. the last 10 000 tweets); both bounds can be active at once, in which
-/// case the stricter one wins. Documents must be added in non-decreasing
-/// timestamp order; equal timestamps are allowed and evicted together.
-///
-/// Boundary contract (pinned by window_test.cc): the time bound keeps
+/// Boundary contract (pinned by window_test.cc): the window keeps
 /// exactly the documents with time > now - span — a document whose age
 /// reaches the span is evicted, *including* one sitting exactly at the
 /// boundary — and Add(doc) and AdvanceTo(doc.time) agree on that boundary,
@@ -24,23 +22,14 @@ namespace corrtrack {
 /// adding a document there would.
 class SlidingWindow {
  public:
-  /// `span` <= 0 disables the time bound; `max_count` == 0 disables the count
-  /// bound. At least one bound must be active.
-  SlidingWindow(Timestamp span, size_t max_count);
+  /// Requires `span` > 0.
+  explicit SlidingWindow(Timestamp span);
 
-  static SlidingWindow TimeBased(Timestamp span) {
-    return SlidingWindow(span, 0);
-  }
-  static SlidingWindow CountBased(size_t max_count) {
-    return SlidingWindow(0, max_count);
-  }
-
-  /// Appends `doc` and evicts documents that fall out of the window. The
-  /// time bound keeps documents with time > doc.time - span.
+  /// Appends `doc` and evicts documents that fall out of the window: it
+  /// keeps documents with time > doc.time - span.
   void Add(const Document& doc);
 
-  /// Evicts by time only, for callers advancing a clock without new
-  /// documents.
+  /// Evicts for a clock advanced without new documents.
   void AdvanceTo(Timestamp now);
 
   size_t size() const { return docs_.size(); }
@@ -51,13 +40,11 @@ class SlidingWindow {
   std::deque<Document>::const_iterator end() const { return docs_.end(); }
 
   Timestamp span() const { return span_; }
-  size_t max_count() const { return max_count_; }
 
  private:
   void EvictForTime(Timestamp now);
 
   Timestamp span_;
-  size_t max_count_;
   Timestamp last_time_ = std::numeric_limits<Timestamp>::min();
   std::deque<Document> docs_;
 };

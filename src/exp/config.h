@@ -57,10 +57,6 @@ struct ExperimentConfig {
   /// bit-identical with it on or off (asserted by the differential test).
   bool with_telemetry = false;
   uint32_t telemetry_sample_every = 64;
-  /// When nonzero, a JSON snapshot of the registry is appended to
-  /// ExperimentResult::telemetry_trail every this-many routed documents
-  /// (the periodic exposition dump of the exp driver).
-  uint64_t telemetry_snapshot_every_docs = 0;
 
   /// Applies the paper's tps parameter (raw tweets/second).
   void set_tps(double tps) { generator.tps = tps; }

@@ -157,10 +157,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     telemetry = std::make_unique<telemetry::PipelineTelemetry>(
         config.telemetry_sample_every);
     pipeline.telemetry = telemetry.get();
-    if (config.telemetry_snapshot_every_docs > 0) {
-      metrics.AttachTelemetry(&telemetry->registry,
-                              config.telemetry_snapshot_every_docs);
-    }
   }
 
   auto spout = std::make_unique<ops::GeneratorSpout>(config.generator,
@@ -180,61 +176,44 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     serve_sink = std::make_unique<serve::IndexSink>(serve_index.get());
   }
 
-  // Two run shapes share all harvesting below: the plain single Run, and
-  // the segmented checkpoint/restore protocol (ops/checkpoint_runner.h)
-  // when durability knobs are set. `topology` must outlive `runtime`.
-  std::unique_ptr<stream::Topology<ops::Message>> topology;
-  std::unique_ptr<stream::Runtime<ops::Message>> runtime;
-  ops::TopologyHandles handles;
-  ops::CheckpointRunStats checkpoint_stats;
-  const bool durable =
-      !config.checkpoint_uri.empty() || !config.restore_uri.empty();
-  if (durable) {
-    ops::CheckpointRunnerOptions options;
-    options.checkpoint_uri = config.checkpoint_uri;
-    options.every_docs = config.checkpoint_every_docs;
-    options.restore_uri = config.restore_uri;
-    options.faults = config.checkpoint_faults;
-    options.telemetry = telemetry.get();
-    if (serve_index != nullptr) {
-      serve::CorrelationIndex* index = serve_index.get();
-      options.export_serve = [index](std::string* out) {
-        index->ExportState(out);
-      };
-      options.restore_serve = [index](std::string_view blob) {
-        return index->RestoreState(blob);
-      };
-    }
-    ops::CheckpointedRun run;
-    std::string error;
-    const bool ok = ops::RunCheckpointedPipeline(
-        std::move(spout), pipeline, options, &metrics,
-        config.with_centralized_baseline, serve_sink.get(),
-        /*baseline_sink=*/nullptr,
-        /*final_flush_horizon=*/config.pipeline.report_period, &run, &error);
-    if (!ok) {
-      CORRTRACK_LOG(kError, "exp", "RunExperiment: %s", error.c_str());
-    }
-    CORRTRACK_CHECK(ok);
-    topology = std::move(run.topology);
-    runtime = std::move(run.runtime);
-    handles = run.handles;
-    checkpoint_stats = std::move(run.stats);
-  } else {
-    topology = std::make_unique<stream::Topology<ops::Message>>();
-    handles = ops::BuildCorrelationTopology(
-        topology.get(), std::move(spout), pipeline, &metrics,
-        config.with_centralized_baseline, serve_sink.get());
-    runtime = ops::MakeConfiguredRuntime(topology.get(), pipeline);
-    runtime->Run(/*flush_horizon=*/config.pipeline.report_period);
+  // One run shape: the segmented checkpoint/restore protocol
+  // (ops/checkpoint_runner.h), which without a checkpoint or restore URI
+  // runs a single segment with the final flush horizon.
+  ops::CheckpointRunnerOptions options;
+  options.checkpoint_uri = config.checkpoint_uri;
+  options.every_docs = config.checkpoint_every_docs;
+  options.restore_uri = config.restore_uri;
+  options.faults = config.checkpoint_faults;
+  options.telemetry = telemetry.get();
+  if (serve_index != nullptr) {
+    serve::CorrelationIndex* index = serve_index.get();
+    options.export_serve = [index](std::string* out) {
+      index->ExportState(out);
+    };
+    options.restore_serve = [index](std::string_view blob) {
+      return index->RestoreState(blob);
+    };
   }
-  metrics.OnRuntimeStats(runtime->stats());
+  ops::CheckpointedRun run;
+  std::string error;
+  const bool ok = ops::RunCheckpointedPipeline(
+      std::move(spout), pipeline, options, &metrics,
+      config.with_centralized_baseline, serve_sink.get(),
+      /*baseline_sink=*/nullptr,
+      /*final_flush_horizon=*/config.pipeline.report_period, &run, &error);
+  if (!ok) {
+    CORRTRACK_LOG(kError, "exp", "RunExperiment: %s", error.c_str());
+  }
+  CORRTRACK_CHECK(ok);
+  stream::Runtime<ops::Message>& runtime = *run.runtime;
+  const ops::TopologyHandles& handles = run.handles;
+  metrics.OnRuntimeStats(runtime.stats());
   metrics.FinishSeries();
 
   ExperimentResult result;
   result.label = config.label;
-  result.runtime = runtime->kind();
-  result.runtime_stats = runtime->stats();
+  result.runtime = runtime.kind();
+  result.runtime_stats = runtime.stats();
   result.documents = metrics.docs_routed();
   result.avg_communication = metrics.AvgCommunication();
   result.load_gini = metrics.LoadGini();
@@ -254,21 +233,21 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.peak_calculators = metrics.peak_calculators();
   result.series = metrics.series();
   result.repartition_events = metrics.repartitions();
-  result.checkpoints_written = checkpoint_stats.checkpoints_written;
-  result.checkpoints_failed = checkpoint_stats.checkpoints_failed;
-  result.checkpoint_bytes = checkpoint_stats.checkpoint_bytes;
-  result.restore_chunks = checkpoint_stats.restore_chunks;
-  result.storage_retries = checkpoint_stats.storage_retries;
-  result.storage_faults_injected = checkpoint_stats.storage_faults_injected;
-  result.restored = checkpoint_stats.restored;
-  result.restored_docs = checkpoint_stats.restored_docs;
-  result.checkpoint_events = std::move(checkpoint_stats.events);
+  result.checkpoints_written = run.stats.checkpoints_written;
+  result.checkpoints_failed = run.stats.checkpoints_failed;
+  result.checkpoint_bytes = run.stats.checkpoint_bytes;
+  result.restore_chunks = run.stats.restore_chunks;
+  result.storage_retries = run.stats.storage_retries;
+  result.storage_faults_injected = run.stats.storage_faults_injected;
+  result.restored = run.stats.restored;
+  result.restored_docs = run.stats.restored_docs;
+  result.checkpoint_events = std::move(run.stats.events);
 
   if (config.with_centralized_baseline && metrics.any_install()) {
     const auto* tracker = static_cast<ops::TrackerBolt*>(
-        runtime->bolt(handles.tracker, 0));
+        runtime.bolt(handles.tracker, 0));
     const auto* baseline = static_cast<ops::CentralizedBolt*>(
-        runtime->bolt(handles.centralized, 0));
+        runtime.bolt(handles.centralized, 0));
     // First period whose full span the distributed system observed.
     const Timestamp period = config.pipeline.report_period;
     const Timestamp install = metrics.first_install_time();
@@ -279,14 +258,13 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   }
   if (serve_index != nullptr) {
     const auto* tracker = static_cast<ops::TrackerBolt*>(
-        runtime->bolt(handles.tracker, 0));
+        runtime.bolt(handles.tracker, 0));
     ValidateServeIndex(*serve_index, *tracker, &result);
   }
   if (telemetry != nullptr) {
     // Harvest AFTER the serve validation above so the serve query
     // histograms the oracle pass exercised are part of the surface.
     HarvestTelemetry(telemetry->registry, &result);
-    result.telemetry_trail = metrics.telemetry_trail();
   }
   return result;
 }

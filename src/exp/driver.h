@@ -104,8 +104,6 @@ struct ExperimentResult {
   std::vector<LatencyStat> latency_stats;
   std::string telemetry_json;
   std::string telemetry_prometheus;
-  /// Periodic JSON snapshots (telemetry_snapshot_every_docs), in order.
-  std::vector<std::string> telemetry_trail;
 };
 
 /// Builds the Fig. 2 topology for `config`, streams the synthetic workload

@@ -4,8 +4,6 @@
 
 #include "core/check.h"
 #include "core/stats.h"
-#include "telemetry/exposition.h"
-#include "telemetry/registry.h"
 
 namespace corrtrack::exp {
 
@@ -33,23 +31,6 @@ void MetricsCollector::OnRouted(int notified, Timestamp /*time*/) {
     segment_notifications_ += static_cast<uint64_t>(notified);
   }
   if (segment_docs_ >= series_stride_) FlushSegment();
-  if (telemetry_registry_ != nullptr && docs_routed_ >= telemetry_next_dump_) {
-    trail_.push_back(telemetry::RenderJson(telemetry_registry_->Snapshot()));
-    telemetry_next_dump_ = docs_routed_ + telemetry_every_docs_;
-  }
-}
-
-void MetricsCollector::AttachTelemetry(telemetry::MetricRegistry* registry,
-                                       uint64_t every_docs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (registry == nullptr || every_docs == 0) {
-    telemetry_registry_ = nullptr;
-    telemetry_every_docs_ = 0;
-    return;
-  }
-  telemetry_registry_ = registry;
-  telemetry_every_docs_ = every_docs;
-  telemetry_next_dump_ = docs_routed_ + every_docs;
 }
 
 void MetricsCollector::FlushSegment() {

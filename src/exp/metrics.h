@@ -3,17 +3,12 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/types.h"
 #include "ops/messages.h"
 #include "ops/metrics_sink.h"
 #include "stream/runtime.h"
-
-namespace corrtrack::telemetry {
-class MetricRegistry;
-}  // namespace corrtrack::telemetry
 
 namespace corrtrack::exp {
 
@@ -127,15 +122,6 @@ class MetricsCollector : public ops::MetricsSink {
   uint64_t restores() const { return restores_; }
   uint64_t restore_chunks() const { return restore_chunks_; }
 
-  /// Periodic exposition: once attached, a JSON snapshot of `registry` is
-  /// appended to telemetry_trail() every `every_docs` routed documents
-  /// (piggybacks on the OnRouted hook — the mutex is already held, and
-  /// snapshots are off the hot path by construction). `registry` is
-  /// borrowed and must outlive the run; `every_docs == 0` detaches.
-  void AttachTelemetry(telemetry::MetricRegistry* registry,
-                       uint64_t every_docs);
-  const std::vector<std::string>& telemetry_trail() const { return trail_; }
-
   /// Flushes a final partial series segment (call once, after the run).
   void FinishSeries();
 
@@ -172,11 +158,6 @@ class MetricsCollector : public ops::MetricsSink {
   uint64_t checkpoint_bytes_ = 0;
   uint64_t restores_ = 0;
   uint64_t restore_chunks_ = 0;
-  // Periodic telemetry exposition (AttachTelemetry).
-  telemetry::MetricRegistry* telemetry_registry_ = nullptr;
-  uint64_t telemetry_every_docs_ = 0;
-  uint64_t telemetry_next_dump_ = 0;
-  std::vector<std::string> trail_;
 };
 
 }  // namespace corrtrack::exp

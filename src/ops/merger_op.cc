@@ -45,19 +45,11 @@ int MergerBolt::ChooseRoundK(uint64_t window_load) const {
   const int active =
       can_resize ? control_->ActiveParallelism(calculator_component_)
                  : config_.num_calculators;
-  int k = config_.num_calculators;
-  if (config_.elastic.enabled) {
-    // Elastic target-k: cost-model optimum over the observed window load,
-    // sticky around the currently live count.
-    k = ChooseTargetK(window_load, active, config_.elastic);
-  } else if (config_.target_docs_per_calculator > 0) {
-    // Legacy §7.3 scaling: adapt within the static build-time count.
-    const uint64_t needed =
-        (window_load + config_.target_docs_per_calculator - 1) /
-        config_.target_docs_per_calculator;
-    k = static_cast<int>(std::clamp<uint64_t>(
-        needed, 1, static_cast<uint64_t>(config_.num_calculators)));
-  }
+  // Elastic target-k: cost-model optimum over the observed window load,
+  // sticky around the currently live count.
+  int k = config_.elastic.enabled
+              ? ChooseTargetK(window_load, active, config_.elastic)
+              : config_.num_calculators;
   // Forced schedules (tests, resize experiments) override the policy for
   // the epochs they cover.
   const size_t next_epoch = static_cast<size_t>(epoch_) + 1;
@@ -82,10 +74,10 @@ void MergerBolt::FinishRound(uint32_t token, PendingRound round,
       CooccurrenceSnapshot::FromWeightedTagsets(std::move(weighted));
   const uint64_t seed = config_.seed ^ 0xa5a5a5a5ull ^ token;
   const int k = ChooseRoundK(fragment_snapshot.num_docs());
-  // Install protocol, grow side: spawn the Calculator tasks *before* the
-  // FinalPartitions broadcast leaves this bolt, so by the time any
-  // Disseminator routes against the wider PartitionSet the instances exist
-  // and are schedulable.
+  // Install protocol, grow side: activate the Calculator instances
+  // *before* the FinalPartitions broadcast leaves this bolt, so by the time
+  // any Disseminator routes against the wider PartitionSet they are in the
+  // routing mask.
   if (control_ != nullptr && calculator_component_ >= 0) {
     const int active = control_->ActiveParallelism(calculator_component_);
     if (k > active) {

@@ -32,7 +32,7 @@ namespace corrtrack::ops {
 /// (core/partitioning.h) over the observed window load instead of
 /// recutting into the build-time count, and *grows* the live Calculator
 /// set through stream::TopologyControl before broadcasting the install —
-/// new tasks exist before any route-table points at them. Shrinking is the
+/// new instances are active before any route-table points at them. Shrinking is the
 /// Disseminator's side of the install protocol (quiesce, then retire).
 class MergerBolt : public stream::Bolt<Message> {
  public:

@@ -26,13 +26,8 @@ namespace corrtrack::ops {
 /// §8.2), so ids are globally consistent.
 class ParserBolt : public stream::Bolt<Message> {
  public:
-  /// With `extract_mentions`, "@user" mentions are interned as additional
-  /// tags (§6.2's enrichment hook: "named entities, location, or
-  /// sentiment ... interpreted as additional tags"). Mentions keep their
-  /// '@' prefix in the dictionary, so #paris and @paris stay distinct.
-  explicit ParserBolt(bool extract_mentions = false,
-                      telemetry::PipelineTelemetry* telemetry = nullptr)
-      : extract_mentions_(extract_mentions), telemetry_(telemetry) {}
+  explicit ParserBolt(telemetry::PipelineTelemetry* telemetry = nullptr)
+      : telemetry_(telemetry) {}
 
   void Execute(const stream::Envelope<Message>& in,
                stream::Emitter<Message>& out) override {
@@ -86,8 +81,7 @@ class ParserBolt : public stream::Bolt<Message> {
   }
 
   /// Tokenises `text` and interns every "#tag" (letters, digits and '_'
-  /// after the '#'), plus "@mention"s when enabled. Returns the ids in text
-  /// order, duplicates kept.
+  /// after the '#'). Returns the ids in text order, duplicates kept.
   std::vector<TagId> ExtractTags(std::string_view text) {
     std::vector<TagId> tags;
     AppendTags(text, &tags);
@@ -125,8 +119,7 @@ class ParserBolt : public stream::Bolt<Message> {
   void AppendTags(std::string_view text, std::vector<TagId>* tags) {
     size_t i = 0;
     while (i < text.size()) {
-      const char marker = text[i];
-      if (marker != '#' && !(extract_mentions_ && marker == '@')) {
+      if (text[i] != '#') {
         ++i;
         continue;
       }
@@ -137,14 +130,12 @@ class ParserBolt : public stream::Bolt<Message> {
         ++j;
       }
       if (j > i + 1) {
-        const size_t start = marker == '#' ? i + 1 : i;  // Keep '@'.
-        tags->push_back(dictionary_.GetOrAdd(text.substr(start, j - start)));
+        tags->push_back(dictionary_.GetOrAdd(text.substr(i + 1, j - i - 1)));
       }
       i = j;
     }
   }
 
-  bool extract_mentions_;
   telemetry::PipelineTelemetry* telemetry_;  // Null = no instrumentation.
   TagDictionary dictionary_;
   std::vector<TagId> tags_scratch_;  // Execute's tagset under construction.

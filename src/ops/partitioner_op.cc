@@ -1,6 +1,5 @@
 #include "ops/partitioner_op.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/cooccurrence.h"
@@ -11,16 +10,7 @@ PartitionerBolt::PartitionerBolt(const PipelineConfig& config, int instance)
     : config_(config),
       instance_(instance),
       algorithm_(MakeAlgorithm(config.algorithm)),
-      // The count bound is global ("e.g. 10000 tweets", §6.2); fields
-      // grouping spreads documents ~evenly, so each instance keeps its
-      // 1/P share.
-      window_(config.window_span,
-              config.window_count == 0
-                  ? 0
-                  : std::max<size_t>(
-                        1, config.window_count /
-                               static_cast<size_t>(std::max(
-                                   1, config.num_partitioners)))) {}
+      window_(config.window_span) {}
 
 void PartitionerBolt::Execute(const stream::Envelope<Message>& in,
                               stream::Emitter<Message>& out) {
@@ -73,10 +63,10 @@ void PartitionerBolt::ExportState(PartitionerState* out) const {
 void PartitionerBolt::RestoreState(const PartitionerState& state) {
   last_token_ = state.last_token;
   answered_any_ = state.answered_any;
-  // Rebuild the window by replaying its documents oldest-first: both
-  // bounds (time span, per-instance count) re-apply exactly as they did
-  // the first time, so eviction state matches the captured window.
-  window_ = SlidingWindow(window_.span(), window_.max_count());
+  // Rebuild the window by replaying its documents oldest-first: the time
+  // bound re-applies exactly as it did the first time, so eviction state
+  // matches the captured window.
+  window_ = SlidingWindow(window_.span());
   for (const Document& doc : state.window) {
     window_.Add(doc);
   }

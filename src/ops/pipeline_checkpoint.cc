@@ -144,6 +144,10 @@ bool ParseInstance(std::string_view name, std::string_view prefix,
 }  // namespace
 
 uint64_t PipelineConfigFingerprint(const PipelineConfig& config) {
+  // The constants stand where knobs that no longer exist were mixed in
+  // (count window, fixed-target scaling, elastic bounds and hysteresis,
+  // @mention parsing), each at the value every run had: existing
+  // checkpoints keep their fingerprint and still restore.
   uint64_t h = 0x6372747261636b31ull;  // "crtrack1"
   h = Mix(h, static_cast<uint64_t>(config.algorithm));
   h = Mix(h, static_cast<uint64_t>(config.num_calculators));
@@ -153,23 +157,23 @@ uint64_t PipelineConfigFingerprint(const PipelineConfig& config) {
   h = Mix(h, static_cast<uint64_t>(config.quality_batch_size));
   h = Mix(h, static_cast<uint64_t>(config.repartition_latency_docs));
   h = Mix(h, static_cast<uint64_t>(config.window_span));
-  h = Mix(h, static_cast<uint64_t>(config.window_count));
+  h = Mix(h, 0);  // Count bound: none.
   h = Mix(h, static_cast<uint64_t>(config.report_period));
   h = Mix(h, static_cast<uint64_t>(config.bootstrap_time));
   h = Mix(h, config.seed);
-  h = Mix(h, config.target_docs_per_calculator);
+  h = Mix(h, 0);  // Documents-per-Calculator target: none.
   h = Mix(h, config.elastic.enabled ? 1 : 0);
   h = Mix(h, config.elastic.partition_overhead_load);
-  h = Mix(h, static_cast<uint64_t>(config.elastic.min_partitions));
-  h = Mix(h, static_cast<uint64_t>(config.elastic.max_partitions));
-  h = MixDouble(h, config.elastic.resize_hysteresis);
+  h = Mix(h, 1);  // Minimum partitions.
+  h = Mix(h, 0);  // Policy maximum: none.
+  h = MixDouble(h, 0.25);  // Resize hysteresis.
   h = Mix(h, static_cast<uint64_t>(config.EffectiveMaxCalculators()));
   for (const uint64_t docs : config.forced_repartition_docs) h = Mix(h, docs);
   for (const int k : config.forced_k_schedule) {
     h = Mix(h, static_cast<uint64_t>(k));
   }
   h = Mix(h, static_cast<uint64_t>(config.tracker_merge));
-  h = Mix(h, config.parser_extract_mentions ? 1 : 0);
+  h = Mix(h, 0);  // @mentions: not tags.
   return h;
 }
 
@@ -184,19 +188,15 @@ PipelineCheckpointState CapturePipelineState(
   state.max_calculators = runtime.MaxParallelism(handles.calculator);
 
   for (int i = 0; i < state.max_calculators; ++i) {
-    auto* bolt =
-        static_cast<CalculatorBolt*>(runtime.bolt(handles.calculator, i));
-    if (bolt == nullptr) continue;  // Pool spare slot never spawned.
     CalculatorState cs;
-    bolt->ExportState(&cs);
+    static_cast<CalculatorBolt*>(runtime.bolt(handles.calculator, i))
+        ->ExportState(&cs);
     state.calculators.push_back(std::move(cs));
   }
   for (int i = 0; i < config.num_partitioners; ++i) {
-    auto* bolt =
-        static_cast<PartitionerBolt*>(runtime.bolt(handles.partitioner, i));
-    if (bolt == nullptr) continue;
     PartitionerState ps;
-    bolt->ExportState(&ps);
+    static_cast<PartitionerBolt*>(runtime.bolt(handles.partitioner, i))
+        ->ExportState(&ps);
     state.partitioners.push_back(std::move(ps));
   }
   static_cast<ParserBolt*>(runtime.bolt(handles.parser, 0))
@@ -208,12 +208,9 @@ PipelineCheckpointState CapturePipelineState(
   static_cast<MergerBolt*>(runtime.bolt(handles.merger, 0))
       ->ExportState(&state.merger);
   if (handles.centralized >= 0) {
-    auto* bolt =
-        static_cast<CentralizedBolt*>(runtime.bolt(handles.centralized, 0));
-    if (bolt != nullptr) {
-      state.has_centralized = true;
-      bolt->ExportState(&state.centralized);
-    }
+    state.has_centralized = true;
+    static_cast<CentralizedBolt*>(runtime.bolt(handles.centralized, 0))
+        ->ExportState(&state.centralized);
   }
   state.epoch = state.disseminator.epoch;
   // An unfinished repartition round at the cut lost its in-flight

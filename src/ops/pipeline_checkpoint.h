@@ -35,11 +35,10 @@ namespace corrtrack::ops {
 /// the simulator restores onto the pool runtime and vice versa.
 uint64_t PipelineConfigFingerprint(const PipelineConfig& config);
 
-/// Captures every constructed bolt's state from a drained runtime (call
-/// only after Run() returned — the capture reads bolt internals without
-/// locks, which is safe exactly when no task is live). Pool-substrate slots
-/// that were never spawned are skipped; retirees keep their residual
-/// counters captured.
+/// Captures every bolt's state from a drained runtime (call only after
+/// Run() returned — the capture reads bolt internals without locks, which
+/// is safe exactly when no task is live). Every provisioned Calculator is
+/// captured, active or not, so retirees keep their residual counters.
 PipelineCheckpointState CapturePipelineState(
     stream::Runtime<Message>& runtime, const TopologyHandles& handles,
     const PipelineConfig& config, uint64_t docs_ingested, Timestamp last_time);

@@ -49,13 +49,8 @@ struct PipelineConfig {
   /// latency (≈ 13 s at 130 tagged docs/s).
   int repartition_latency_docs = 1750;
 
-  /// W: Partitioner window span (time-based). §6.2 allows the window to be
-  /// "time-based (e.g. capturing 5 minutes of tweets) or count-based
-  /// (e.g. 10000 tweets)": a positive `window_count` bounds the window by
-  /// document count as well (the stricter bound wins); set window_span <= 0
-  /// for a purely count-based window.
+  /// W: Partitioner window span (time-based, > 0).
   Timestamp window_span = 5 * kMillisPerMinute;
-  size_t window_count = 0;
 
   /// y: Calculator reporting period.
   Timestamp report_period = 5 * kMillisPerMinute;
@@ -67,26 +62,18 @@ struct PipelineConfig {
   /// Seed for the algorithms' randomised choices (SCI phase 2).
   uint64_t seed = 7;
 
-  /// §7.3 topology scaling: Storm 0.8.2 cannot resize a running topology,
-  /// so `num_calculators` is the *maximum*; when
-  /// `target_docs_per_calculator` > 0 the Merger sizes each round's
-  /// partition count to ceil(window load / target), capped at
-  /// num_calculators. Calculators without a partition are not indexed by
-  /// the Disseminator, receive no documents and compute nothing.
-  /// (Superseded by `elastic`, which actually grows/retires Calculator
-  /// tasks past the build-time count; kept for the static-topology mode.)
-  uint64_t target_docs_per_calculator = 0;
-
-  /// Elastic repartitioning (this reproduction's extension of §7.3): when
-  /// `elastic.enabled`, the Merger chooses every round's partition count
-  /// from the cost-model target-k policy (core/partitioning.h) and resizes
-  /// the live Calculator set through stream::TopologyControl — spawning
-  /// tasks up to `max_calculators` and retiring them (with a quiesce
-  /// state-flush) when k shrinks. `num_calculators` stays the initial k.
+  /// §7.3 topology scaling: when `elastic.enabled`, the Merger chooses
+  /// every round's partition count from the cost-model target-k policy
+  /// (core/partitioning.h) and resizes the live Calculator set through
+  /// stream::TopologyControl — activating instances up to
+  /// `max_calculators` and retiring them (with a quiesce state-flush) when
+  /// k shrinks. `num_calculators` stays the initial k.
   ElasticPolicy elastic;
 
   /// Provisioned Calculator ceiling for elastic resize; 0 or values below
-  /// `num_calculators` mean num_calculators (static topology).
+  /// `num_calculators` mean num_calculators (static topology). Every
+  /// provisioned instance is built with the runtime; the live count is a
+  /// routing mask over them.
   int max_calculators = 0;
 
   int EffectiveMaxCalculators() const {
@@ -113,10 +100,6 @@ struct PipelineConfig {
   /// makes resize-split partial reports sum to the centralised oracle's
   /// counts — see core/jaccard.h's EstimateMerge.
   EstimateMerge tracker_merge = EstimateMerge::kMaxCN;
-
-  /// §6.2 Parser enrichment: also interpret @mentions as tags ("the tagset
-  /// can be enriched with named entities, location, or sentiment").
-  bool parser_extract_mentions = false;
 
   /// Execution substrate (stream/runtime.h): which runtime
   /// MakeConfiguredRuntime instantiates for this pipeline. The simulator is

@@ -45,8 +45,7 @@ TopologyHandles BuildCorrelationTopology(
   handles.parser = topology->AddBolt(
       "parser",
       [config, restore](int) {
-        auto bolt = std::make_unique<ParserBolt>(
-            config.parser_extract_mentions, config.telemetry);
+        auto bolt = std::make_unique<ParserBolt>(config.telemetry);
         if (restore != nullptr) bolt->RestoreState(restore->parser);
         return bolt;
       },
@@ -93,9 +92,6 @@ TopologyHandles BuildCorrelationTopology(
       [config, restore](int instance) {
         auto bolt = std::make_unique<CalculatorBolt>(config, instance);
         if (restore != nullptr) {
-          // Pool-substrate spare slots are spawned lazily by the first
-          // resize that needs them; a match here restores a retiree's
-          // residual counters no matter when the factory finally runs.
           for (const CalculatorState& state : restore->calculators) {
             if (state.instance == instance) {
               bolt->RestoreState(state);

@@ -57,10 +57,8 @@ struct TopologyHandles {
 /// bolt factories: every bolt a factory constructs applies its matching
 /// state struct before the runtime ever schedules it, so a restored
 /// topology resumes exactly where the cut was taken. The pointer must stay
-/// valid until the runtime has been built (factories run at Runtime
-/// construction — and, on the pool substrate, lazily at the first resize
-/// that spawns a spare Calculator slot, so keep it alive for the whole
-/// run). Pass the topology's ORIGINAL config: the restored elastic
+/// valid until the runtime has been built (every factory runs at Runtime
+/// construction). Pass the topology's ORIGINAL config: the restored elastic
 /// parallelism is re-applied by the caller via
 /// TopologyControl::ResizeComponent, not by shifting build-time counts.
 TopologyHandles BuildCorrelationTopology(

@@ -357,7 +357,7 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
   Blob<std::vector<std::pair<TagSet, BuilderEntry>>> parsed;
   parsed.shards.resize(num_shards_);
   storage::ByteReader r(blob);
-  if (!Fields(r, parsed)) return false;
+  if (!Fields(r, parsed) || !r.empty()) return false;
   recent_periods_ = std::move(parsed.recent_periods);
   latest_period_.store(parsed.latest_period, std::memory_order_release);
   epoch_.store(parsed.epoch, std::memory_order_release);

@@ -223,8 +223,8 @@ class CorrelationIndex {
   /// `out`. RestoreState parses a blob back, rebuilds every shard's builder
   /// and republishes fresh snapshots, so a restored index serves exactly
   /// what the captured one did. Returns false (leaving the index
-  /// untouched) on a malformed blob or a shard-count mismatch with this
-  /// index's configuration.
+  /// untouched) on a malformed blob (trailing bytes included) or a
+  /// shard-count mismatch with this index's configuration.
   void ExportState(std::string* out) const;
   bool RestoreState(std::string_view blob);
 

@@ -243,7 +243,7 @@ Status CheckpointReader::ReadManifest(uint64_t seq, CheckpointData* out,
   }
 
   ByteReader r(body);
-  if (!ManifestFields(r, *out, *chunks)) {
+  if (!ManifestFields(r, *out, *chunks) || !r.empty()) {
     return Status::Corruption("manifest malformed: " + path);
   }
   out->sections.clear();

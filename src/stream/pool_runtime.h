@@ -227,10 +227,8 @@ class PoolRuntime : public Runtime<Message> {
     return stats;
   }
 
-  // TopologyControl: growing *spawns* real tasks — a slot's bolt is
-  // constructed on first activation (the pool's dynamic-task semantics,
-  // see runtime.h); its mailbox and scheduling state are reserved at Build
-  // so producers can race deliveries against the activation safely.
+  // TopologyControl: the provisioned max-k tasks exist from Build; the
+  // active count is a routing mask over them (see runtime.h).
   int ActiveParallelism(int component) const override {
     return active_[static_cast<size_t>(component)].load(
         std::memory_order_acquire);
@@ -245,24 +243,8 @@ class PoolRuntime : public Runtime<Message> {
     const int max = MaxParallelism(component);
     const int next = std::clamp(target_parallelism, 1, max);
     std::atomic<int>& active = active_[static_cast<size_t>(component)];
-    int prev = active.load(std::memory_order_acquire);
+    const int prev = active.load(std::memory_order_acquire);
     if (next > prev) {
-      // Spawn the newly activated instances before publishing the count:
-      // the caller is upstream of the component's traffic, so the bolt
-      // exists before any message that routes to it (the construction is
-      // further published to other workers by the mailbox mutex of the
-      // first delivery).
-      const auto& comp =
-          topology_->components()[static_cast<size_t>(component)];
-      for (int i = prev; i < next; ++i) {
-        Task* task = tasks_[static_cast<size_t>(TaskId(component, i))].get();
-        if (task->bolt == nullptr) {
-          task->bolt = comp.bolt_factory(i);
-          CORRTRACK_CHECK(task->bolt != nullptr);
-          task->bolt->Prepare(task->addr, comp.parallelism);
-          task->bolt->AttachControl(this);
-        }
-      }
       tasks_spawned_.fetch_add(static_cast<uint64_t>(next - prev),
                                std::memory_order_relaxed);
     } else if (prev > next) {
@@ -458,18 +440,16 @@ class PoolRuntime : public Runtime<Message> {
         tasks_.push_back(std::move(task));
         continue;
       }
-      // One slot per *provisioned* instance; the bolt of a spare slot
-      // (instance >= parallelism) is spawned on activation
-      // (ResizeComponent). Mailbox and scheduling state exist up front so
-      // deliveries, poisons and claims never race slot construction.
+      // Every provisioned instance is built up front, as on the simulator:
+      // an elastic resize only moves the routing mask (see TopologyControl
+      // in runtime.h).
       for (int i = 0; i < comp.max_instances(); ++i) {
         auto task = std::make_unique<Task>();
         task->addr = {static_cast<int>(c), i};
-        if (i < comp.parallelism) {
-          task->bolt = comp.bolt_factory(i);
-          task->bolt->Prepare(task->addr, comp.parallelism);
-          task->bolt->AttachControl(this);
-        }
+        task->bolt = comp.bolt_factory(i);
+        CORRTRACK_CHECK(task->bolt != nullptr);
+        task->bolt->Prepare(task->addr, comp.parallelism);
+        task->bolt->AttachControl(this);
         task->mailbox =
             std::make_unique<Mailbox>(queue_capacity_, queue_depth_hist_);
         task->tick_period = comp.tick_period;
@@ -747,9 +727,6 @@ class PoolRuntime : public Runtime<Message> {
         if (task->poisons_pending == 0) FinishTask(task);
         continue;
       }
-      // A spare elastic slot that was never spawned has no bolt; only
-      // poisons are expected here, anything else is droppable residue.
-      if (task->bolt == nullptr) continue;
       FireTicks(task, item.envelope.time);
       task->delivered.fetch_add(1, std::memory_order_relaxed);
       EmitterImpl emitter(this, task->addr, item.envelope.time);
@@ -788,7 +765,7 @@ class PoolRuntime : public Runtime<Message> {
   }
 
   void FireTicks(Task* task, Timestamp now) {
-    if (task->tick_period <= 0 || task->bolt == nullptr) return;
+    if (task->tick_period <= 0) return;
     while (task->next_tick <= now) {
       EmitterImpl emitter(this, task->addr, task->next_tick);
       task->bolt->OnTick(task->next_tick, emitter);

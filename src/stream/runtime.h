@@ -59,19 +59,14 @@ inline bool ParseRuntimeKind(std::string_view name, RuntimeKind* out) {
 /// Dynamic-topology control surface every Runtime implements — the elastic
 /// repartitioning hook (§7.3): the Merger grows the Calculator set before
 /// broadcasting a wider PartitionSet, the Disseminator shrinks it after the
-/// route-table swap and quiesce. Semantics per substrate:
+/// route-table swap and quiesce. Both substrates build every instance up
+/// to the component's provisioned maximum (Topology::SetMaxParallelism)
+/// up front; growing *activates* instances and shrinking retires them.
 ///
-///  * PoolRuntime: growing *spawns* a real task — the instance's bolt is
-///    constructed on first activation and scheduled like any other task.
-///  * SimulationRuntime: every instance up to the component's provisioned
-///    maximum (Topology::SetMaxParallelism) is built up front and the live
-///    count is an activation mask over them, so the deterministic
-///    differential tests stay exact.
-///
-/// On every substrate the active count only gates *routing* (shuffle /
-/// all / fields fan-out): retired instances keep draining their queues —
-/// direct sends (the install protocol's quiesce markers) and shutdown
-/// poisons still reach them.
+/// The active count only gates *routing* (shuffle / all / fields fan-out):
+/// retired instances keep draining their queues — direct sends (the
+/// install protocol's quiesce markers) and shutdown poisons still reach
+/// them.
 ///
 /// Thread-safety: ResizeComponent may be called from a bolt mid-run. The
 /// caller must be upstream of the resized component's traffic (as the
@@ -154,8 +149,8 @@ struct RuntimeStats {
   /// Nonzero values mean queue_capacity is too small for the topology's
   /// feedback traffic.
   uint64_t stall_escapes = 0;
-  /// Elastic repartitioning: instances activated (pool: spawned) and
-  /// retired by TopologyControl::ResizeComponent during the run.
+  /// Elastic repartitioning: instances activated and retired by
+  /// TopologyControl::ResizeComponent during the run.
   uint64_t tasks_spawned = 0;
   uint64_t tasks_retired = 0;
   /// Physical threads that executed bolts (simulation: 1).

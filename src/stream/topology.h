@@ -137,9 +137,9 @@ class Topology {
   }
 
   /// Raises the provisioned instance ceiling of a bolt component: runtimes
-  /// build (or, in the pool, reserve task slots for) `max_parallelism`
-  /// instances, of which `parallelism` start active; the rest can be
-  /// activated at run time through TopologyControl::ResizeComponent.
+  /// build `max_parallelism` instances, of which `parallelism` start
+  /// active; the rest can be activated at run time through
+  /// TopologyControl::ResizeComponent.
   void SetMaxParallelism(int component, int max_parallelism) {
     CORRTRACK_CHECK_GE(component, 0);
     CORRTRACK_CHECK_LT(static_cast<size_t>(component), components_.size());

@@ -46,7 +46,7 @@ TEST(CheckDeathTest, TagSetSubsetEnumerationBounded) {
 }
 
 TEST(CheckDeathTest, WindowRejectsTimeTravel) {
-  SlidingWindow w = SlidingWindow::TimeBased(100);
+  SlidingWindow w(100);
   Document d;
   d.time = 50;
   d.tags = TagSet({1});
@@ -56,7 +56,7 @@ TEST(CheckDeathTest, WindowRejectsTimeTravel) {
 }
 
 TEST(CheckDeathTest, WindowNeedsSomeBound) {
-  EXPECT_DEATH(SlidingWindow(0, 0), "CORRTRACK_CHECK");
+  EXPECT_DEATH(SlidingWindow(0), "CORRTRACK_CHECK");
 }
 
 TEST(CheckDeathTest, PartitionSetBoundsChecked) {

@@ -135,6 +135,14 @@ ops::PipelineCheckpointState PinnedState() {
   return state;
 }
 
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::unique_ptr<storage::WritableFile> file;
+  ASSERT_TRUE(Mem()->NewWritableFile(path, &file).ok());
+  ASSERT_TRUE(file->Append(bytes).ok());
+  ASSERT_TRUE(file->Sync().ok());
+  ASSERT_TRUE(file->Close().ok());
+}
+
 constexpr uint64_t kPinnedSeq = 7;
 constexpr uint64_t kPinnedFingerprint = 0xABCDEF0123456789ull;
 
@@ -211,6 +219,43 @@ TEST(CheckpointFormat, DecodeThenEncodeIsIdentity) {
     EXPECT_EQ(loaded.sections[i].name, data.sections[i].name);
     EXPECT_EQ(loaded.sections[i].payload, data.sections[i].payload);
   }
+}
+
+TEST(CheckpointFormat, TrailingBytesAreRefused) {
+  // Every record ends at its last field: one byte more is refused, as each
+  // checkpoint section decoder refuses it.
+  serve::ServeConfig config;
+  config.num_shards = 2;
+  serve::CorrelationIndex index(config);
+  const std::string blob = ServeBlob();
+  EXPECT_FALSE(index.RestoreState(blob + '\0'));
+  EXPECT_TRUE(index.RestoreState(blob));
+
+  // The manifest gets a fresh CRC over body plus byte, so only the field
+  // check can refuse it.
+  storage::MemoryStorage::Global()->Clear();
+  const storage::CheckpointData data =
+      ops::EncodeCheckpoint(PinnedState(), kPinnedSeq, kPinnedFingerprint);
+  ASSERT_TRUE(storage::CheckpointWriter(Mem(), "/trail").Write(data).ok());
+  const std::string manifest_path = storage::JoinPath(
+      storage::JoinPath("/trail", storage::CheckpointDirName(kPinnedSeq)),
+      "MANIFEST");
+  std::string manifest;
+  ASSERT_TRUE(Mem()->ReadFile(manifest_path, &manifest).ok());
+  storage::CheckpointData loaded;
+  ASSERT_TRUE(storage::CheckpointReader(Mem(), "/trail")
+                  .Read(kPinnedSeq, &loaded)
+                  .ok());
+  std::string body = manifest.substr(0, manifest.size() - sizeof(uint32_t));
+  body.push_back('\0');
+  ByteWriter tail;
+  tail.PutU32(Crc32c::Of(body));
+  ASSERT_TRUE(Mem()->DeleteFile(manifest_path).ok());
+  WriteFile(manifest_path, body + tail.str());
+  EXPECT_EQ(storage::CheckpointReader(Mem(), "/trail")
+                .Read(kPinnedSeq, &loaded)
+                .code(),
+            storage::StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------------
@@ -322,14 +367,6 @@ TEST(CheckpointFormat, OversizedServeBlobCountsAreRefused) {
 // ---------------------------------------------------------------------------
 // Manifests are written by hand here, so each can carry what no writer
 // produces: [magic "CTM1"][version][header][u32 chunks][chunk table][crc].
-
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::unique_ptr<storage::WritableFile> file;
-  ASSERT_TRUE(Mem()->NewWritableFile(path, &file).ok());
-  ASSERT_TRUE(file->Append(bytes).ok());
-  ASSERT_TRUE(file->Sync().ok());
-  ASSERT_TRUE(file->Close().ok());
-}
 
 std::string ManifestBytes(uint32_t num_chunks, const std::string& name,
                           const std::string& payload) {

@@ -552,6 +552,12 @@ TEST(PipelineCheckpointCodec, FingerprintTracksSemanticKnobs) {
       ElasticPipeline(stream::RuntimeKind::kSimulation);
   const uint64_t fp = ops::PipelineConfigFingerprint(base);
   EXPECT_EQ(fp, ops::PipelineConfigFingerprint(base));  // Deterministic.
+  // Pinned values: checkpoints already written carry these fingerprints,
+  // and restore refuses any other. Removing a knob must keep its old value
+  // mixed in at its old position, or those checkpoints stop restoring.
+  EXPECT_EQ(ops::PipelineConfigFingerprint(ops::PipelineConfig{}),
+            0x1c8ec5d593cc129aull);
+  EXPECT_EQ(fp, 0x5f9f7375df57dfa1ull);
 
   ops::PipelineConfig changed = base;
   changed.single_addition_threshold += 1;
@@ -570,6 +576,39 @@ TEST(PipelineCheckpointCodec, FingerprintTracksSemanticKnobs) {
   changed.num_threads = 2;
   changed.queue_capacity = 64;
   EXPECT_EQ(ops::PipelineConfigFingerprint(changed), fp);
+}
+
+TEST(PipelineCheckpointCodec, CaptureListsEveryProvisionedCalculator) {
+  // Ten provisioned Calculators, of which the forced schedule activates at
+  // most eight: both substrates build all ten, so a capture after either
+  // run lists instances 0..9 and the checkpoint does not depend on the
+  // substrate it was taken on.
+  ops::PipelineConfig pipeline =
+      ElasticPipeline(stream::RuntimeKind::kSimulation);
+  pipeline.max_calculators = 10;
+  for (const stream::RuntimeKind kind :
+       {stream::RuntimeKind::kSimulation, stream::RuntimeKind::kPool}) {
+    SCOPED_TRACE(stream::RuntimeKindName(kind));
+    pipeline.runtime = kind;
+    stream::Topology<ops::Message> topology;
+    const ops::TopologyHandles handles = ops::BuildCorrelationTopology(
+        &topology,
+        std::make_unique<ops::GeneratorSpout>(TopicPureWorkload(), kNumDocs),
+        pipeline, nullptr, /*with_centralized_baseline=*/true);
+    auto runtime = ops::MakeConfiguredRuntime(&topology, pipeline);
+    runtime->Run(pipeline.report_period);
+    EXPECT_GE(runtime->stats().tasks_spawned, 4u);  // The 4 -> 8 grow ran.
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_NE(runtime->bolt(handles.calculator, i), nullptr) << i;
+    }
+    const ops::PipelineCheckpointState state = ops::CapturePipelineState(
+        *runtime, handles, pipeline, kNumDocs, /*last_time=*/0);
+    EXPECT_EQ(state.max_calculators, 10);
+    ASSERT_EQ(state.calculators.size(), 10u);
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_EQ(state.calculators[static_cast<size_t>(i)].instance, i);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

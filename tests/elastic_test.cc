@@ -1,6 +1,6 @@
 // Elastic repartitioning (§7.3 tentpole): the Merger resizes the live
-// Calculator set at run time — spawn on grow, quiesce-flush + retire on
-// shrink — and the install protocol must neither drop nor double-count a
+// Calculator set at run time — activate on grow, quiesce-flush + retire
+// on shrink — and the install protocol must neither drop nor double-count a
 // single observation across a resize.
 //
 // The oracle: with the DS algorithm (tag-disjoint partitions) and a
@@ -169,7 +169,7 @@ TEST(ElasticResize, ForcedScheduleMatchesOracleOnPool) {
 
 TEST(ElasticResize, PoolStressWithTinyMailboxes) {
   // TSan target: repeated resize schedules under maximal backpressure —
-  // task spawn/retire racing work stealing, inline helping and the
+  // task activation/retirement racing work stealing, inline helping and the
   // bounded-stall escape. Liveness and conservation only; the schedule's
   // timing under 2 workers with 8-slot mailboxes is deliberately hostile.
   for (int round = 0; round < 3; ++round) {
@@ -256,6 +256,26 @@ TEST(ElasticResize, CostModelPolicyGrowsWithLoad) {
   EXPECT_GT(result.peak_calculators, 2);
   EXPECT_LE(result.peak_calculators, 16);
   EXPECT_GE(result.runtime_stats.tasks_spawned, 1u);
+}
+
+TEST(ElasticResize, PolicyOptimumClampsToProvisionedMaximum) {
+  // A near-zero per-partition overhead puts the cost-model optimum far
+  // above the provisioned ceiling; the Merger clamps every round to it.
+  exp::ExperimentConfig config;
+  config.label = "elastic-clamp";
+  config.pipeline = ElasticPipeline();
+  config.pipeline.forced_k_schedule.clear();
+  config.pipeline.num_calculators = 2;
+  config.pipeline.max_calculators = 6;
+  config.pipeline.elastic.enabled = true;
+  config.pipeline.elastic.partition_overhead_load = 1;
+  config.generator = TopicPureWorkload();
+  config.num_documents = kNumDocs;
+  const exp::ExperimentResult result = exp::RunExperiment(config);
+
+  EXPECT_GE(result.topology_resizes, 1u);
+  EXPECT_EQ(result.peak_calculators, 6);
+  EXPECT_EQ(result.final_calculators, 6);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "exp/metrics.h"
 #include "gen/tweet_generator.h"
 #include "ops/parser.h"
-#include "ops/partitioner_op.h"
 #include "ops/source.h"
 #include "ops/topology_builder.h"
 #include "stream/simulation.h"
@@ -215,33 +214,7 @@ TEST(HashBaseline, SeedChangesPlacementDeterministically) {
   EXPECT_GT(diff, 0);
 }
 
-// ---- Count-based windows (§6.2) ----
-
-TEST(CountBasedWindow, PartitionerBoundsItsShare) {
-  ops::PipelineConfig config;
-  config.num_partitioners = 2;
-  config.window_span = 0;        // Purely count-based.
-  config.window_count = 100;     // Global bound -> 50 per instance.
-  ops::PartitionerBolt partitioner(config, 0);
-  stream::Envelope<ops::Message> env;
-  for (int i = 0; i < 200; ++i) {
-    ops::ParsedDoc parsed;
-    parsed.doc.id = static_cast<DocId>(i);
-    parsed.doc.time = i;
-    parsed.doc.tags = TagSet({static_cast<TagId>(i % 7)});
-    env.set_payload(ops::Message(parsed));
-    class NullEmitter : public stream::Emitter<ops::Message> {
-     public:
-      void Emit(ops::Message) override {}
-      void EmitDirect(int, ops::Message) override {}
-      Timestamp now() const override { return 0; }
-    } emitter;
-    partitioner.Execute(env, emitter);
-  }
-  EXPECT_EQ(partitioner.window_size(), 50u);
-}
-
-// ---- Parser enrichment (§6.2) ----
+// ---- Parser enrichment (§6.2): hashtags only ----
 
 TEST(ParserEnrichment, MentionsOffByDefault) {
   ops::ParserBolt parser;
@@ -249,51 +222,7 @@ TEST(ParserEnrichment, MentionsOffByDefault) {
   EXPECT_EQ(tags.size(), 2u);
 }
 
-TEST(ParserEnrichment, MentionsInternedWithPrefix) {
-  ops::ParserBolt parser(/*extract_mentions=*/true);
-  const auto tags = parser.ExtractTags("#paris trip with @paris and @ann");
-  ASSERT_EQ(tags.size(), 3u);
-  EXPECT_EQ(parser.dictionary().Name(tags[0]), "paris");
-  EXPECT_EQ(parser.dictionary().Name(tags[1]), "@paris");
-  EXPECT_EQ(parser.dictionary().Name(tags[2]), "@ann");
-  EXPECT_NE(tags[0], tags[1]);  // #paris != @paris.
-}
-
 // ---- §7.3 topology scaling ----
-
-TEST(TopologyScaling, LightLoadUsesFewerCalculators) {
-  ops::PipelineConfig pipeline;
-  pipeline.algorithm = AlgorithmKind::kDS;
-  pipeline.num_calculators = 8;  // Pre-deployed maximum.
-  pipeline.num_partitioners = 2;
-  pipeline.window_span = kMillisPerMinute;
-  pipeline.report_period = kMillisPerMinute;
-  pipeline.bootstrap_time = kMillisPerMinute;
-  // The 1-minute window holds ~7800 docs; a target of 4000 docs per
-  // calculator needs only ~2-3 of the 8.
-  pipeline.target_docs_per_calculator = 4000;
-
-  gen::GeneratorConfig workload;
-  workload.seed = 4;
-  workload.topics.num_topics = 60;
-
-  exp::MetricsCollector metrics(pipeline.num_calculators, 1000000);
-  stream::Topology<ops::Message> topology;
-  ops::BuildCorrelationTopology(
-      &topology, std::make_unique<ops::GeneratorSpout>(workload, 20000),
-      pipeline, &metrics, false);
-  stream::SimulationRuntime<ops::Message> runtime(&topology);
-  runtime.Run(pipeline.report_period);
-
-  ASSERT_TRUE(metrics.any_install());
-  int active = 0;
-  for (uint64_t n : metrics.per_calculator()) {
-    if (n > 0) ++active;
-  }
-  EXPECT_GE(active, 1);
-  EXPECT_LE(active, 4);  // Far fewer than the 8 deployed.
-  EXPECT_GT(metrics.notified_docs(), 0u);
-}
 
 TEST(TopologyScaling, DefaultUsesAllCalculators) {
   ops::PipelineConfig pipeline;

@@ -106,7 +106,7 @@ TEST(ParserBolt, EmitsParsedDocAndDropsUntagged) {
 
 TEST(ParserBolt, TagDictionaryGaugeTracksInterning) {
   telemetry::PipelineTelemetry telemetry;
-  ParserBolt parser(/*extract_mentions=*/false, &telemetry);
+  ParserBolt parser(&telemetry);
   CapturingEmitter emitter;
   EXPECT_EQ(telemetry.tag_dictionary_size->value(), 0.0);
   parser.Execute(Env(Message(Tweet(1, 100, "x #a #b")), 100), emitter);
@@ -143,64 +143,61 @@ TEST(ParserBolt, MutatedTextsNeverAbort) {
   }
   const std::string kInteresting("#@_ \t\n\0\x80\xc3\xa9\xff", 12);
   std::mt19937 rng(20141024);
-  for (bool mentions : {false, true}) {
-    SCOPED_TRACE(mentions ? "with mentions" : "hashtags only");
-    ParserBolt parser(mentions);
-    size_t emitted = 0;
-    size_t rejected = 0;
-    for (int round = 0; round < 20000; ++round) {
-      std::string text = texts[rng() % texts.size()];
-      const int mutations = 1 + static_cast<int>(rng() % 4);
-      for (int m = 0; m < mutations; ++m) {
-        const size_t at = rng() % (text.size() + 1);
-        switch (rng() % 5) {
-          case 0:  // Random byte.
-            text.insert(at, 1, static_cast<char>(rng() % 256));
-            break;
-          case 1:  // Delimiter, '#', or a non-ASCII byte.
-            text.insert(at, 1, kInteresting[rng() % kInteresting.size()]);
-            break;
-          case 2:  // A run of '#'.
-            text.insert(at, 1 + rng() % 20, '#');
-            break;
-          case 3: {  // 17 or more fresh tags (some repeated).
-            std::string tags;
-            const int n =
-                kMaxTagsPerDocument + 1 + static_cast<int>(rng() % 8);
-            for (int t = 0; t < n; ++t) {
-              tags += " #f" + std::to_string(rng() % 64);
-            }
-            text.insert(at, tags);
-            break;
+  ParserBolt parser;
+  size_t emitted = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string text = texts[rng() % texts.size()];
+    const int mutations = 1 + static_cast<int>(rng() % 4);
+    for (int m = 0; m < mutations; ++m) {
+      const size_t at = rng() % (text.size() + 1);
+      switch (rng() % 5) {
+        case 0:  // Random byte.
+          text.insert(at, 1, static_cast<char>(rng() % 256));
+          break;
+        case 1:  // Delimiter, '#', or a non-ASCII byte.
+          text.insert(at, 1, kInteresting[rng() % kInteresting.size()]);
+          break;
+        case 2:  // A run of '#'.
+          text.insert(at, 1 + rng() % 20, '#');
+          break;
+        case 3: {  // 17 or more fresh tags (some repeated).
+          std::string tags;
+          const int n =
+              kMaxTagsPerDocument + 1 + static_cast<int>(rng() % 8);
+          for (int t = 0; t < n; ++t) {
+            tags += " #f" + std::to_string(rng() % 64);
           }
-          default:
-            if (at < text.size()) text.erase(at, 1);
-            break;
+          text.insert(at, tags);
+          break;
         }
-      }
-      CapturingEmitter emitter;
-      const size_t before = parser.dictionary().size();
-      const RawTweet tweet = Tweet(static_cast<DocId>(round), round, text);
-      parser.Execute(Env(Message(tweet), round), emitter);
-      const auto parsed = emitter.All<ParsedDoc>();
-      ASSERT_LE(parsed.size(), 1u);
-      if (parsed.empty()) {
-        ++rejected;
-        ASSERT_EQ(parser.dictionary().size(), before) << text;
-        continue;
-      }
-      ++emitted;
-      const TagSet& tags = parsed[0].doc.tags;
-      ASSERT_GE(tags.size(), 1u);
-      ASSERT_LE(tags.size(), static_cast<size_t>(kMaxTagsPerDocument)) << text;
-      for (TagId tag : tags) {
-        ASSERT_LT(static_cast<size_t>(tag), parser.dictionary().size());
+        default:
+          if (at < text.size()) text.erase(at, 1);
+          break;
       }
     }
-    // Both outcomes were exercised.
-    EXPECT_GT(emitted, 1000u);
-    EXPECT_GT(rejected, 1000u);
+    CapturingEmitter emitter;
+    const size_t before = parser.dictionary().size();
+    const RawTweet tweet = Tweet(static_cast<DocId>(round), round, text);
+    parser.Execute(Env(Message(tweet), round), emitter);
+    const auto parsed = emitter.All<ParsedDoc>();
+    ASSERT_LE(parsed.size(), 1u);
+    if (parsed.empty()) {
+      ++rejected;
+      ASSERT_EQ(parser.dictionary().size(), before) << text;
+      continue;
+    }
+    ++emitted;
+    const TagSet& tags = parsed[0].doc.tags;
+    ASSERT_GE(tags.size(), 1u);
+    ASSERT_LE(tags.size(), static_cast<size_t>(kMaxTagsPerDocument)) << text;
+    for (TagId tag : tags) {
+      ASSERT_LT(static_cast<size_t>(tag), parser.dictionary().size());
+    }
   }
+  // Both outcomes were exercised.
+  EXPECT_GT(emitted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 PipelineConfig SmallConfig() {

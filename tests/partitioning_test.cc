@@ -390,27 +390,21 @@ TEST(ElasticTargetK, PicksIntegerNeighbourOfContinuousOptimum) {
 TEST(ElasticTargetK, HysteresisKeepsCurrentK) {
   ElasticPolicy policy;
   policy.partition_overhead_load = 100;
-  policy.resize_hysteresis = 0.25;
   // Optimum 10 vs current 9: |10-9| = 1 <= 0.25*9 -> sticky.
   EXPECT_EQ(ChooseTargetK(10000, 9, policy), 9);
   // Current 4: |10-4| = 6 > 1 -> resize to the optimum.
   EXPECT_EQ(ChooseTargetK(10000, 4, policy), 10);
-  // Zero hysteresis always chases the optimum.
-  policy.resize_hysteresis = 0.0;
-  EXPECT_EQ(ChooseTargetK(10000, 9, policy), 10);
 }
 
-TEST(ElasticTargetK, ClampsToPolicyBounds) {
+TEST(ElasticTargetK, NeverBelowOnePartition) {
+  // The provisioned maximum is the Merger's clamp (see
+  // ElasticResize.PolicyOptimumClampsToProvisionedMaximum); the policy
+  // itself only floors at one partition.
   ElasticPolicy policy;
-  policy.partition_overhead_load = 1;  // Optimum would be huge.
-  policy.max_partitions = 6;
-  EXPECT_EQ(ChooseTargetK(1000000, 0, policy), 6);
-  policy.max_partitions = 0;
-  policy.min_partitions = 3;
-  EXPECT_EQ(ChooseTargetK(0, 0, policy), 3);  // Empty window -> floor.
-  // A current k outside the band still clamps into the bounds.
-  policy.max_partitions = 4;
-  EXPECT_EQ(ChooseTargetK(1000000, 100, policy), 4);
+  policy.partition_overhead_load = 100;
+  EXPECT_EQ(ChooseTargetK(0, 0, policy), 1);  // Empty window.
+  policy.partition_overhead_load = 1000000;   // Optimum far below 1.
+  EXPECT_EQ(ChooseTargetK(1000, 0, policy), 1);
 }
 
 }  // namespace

@@ -286,7 +286,7 @@ TEST(PayloadLifecycle, FanoutCopiesAllButTheLastDestination) {
 // ---------------------------------------------------------------------------
 // TSan stress: tiny mailboxes + forced resize — the combination the CI
 // ThreadSanitizer job watches: messages crossing threads under helping,
-// stealing, stall escapes and task spawn/retire at once.
+// stealing, stall escapes and Calculator activation/retirement at once.
 // ---------------------------------------------------------------------------
 
 TEST(PayloadLifecycle, TsanStressTinyMailboxesForcedResize) {

@@ -16,7 +16,7 @@ Document Doc(DocId id, Timestamp time) {
 }
 
 TEST(SlidingWindow, TimeBasedEviction) {
-  SlidingWindow w = SlidingWindow::TimeBased(100);
+  SlidingWindow w(100);
   w.Add(Doc(1, 10));
   w.Add(Doc(2, 50));
   w.Add(Doc(3, 100));
@@ -27,24 +27,15 @@ TEST(SlidingWindow, TimeBasedEviction) {
 }
 
 TEST(SlidingWindow, BoundaryIsExclusive) {
-  SlidingWindow w = SlidingWindow::TimeBased(100);
+  SlidingWindow w(100);
   w.Add(Doc(1, 0));
   w.Add(Doc(2, 100));  // 0 <= 100-100: doc 1 leaves.
   EXPECT_EQ(w.size(), 1u);
   EXPECT_EQ(w.begin()->id, 2u);
 }
 
-TEST(SlidingWindow, CountBasedEviction) {
-  SlidingWindow w = SlidingWindow::CountBased(2);
-  w.Add(Doc(1, 1));
-  w.Add(Doc(2, 2));
-  w.Add(Doc(3, 3));
-  EXPECT_EQ(w.size(), 2u);
-  EXPECT_EQ(w.begin()->id, 2u);
-}
-
 TEST(SlidingWindow, AdvanceToEvictsWithoutAdding) {
-  SlidingWindow w = SlidingWindow::TimeBased(50);
+  SlidingWindow w(50);
   w.Add(Doc(1, 10));
   w.Add(Doc(2, 40));
   w.AdvanceTo(70);
@@ -54,7 +45,7 @@ TEST(SlidingWindow, AdvanceToEvictsWithoutAdding) {
 }
 
 TEST(SlidingWindow, AdvanceToPastIsIgnored) {
-  SlidingWindow w = SlidingWindow::TimeBased(50);
+  SlidingWindow w(50);
   w.Add(Doc(1, 100));
   w.AdvanceTo(10);  // In the past; no effect.
   EXPECT_EQ(w.size(), 1u);
@@ -63,7 +54,7 @@ TEST(SlidingWindow, AdvanceToPastIsIgnored) {
 TEST(SlidingWindow, EqualTimestampsAtBoundaryEvictTogether) {
   // Several documents share the exact boundary timestamp: all of them age
   // out together, in one eviction, when the clock reaches time + span.
-  SlidingWindow w = SlidingWindow::TimeBased(100);
+  SlidingWindow w(100);
   w.Add(Doc(1, 0));
   w.Add(Doc(2, 0));
   w.Add(Doc(3, 0));
@@ -77,8 +68,8 @@ TEST(SlidingWindow, EqualTimestampsAtBoundaryEvictTogether) {
 TEST(SlidingWindow, AddAndAdvanceToAgreeOnTheBoundary) {
   // Pinned semantics: advancing the clock to T evicts exactly what adding
   // a document at T would have evicted.
-  SlidingWindow added = SlidingWindow::TimeBased(50);
-  SlidingWindow advanced = SlidingWindow::TimeBased(50);
+  SlidingWindow added(50);
+  SlidingWindow advanced(50);
   for (DocId id = 1; id <= 3; ++id) {
     added.Add(Doc(id, static_cast<Timestamp>(id) * 10));
     advanced.Add(Doc(id, static_cast<Timestamp>(id) * 10));
@@ -91,7 +82,7 @@ TEST(SlidingWindow, AddAndAdvanceToAgreeOnTheBoundary) {
 }
 
 TEST(SlidingWindow, AdvanceToCurrentTimeIsIdempotent) {
-  SlidingWindow w = SlidingWindow::TimeBased(100);
+  SlidingWindow w(100);
   w.Add(Doc(1, 0));
   w.Add(Doc(2, 100));  // Evicts doc 1 at the boundary.
   EXPECT_EQ(w.size(), 1u);
@@ -104,20 +95,12 @@ TEST(SlidingWindow, AdvanceToCurrentTimeIsIdempotent) {
 
 TEST(SlidingWindow, EqualTimestampRunLargerThanSpan) {
   // A burst of same-timestamp documents never self-evicts (age 0 < span),
-  // no matter how long the run; only the count bound can trim it.
-  SlidingWindow w = SlidingWindow::TimeBased(1);
+  // no matter how long the run.
+  SlidingWindow w(1);
   for (DocId id = 0; id < 20; ++id) w.Add(Doc(id, 500));
   EXPECT_EQ(w.size(), 20u);
   w.AdvanceTo(501);  // age 1 >= span 1: everything leaves.
   EXPECT_TRUE(w.empty());
-}
-
-TEST(SlidingWindow, BothBoundsStricterWins) {
-  SlidingWindow w(/*span=*/1000, /*max_count=*/3);
-  for (int i = 0; i < 5; ++i) w.Add(Doc(static_cast<DocId>(i), i * 10));
-  EXPECT_EQ(w.size(), 3u);  // Count bound is stricter here.
-  w.Add(Doc(99, 5000));
-  EXPECT_EQ(w.size(), 1u);  // Time bound evicted the rest.
 }
 
 // Property: window contents always equal the brute-force definition.
@@ -127,7 +110,7 @@ TEST_P(SlidingWindowPropertyTest, MatchesBruteForce) {
   const Timestamp span = 200;
   std::mt19937 rng(static_cast<unsigned>(GetParam()) * 13);
   std::uniform_int_distribution<Timestamp> gap(0, 60);
-  SlidingWindow w = SlidingWindow::TimeBased(span);
+  SlidingWindow w(span);
   std::vector<Document> all;
   Timestamp now = 0;
   for (int i = 0; i < 500; ++i) {
