@@ -1,7 +1,8 @@
 // Micro-benchmarks of the per-document hot path: subset counting
 // (Calculator), routing through the tag -> partition index (Disseminator),
 // Calculator reporting (the lattice pass against per-set inclusion-exclusion
-// from the public API, on generated and hostile tables), hashtag parsing
+// from the public API, on generated and hostile tables, and whole
+// observe/report/reset periods on one reused table), hashtag parsing
 // (tokenizer alone and the Parser bolt's whole per-document step), and
 // partition-quality evaluation.
 
@@ -90,18 +91,54 @@ void BM_CalculatorComputeEach(benchmark::State& state) {
 /// Hostile shape: 5,000 documents of k tags, the tag at position i drawn
 /// from its own pool of 200 ids, so almost every k-set is new and each
 /// document brings up to 2^k − 1 fresh counters.
-SubsetCounterTable HostileTable(int k) {
+std::vector<TagSet> HostileDocs(int k) {
   std::mt19937 rng(91);
   std::uniform_int_distribution<TagId> pick(0, 199);
-  SubsetCounterTable table;
+  std::vector<TagSet> docs;
   std::vector<TagId> tags(static_cast<size_t>(k));
   for (int doc = 0; doc < 5000; ++doc) {
     for (int i = 0; i < k; ++i) {
       tags[static_cast<size_t>(i)] = static_cast<TagId>(i) * 200 + pick(rng);
     }
-    table.Observe(TagSet(tags));
+    docs.push_back(TagSet(tags));
   }
+  return docs;
+}
+
+SubsetCounterTable HostileTable(int k) {
+  SubsetCounterTable table;
+  for (const TagSet& tags : HostileDocs(k)) table.Observe(tags);
   return table;
+}
+
+/// One Calculator's reporting period, period after period: the same table
+/// counts the period's notifications, reports and resets, so every
+/// iteration after the untimed first runs on the capacity and report
+/// scratch the earlier periods left. Arg 0 is the clean shape, sized like
+/// one replay_track Calculator period (800 generated documents, about
+/// 2.3k counters); arg k > 0 the hostile shape above.
+void BM_CalculatorPeriod(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  std::vector<TagSet> period;
+  if (k == 0) {
+    for (const Document& doc : MakeDocs(800)) period.push_back(doc.tags);
+  } else {
+    period = HostileDocs(k);
+  }
+  SubsetCounterTable table;
+  const auto run_period = [&] {
+    for (const TagSet& tags : period) table.Observe(tags);
+    const size_t counters = table.num_counters();
+    auto estimates = table.ReportAll();
+    benchmark::DoNotOptimize(estimates.data());
+    table.Reset();
+    return counters;
+  };
+  const size_t counters = run_period();
+  for (auto _ : state) run_period();
+  state.counters["counters"] = static_cast<double>(counters);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(period.size()));
 }
 
 void BM_CalculatorReportAllHostile(benchmark::State& state) {
@@ -220,6 +257,13 @@ void BM_GeneratorNext(benchmark::State& state) {
 BENCHMARK(BM_CalculatorObserve)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CalculatorReportAll)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CalculatorComputeEach)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CalculatorPeriod)->Arg(0)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CalculatorPeriod)
+    ->Arg(8)
+    ->Iterations(3)
+    ->Repetitions(3)
+    ->ReportAggregatesOnly(true)
+    ->Unit(benchmark::kMillisecond);
 // One iteration per repetition (at k = 10 the table holds about 5M
 // counters); the median of three keeps a single slow run from deciding
 // the A/B.

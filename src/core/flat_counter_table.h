@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -13,130 +14,155 @@
 
 namespace corrtrack {
 
-/// Open-addressing, power-of-two, linear-probing counter table keyed by
-/// PackedTagKey — the allocation-free core of the subset-counting hot path
-/// (§3.1 Calculator). Storage is struct-of-arrays: probing walks a dense
-/// uint64 hash lane (one cache line covers 8 slots) and touches the wide
-/// fixed-size key lane only on a hash match, so an Observe() is a probe +
-/// increment with no node allocation and no per-subset TagSet construction.
-///
-/// Slot states are encoded in the hash lane: 0 = empty (PackedTagKey::Hash
-/// never returns 0). The table only grows; Reset() clears counters but
-/// keeps capacity, which is exactly the per-reporting-period lifecycle of a
-/// Calculator (§6.2) — after the first period the table is allocation-free
-/// in steady state.
+/// Open-addressing, power-of-two, linear-probing counter table keyed by a
+/// sorted tag span: the allocation-free core of the subset-counting hot
+/// path (§3.1 Calculator). Counters are entries numbered 0..size() − 1 in
+/// insertion order, and storage is sized to what a counter holds, not to
+/// the 16-tag maximum:
+///   - a dense 8-byte slot lane that probing walks (8 slots per cache
+///     line): the high half of the key's hash, forced odd so that 0 marks
+///     an empty slot, over the entry number;
+///   - a 16-byte record per entry, in insertion order: count, and the
+///     offset and size of the key's tags in the arena;
+///   - a per-period tag arena: each new counter appends its tags, so the
+///     subsets one Observe creates sit next to each other;
+///   - the slot of each entry, so that Reset empties exactly the occupied
+///     slots.
+/// Every sweep (ForEach, a report's root scan and visited marks, an
+/// export) walks the records front to back, and Reset touches only the
+/// live slots: all cost O(live counters), not O(capacity). The table only
+/// grows; Reset() clears counters and the arena but keeps capacity, which
+/// is exactly the per-reporting-period lifecycle of a Calculator (§6.2):
+/// after the first period it is allocation-free in steady state.
 class FlatCounterTable {
  public:
+  using Entry = uint32_t;
+  static constexpr Entry kNoEntry = static_cast<Entry>(-1);
+
   FlatCounterTable() = default;
 
-  /// Adds `delta` to the counter of `key`, creating it at `delta`.
-  void Increment(const PackedTagKey& key, uint64_t delta = 1) {
-    if ((size_ + 1) * 4 > capacity() * 3) Grow();
-    const uint64_t h = key.Hash();
-    size_t i = static_cast<size_t>(h) & mask_;
-    while (hashes_[i] != 0) {
-      if (hashes_[i] == h && keys_[i] == key) {
-        counts_[i] += delta;
-        return;
+  /// Adds `delta` to the counter of the ascending tags [tags, tags + n),
+  /// creating it at `delta` as entry size(). Returns its entry.
+  Entry Increment(const TagId* tags, size_t n, uint64_t delta = 1) {
+    if ((records_.size() + 1) * 4 > capacity() * 3) Grow();
+    const uint64_t hash = HashTagSpan(tags, n);
+    size_t i = static_cast<size_t>(hash) & mask_;
+    for (; slots_[i] != 0; i = (i + 1) & mask_) {
+      const Entry entry = EntryIfTagged(slots_[i], hash);
+      if (entry != kNoEntry && KeyEquals(entry, tags, n)) {
+        records_[entry].count += delta;
+        return entry;
       }
-      i = (i + 1) & mask_;
     }
-    hashes_[i] = h;
-    keys_[i] = key;
-    counts_[i] = delta;
-    ++size_;
+    CORRTRACK_CHECK_LT(records_.size(), size_t{kNoEntry});
+    CORRTRACK_CHECK_LE(arena_.size() + n, size_t{UINT32_MAX});
+    const Entry entry = static_cast<Entry>(records_.size());
+    slots_[i] = SlotWord(hash, entry);
+    records_.push_back({delta, static_cast<uint32_t>(arena_.size()),
+                        static_cast<uint32_t>(n)});
+    arena_.insert(arena_.end(), tags, tags + n);
+    entry_slot_.push_back(static_cast<uint32_t>(i));
+    return entry;
   }
 
-  /// Counter of `key`, or 0 when absent.
-  uint64_t Find(const PackedTagKey& key) const {
-    const size_t slot = FindSlot(key);
-    return slot == kNoSlot ? 0 : counts_[slot];
-  }
-
-  /// Slot access: slots are stable until the next Increment (which may
-  /// grow the table) or Reset, and range over [0, capacity()).
-  static constexpr size_t kNoSlot = static_cast<size_t>(-1);
-
-  /// Slot holding `key`, or kNoSlot when absent.
-  size_t FindSlot(const PackedTagKey& key) const {
-    if (size_ == 0) return kNoSlot;
-    const uint64_t h = key.Hash();
-    size_t i = static_cast<size_t>(h) & mask_;
-    while (hashes_[i] != 0) {
-      if (hashes_[i] == h && keys_[i] == key) return i;
-      i = (i + 1) & mask_;
+  /// Entry of the ascending tags [tags, tags + n) with hash `hash`
+  /// (HashTagSpan), or kNoEntry when absent.
+  Entry FindEntry(const TagId* tags, size_t n, uint64_t hash) const {
+    if (records_.empty()) return kNoEntry;
+    for (size_t i = static_cast<size_t>(hash) & mask_; slots_[i] != 0;
+         i = (i + 1) & mask_) {
+      const Entry entry = EntryIfTagged(slots_[i], hash);
+      if (entry != kNoEntry && KeyEquals(entry, tags, n)) return entry;
     }
-    return kNoSlot;
+    return kNoEntry;
+  }
+  Entry FindEntry(const TagId* tags, size_t n) const {
+    return FindEntry(tags, n, HashTagSpan(tags, n));
   }
 
-  /// FindSlot for `n` keys at once: slots[i] = FindSlot(keys[i]). Each
-  /// key's home slot is prefetched kAhead keys before its probe, so the
-  /// probes' cache misses overlap instead of queueing one behind another.
-  void FindSlots(const PackedTagKey* keys, size_t n, size_t* slots) const {
-    constexpr size_t kAhead = 16;
-    for (size_t i = 0; i < n + kAhead; ++i) {
-      if (i < n && size_ != 0) {
-        const size_t home = static_cast<size_t>(keys[i].Hash()) & mask_;
-        const char* key = reinterpret_cast<const char*>(&keys_[home]);
-        __builtin_prefetch(&hashes_[home]);
-        __builtin_prefetch(key);
-        __builtin_prefetch(key + sizeof(PackedTagKey) - 1);
-        __builtin_prefetch(&counts_[home]);
-      }
-      if (i >= kAhead) slots[i - kAhead] = FindSlot(keys[i - kAhead]);
+  /// Counter of the ascending tags [tags, tags + n), or 0 when absent.
+  uint64_t Find(const TagId* tags, size_t n) const {
+    const Entry entry = FindEntry(tags, n);
+    return entry == kNoEntry ? 0 : records_[entry].count;
+  }
+
+  /// Starts loading the home slot of `hash`, so a batch of probes can
+  /// overlap its cache misses instead of queueing one behind another.
+  void Prefetch(uint64_t hash) const {
+    if (!records_.empty()) {
+      __builtin_prefetch(&slots_[static_cast<size_t>(hash) & mask_]);
     }
   }
 
-  bool Occupied(size_t slot) const { return hashes_[slot] != 0; }
-  /// Key and counter of an occupied slot.
-  const PackedTagKey& KeyAt(size_t slot) const { return keys_[slot]; }
-  uint64_t CountAt(size_t slot) const { return counts_[slot]; }
+  /// Key and counter of entry `entry` < size().
+  const TagId* TagsAt(Entry entry) const {
+    return arena_.data() + records_[entry].offset;
+  }
+  uint32_t SizeAt(Entry entry) const { return records_[entry].size; }
+  uint64_t CountAt(Entry entry) const { return records_[entry].count; }
 
-  /// Invokes `fn(const PackedTagKey&, uint64_t count)` for every live
-  /// counter, in unspecified order.
+  /// Invokes `fn(const TagId* tags, size_t n, uint64_t count)` for every
+  /// counter, in insertion order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < hashes_.size(); ++i) {
-      if (Occupied(i)) fn(keys_[i], counts_[i]);
-    }
+    for (const Record& r : records_) fn(arena_.data() + r.offset, r.size, r.count);
   }
 
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t capacity() const { return hashes_.size(); }
+  size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  size_t capacity() const { return slots_.size(); }
 
   /// Deletes all counters but keeps the allocated capacity (the reporting
   /// period reset of §6.2 reuses the table at its high-water size).
   void Reset() {
-    std::fill(hashes_.begin(), hashes_.end(), uint64_t{0});
-    size_ = 0;
+    for (const uint32_t slot : entry_slot_) slots_[slot] = 0;
+    entry_slot_.clear();
+    records_.clear();
+    arena_.clear();
   }
 
  private:
-  void Grow() {
-    const size_t new_capacity = std::max<size_t>(64, capacity() * 2);
-    std::vector<uint64_t> hashes(new_capacity, 0);
-    std::vector<PackedTagKey> keys(new_capacity);
-    std::vector<uint64_t> counts(new_capacity);
-    const size_t new_mask = new_capacity - 1;
-    for (size_t i = 0; i < hashes_.size(); ++i) {
-      if (hashes_[i] == 0) continue;
-      size_t j = static_cast<size_t>(hashes_[i]) & new_mask;
-      while (hashes[j] != 0) j = (j + 1) & new_mask;
-      hashes[j] = hashes_[i];
-      keys[j] = keys_[i];
-      counts[j] = counts_[i];
-    }
-    hashes_ = std::move(hashes);
-    keys_ = std::move(keys);
-    counts_ = std::move(counts);
-    mask_ = new_mask;
+  struct Record {
+    uint64_t count;
+    uint32_t offset;  // Into arena_.
+    uint32_t size;
+  };
+
+  static uint64_t SlotWord(uint64_t hash, Entry entry) {
+    return ((hash >> 32) | 1) << 32 | entry;
+  }
+  /// The entry a slot word names if its hash half matches `hash`'s.
+  static Entry EntryIfTagged(uint64_t word, uint64_t hash) {
+    return (word >> 32) == ((hash >> 32) | 1) ? static_cast<Entry>(word)
+                                               : kNoEntry;
   }
 
-  std::vector<uint64_t> hashes_;     // 0 = empty slot.
-  std::vector<PackedTagKey> keys_;   // Valid where hashes_[i] != 0.
-  std::vector<uint64_t> counts_;     // Valid where hashes_[i] != 0.
-  size_t size_ = 0;
+  bool KeyEquals(Entry entry, const TagId* tags, size_t n) const {
+    const Record& r = records_[entry];
+    return r.size == n &&
+           std::memcmp(arena_.data() + r.offset, tags, n * sizeof(TagId)) == 0;
+  }
+
+  /// Doubles the capacity and re-homes every entry; entry numbers and the
+  /// arena do not move.
+  void Grow() {
+    const size_t new_capacity = std::max<size_t>(64, capacity() * 2);
+    CORRTRACK_CHECK_LE(new_capacity, size_t{UINT32_MAX} + 1);
+    slots_.assign(new_capacity, 0);
+    mask_ = new_capacity - 1;
+    for (Entry entry = 0; entry < records_.size(); ++entry) {
+      const uint64_t hash = HashTagSpan(TagsAt(entry), SizeAt(entry));
+      size_t i = static_cast<size_t>(hash) & mask_;
+      while (slots_[i] != 0) i = (i + 1) & mask_;
+      slots_[i] = SlotWord(hash, entry);
+      entry_slot_[entry] = static_cast<uint32_t>(i);
+    }
+  }
+
+  std::vector<uint64_t> slots_;        // 0 = empty slot.
+  std::vector<Record> records_;        // By entry.
+  std::vector<TagId> arena_;           // Keys, in entry order.
+  std::vector<uint32_t> entry_slot_;   // By entry.
   size_t mask_ = 0;
 };
 
@@ -146,7 +172,7 @@ class FlatCounterTable {
 /// them. Replaces the node-based std::unordered_map<TagSet, V, TagSetHash>
 /// in the Tracker/Centralized period results and the Disseminator's
 /// uncovered-tagset counts. Unlike FlatCounterTable it accepts tagsets of
-/// any size (the hash is a single pass over the tags, no packing).
+/// any size, and its keys are whole TagSets.
 ///
 /// Iteration is over std::pair<TagSet, V> in insertion order
 /// (deterministic, unlike unordered_map). Iterators are invalidated by

@@ -65,16 +65,14 @@ inline void MergeEstimate(JaccardEstimate* entry,
 
 namespace jaccard_internal {
 
-/// One counter on its way into TagSet::operator< order, named by the tags of
-/// `root`'s key selected by `mask` (bit i = the root's i-th tag). In a
-/// report many records share one root, so the tie compares of equal
-/// prefixes mostly read root keys that are already in cache.
+/// One counter on its way into TagSet::operator< order: its table entry
+/// and its first four tags packed two to a word (see SetSortKey), so nearly
+/// every compare is an integer compare.
 struct SortRecord {
-  uint64_t prefix;  // The first two selected tags; see SortPrefix.
-  uint32_t root;    // A table slot.
-  uint32_t mask;
-  uint64_t count;
-  int64_t union_count;  // ReportAll only.
+  uint64_t hi;  // Tags 0 and 1.
+  uint64_t lo;  // Tags 2 and 3.
+  uint32_t entry;
+  uint32_t index;  // Into the report's union counts (ReportAll only).
 };
 
 }  // namespace jaccard_internal
@@ -89,9 +87,10 @@ struct SortRecord {
 /// counters, giving the exact Jaccard coefficient of Eq. 1 — no sketches
 /// (§2 argues Bloom/Count-Min false positives are counter-productive here).
 ///
-/// Counters live in a FlatCounterTable keyed by PackedTagKey: Observe is a
-/// packed-key subset enumeration feeding a probe+increment loop — no TagSet
-/// construction, no node allocation per subset.
+/// Counters live in a FlatCounterTable keyed by tag spans: Observe feeds
+/// each subset span of the notification to a probe+increment, with no
+/// TagSet construction and no node allocation per subset; a new counter
+/// appends only its own tags to the table's arena.
 class SubsetCounterTable {
  public:
   SubsetCounterTable() = default;
@@ -126,8 +125,16 @@ class SubsetCounterTable {
   /// larger, earlier root is a root, and one subset-sum pass over the
   /// signed counters of its 2^k subsets (k·2^k additions, 2^k − 1 probes)
   /// yields the union count of every subset at once, instead of 3^k probes
-  /// for the set and its subsets.
+  /// for the set and its subsets. Aborts on counters no document stream
+  /// produces (a union below its intersection); see Consistent.
   std::vector<JaccardEstimate> ReportAll(uint64_t min_support = 0) const;
+
+  /// True when ReportAll can report these counters: every tracked set's
+  /// union count, from the same lattice pass, is at least its intersection
+  /// count, which is at least 1. Counters built by Observe always are;
+  /// counters injected by Add from outside bytes (a checkpoint) need not
+  /// be, and are refused on this before a report could abort on them.
+  bool Consistent() const;
 
   /// Number of live counters (co-occurring tagsets incl. singletons).
   size_t num_counters() const { return counters_.size(); }
@@ -135,25 +142,53 @@ class SubsetCounterTable {
   /// Deletes all counters (after each reporting period, §6.2). Keeps the
   /// table's capacity: in steady state a Calculator re-fills roughly the
   /// same number of counters every period without reallocating.
-  void Reset() { counters_.Reset(); }
+  void Reset() {
+    counters_.Reset();
+    lattice_entries_.clear();
+    known_lattices_.clear();
+  }
 
  private:
+  /// The lattice pass: visits every tracked set once and, if its
+  /// intersection count exceeds `min_support`, appends a sort record and
+  /// its union count to the scratch lists. Returns false, early, on the
+  /// first inconsistent set (see Consistent).
+  bool CollectReport(uint64_t min_support) const;
+
+  /// A root whose lattice entries are known: `offset` into lattice_entries_.
+  struct KnownLattice {
+    FlatCounterTable::Entry root;
+    uint32_t offset;
+  };
+
   /// Working storage of ReportAll and ExportCounters, kept across periods:
   /// a table re-reports roughly the same number of counters every period,
   /// so each report reuses the last one's pages instead of faulting in
   /// fresh ones. Mutable because reporting is logically const; a table is
   /// used by one thread at a time.
   struct Scratch {
-    std::vector<uint32_t> roots_by_size[PackedTagKey::kCapacity + 1];
-    std::vector<uint8_t> visited;
+    std::vector<KnownLattice> roots_by_size[kMaxTagsPerDocument + 1];
+    std::vector<uint8_t> visited;  // By entry.
     std::vector<jaccard_internal::SortRecord> records;
     std::vector<jaccard_internal::SortRecord> radix_buffer;
-    std::vector<PackedTagKey> subset_keys;
-    std::vector<int64_t> lattice;
-    std::vector<size_t> lattice_slot;
+    std::vector<uint64_t> unions;  // By SortRecord::index.
+    // A chunk of roots' subset probes: hash and the entry found.
+    std::vector<uint64_t> hashes;
+    std::vector<FlatCounterTable::Entry> probed;
+    std::vector<uint64_t> lattice;  // One root's, by subset mask.
   };
 
   FlatCounterTable counters_;
+  // Lattices Observe already knows. When a notification's whole set is a
+  // new counter, Observe has just found the entries of all its subsets;
+  // those of the proper subsets (masks 1..2^k − 2) are kept here, and the
+  // set in known_lattices_ (ascending root). A root of a table that Observe
+  // built is always such a set: a counter first created as a proper subset
+  // lies inside the lattice of that larger notification, so it is never a
+  // root. Its report then reads the entries instead of probing for them.
+  std::vector<FlatCounterTable::Entry> lattice_entries_;
+  std::vector<KnownLattice> known_lattices_;
+  std::vector<FlatCounterTable::Entry> observed_;  // Observe's scratch.
   mutable Scratch scratch_;
 };
 

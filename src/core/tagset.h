@@ -3,7 +3,6 @@
 
 #include <bit>
 #include <cstddef>
-#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <string>
@@ -16,9 +15,9 @@
 namespace corrtrack {
 
 /// Single-pass multiply-xor mix over a tag array — the one hash used by
-/// every flat table keyed on tags. Never returns 0: the open-addressing
-/// tables (FlatCounterTable, FlatTagSetMap) use 0 as the empty-slot
-/// marker, so that property is load-bearing.
+/// every flat table keyed on tags (FlatCounterTable, FlatTagSetMap). Never
+/// returns 0: FlatTagSetMap uses 0 as the empty-slot marker, so that
+/// property is load-bearing.
 inline uint64_t HashTagSpan(const TagId* tags, size_t n) {
   uint64_t h = 0x9E3779B97F4A7C15ull + n;
   for (size_t i = 0; i < n; ++i) {
@@ -29,35 +28,14 @@ inline uint64_t HashTagSpan(const TagId* tags, size_t n) {
   return h == 0 ? 1 : h;
 }
 
-/// Fixed-size, trivially copyable key for tagsets of up to
-/// kMaxTagsPerDocument tags: the tags in ascending order with unused slots
-/// padded to kInvalidTag, so equality is one flat memory compare (64 bytes
-/// of tags + the size word) and the hash a single-pass mix. This is the key
-/// of the subset-counting hot path (FlatCounterTable): enumerating a
-/// document's subsets yields packed keys directly, with no per-subset
-/// TagSet construction or heap traffic.
-struct PackedTagKey {
-  static constexpr size_t kCapacity = static_cast<size_t>(kMaxTagsPerDocument);
-
-  TagId tags[kCapacity];
-  uint32_t size = 0;
-
-  PackedTagKey() {
-    for (TagId& t : tags) t = kInvalidTag;
-  }
-
-  uint64_t Hash() const { return HashTagSpan(tags, size); }
-
-  friend bool operator==(const PackedTagKey& a, const PackedTagKey& b) {
-    // Padding is canonical (kInvalidTag), so comparing the full tag array
-    // subsumes the size compare; the latter is kept as a cheap early out.
-    return a.size == b.size &&
-           std::memcmp(a.tags, b.tags, sizeof(a.tags)) == 0;
-  }
-  friend bool operator!=(const PackedTagKey& a, const PackedTagKey& b) {
-    return !(a == b);
-  }
-};
+/// Writes the tags of `tags` selected by `mask` (bit i = tags[i]) to `out`,
+/// in order, and returns how many it wrote: one subset of a sorted span as
+/// a sorted span.
+inline size_t SelectTags(const TagId* tags, uint32_t mask, TagId* out) {
+  size_t m = 0;
+  for (; mask != 0; mask &= mask - 1) out[m++] = tags[std::countr_zero(mask)];
+  return m;
+}
 
 /// A canonical set of tags: sorted, duplicate-free, inline-stored for up to
 /// 8 tags (the paper observes < 10 tags per tweet, §3.1).
@@ -65,7 +43,10 @@ struct PackedTagKey {
 /// TagSet is the unit of everything in the system: a document's annotation,
 /// a co-occurring tagset s_i for which a Jaccard coefficient is computed, and
 /// a Disseminator notification (the subset of a document's tags assigned to
-/// one Calculator).
+/// one Calculator). Its tags are one sorted span (begin()..end()), which is
+/// what the hot paths take: subsets are enumerated as spans
+/// (ForEachSubsetSpan, SelectTags) and the Calculator's counter table keys
+/// on spans, so no per-subset TagSet is built.
 class TagSet {
  public:
   using Storage = InlinedVector<TagId, 8>;
@@ -115,7 +96,8 @@ class TagSet {
   /// ascending, and subsets come in ascending bitmask order over this set's
   /// positions (bit i = i-th smallest tag): with min_size 1, call m is mask m.
   /// Requires size() <= kMaxTagsPerDocument (bitmask enumeration).
-  /// ForEachSubset and ForEachSubsetKey are thin adapters over this loop.
+  /// ForEachSubset is a thin adapter over this loop, and the Calculator's
+  /// counter table (core/jaccard.h) probes the spans it yields directly.
   template <typename Fn>
   void ForEachSubsetSpan(TagId* scratch, Fn&& fn, size_t min_size = 1) const {
     const size_t n = tags_.size();
@@ -129,10 +111,7 @@ class TagSet {
     // but only into positions below `min_size`, which the next accepted
     // subset overwrites.
     for (uint32_t mask = 1;; ++mask) {
-      size_t m = 0;
-      for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
-        scratch[m++] = tags_[std::countr_zero(bits)];
-      }
+      const size_t m = SelectTags(tags_.data(), mask, scratch);
       if (m >= min_size) fn(static_cast<const TagId*>(scratch), m);
       if (mask == full) break;
     }
@@ -154,43 +133,6 @@ class TagSet {
           fn(static_cast<const TagSet&>(scratch));
         },
         min_size);
-  }
-
-  /// Packed-key sibling of ForEachSubset: invokes `fn(const PackedTagKey&)`
-  /// for every non-empty subset with at least `min_size` tags. The key is a
-  /// reused scratch (padding kept canonical between iterations); copy it to
-  /// retain. This is the hot-path enumerator: the span loop writes straight
-  /// into a probe-ready packed key, no TagSet construction.
-  template <typename Fn>
-  void ForEachSubsetKey(Fn&& fn, size_t min_size = 1) const {
-    static_assert(PackedTagKey::kCapacity >=
-                  static_cast<size_t>(kMaxTagsPerDocument));
-    PackedTagKey key;
-    ForEachSubsetSpan(
-        key.tags,
-        [&](const TagId*, size_t m) {
-          for (uint32_t i = static_cast<uint32_t>(m); i < key.size; ++i) {
-            key.tags[i] = kInvalidTag;
-          }
-          key.size = static_cast<uint32_t>(m);
-          fn(static_cast<const PackedTagKey&>(key));
-        },
-        min_size);
-  }
-
-  /// Packs this set into a PackedTagKey. Requires
-  /// size() <= PackedTagKey::kCapacity.
-  PackedTagKey PackKey() const {
-    CORRTRACK_CHECK_LE(tags_.size(), PackedTagKey::kCapacity);
-    PackedTagKey key;
-    for (size_t i = 0; i < tags_.size(); ++i) key.tags[i] = tags_[i];
-    key.size = static_cast<uint32_t>(tags_.size());
-    return key;
-  }
-
-  /// Rebuilds the canonical TagSet a PackedTagKey was packed from.
-  static TagSet FromPackedKey(const PackedTagKey& key) {
-    return FromSorted(key.tags, key.tags + key.size);
   }
 
   /// FNV-1a over the tag ids; canonical form makes this a set hash.

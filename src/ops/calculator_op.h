@@ -82,18 +82,20 @@ class CalculatorBolt : public stream::Bolt<Message> {
     report.epoch = epoch_;
     report.period_end = tick_time;
     report.estimates = counters_.ReportAll();
-    counters_.Reset();
-    if (report.estimates.empty()) return;
-    if (config_.telemetry != nullptr) {
-      // Reports are periodic (one per tick, not per doc), so every report
-      // carries a fresh span — the Tracker edge gets full coverage.
-      const int64_t now = telemetry::MonotonicNanos();
-      report.trace.trace_id = static_cast<uint64_t>(instance_) + 1;
-      report.trace.origin_wall_ns = now;
-      report.trace.hop_wall_ns = now;
-      report.trace.origin_virtual = tick_time;
+    if (!report.estimates.empty()) {
+      if (config_.telemetry != nullptr) {
+        // Reports are periodic (one per tick, not per doc), so every report
+        // carries a fresh span — the Tracker edge gets full coverage.
+        const int64_t now = telemetry::MonotonicNanos();
+        report.trace.trace_id = static_cast<uint64_t>(instance_) + 1;
+        report.trace.origin_wall_ns = now;
+        report.trace.hop_wall_ns = now;
+        report.trace.origin_virtual = tick_time;
+      }
+      out.Emit(Message(std::move(report)));
     }
-    out.Emit(Message(std::move(report)));
+    // After the emit: the report does not wait for the reset.
+    counters_.Reset();
   }
 
   const SubsetCounterTable& counters() const { return counters_; }

@@ -134,7 +134,8 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
       return false;
     }
     auto state = std::make_shared<PipelineCheckpointState>();
-    if (!DecodeCheckpoint(data, state.get())) {
+    if (!DecodeCheckpoint(data, state.get()) ||
+        !CheckCounterSections(*state)) {
       if (error != nullptr) *error = "restore: malformed checkpoint payload";
       return false;
     }

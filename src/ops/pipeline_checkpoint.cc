@@ -257,11 +257,19 @@ namespace {
 /// Single refusal funnel so every malformed-section path names the section
 /// that tripped it (checksums already passed at storage depth, so a decode
 /// failure here means version skew, an encoder bug or forged bytes).
-bool RefuseSection(const std::string& name) {
-  CORRTRACK_LOG(kWarn, "checkpoint",
-                "decode refused: malformed or unknown section \"%s\"",
-                name.c_str());
+bool RefuseSection(const std::string& name,
+                   const char* why = "malformed or unknown") {
+  CORRTRACK_LOG(kWarn, "checkpoint", "decode refused: %s section \"%s\"",
+                why, name.c_str());
   return false;
+}
+
+/// True when the counters, added to an empty table as a restore adds them,
+/// can be reported.
+bool Reportable(const std::vector<std::pair<TagSet, uint64_t>>& counters) {
+  SubsetCounterTable table;
+  for (const auto& [tags, count] : counters) table.Add(tags, count);
+  return table.Consistent();
 }
 
 }  // namespace
@@ -303,6 +311,19 @@ bool DecodeCheckpoint(const storage::CheckpointData& data,
       ok = false;  // Unknown: version skew, refuse.
     }
     if (!ok) return RefuseSection(name);
+  }
+  return true;
+}
+
+bool CheckCounterSections(const PipelineCheckpointState& state) {
+  constexpr const char* kWhy = "inconsistent counters in";
+  for (const CalculatorState& cs : state.calculators) {
+    if (!Reportable(cs.counters)) {
+      return RefuseSection(SectionName("calc", cs.instance), kWhy);
+    }
+  }
+  if (state.has_centralized && !Reportable(state.centralized.counters)) {
+    return RefuseSection("central", kWhy);
   }
   return true;
 }

@@ -53,6 +53,13 @@ storage::CheckpointData EncodeCheckpoint(const PipelineCheckpointState& state,
 bool DecodeCheckpoint(const storage::CheckpointData& data,
                       PipelineCheckpointState* out);
 
+/// Returns false on a decoded calculator or centralized section whose
+/// counters no document stream produces (a tracked set's union count below
+/// its intersection count): the restored bolt would abort at its next
+/// report. Runs the report's own lattice pass (SubsetCounterTable::
+/// Consistent) over the counters the restore would Add.
+bool CheckCounterSections(const PipelineCheckpointState& state);
+
 }  // namespace corrtrack::ops
 
 #endif  // CORRTRACK_OPS_PIPELINE_CHECKPOINT_H_

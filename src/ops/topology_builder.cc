@@ -130,10 +130,17 @@ TopologyHandles BuildCorrelationTopology(
                       Grouping<Message>::All());
   topology->Subscribe(handles.calculator, handles.disseminator,
                       Grouping<Message>::Direct());
+  // The Disseminator's two feedback edges are per-stream (filtered), like
+  // the Calculator's below: repartition requests go to every Partitioner
+  // and never to the Merger, uncovered tagsets only to the Merger.
   topology->Subscribe(handles.partitioner, handles.disseminator,
-                      Grouping<Message>::All());
+                      Grouping<Message>::AllWhere([](const Message& msg) {
+                        return std::holds_alternative<RepartitionRequest>(msg);
+                      }));
   topology->Subscribe(handles.merger, handles.disseminator,
-                      Grouping<Message>::Global());
+                      Grouping<Message>::GlobalWhere([](const Message& msg) {
+                        return std::holds_alternative<UncoveredTagset>(msg);
+                      }));
   // Elastic install protocol: quiesced Calculators hand their counter
   // tables back to the Disseminator for re-routing to the new owners
   // (feedback edge, like the repartition/uncovered loops). Both edges

@@ -87,7 +87,7 @@ void CorrelationIndex::ApplyPeriod(
     if (estimate.coefficient < config_.min_coefficient) continue;
     // Every shard owning one of the set's tags gets the entry (deduped:
     // several tags may hash to the same shard).
-    size_t owners[PackedTagKey::kCapacity];
+    size_t owners[kMaxTagsPerDocument];
     size_t num_owners = 0;
     for (const TagId tag : estimate.tags) {
       const size_t s = ShardOf(tag);

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <utility>
 
 namespace corrtrack::stream {
 
@@ -44,6 +45,10 @@ struct Grouping {
   static Grouping Direct() { return {GroupingKind::kDirect, nullptr}; }
   static Grouping Fields(std::function<size_t(const Message&)> hash) {
     return {GroupingKind::kFields, std::move(hash)};
+  }
+  /// Broadcast restricted to tuples `accept` admits.
+  static Grouping AllWhere(std::function<bool(const Message&)> accept) {
+    return {GroupingKind::kAll, nullptr, std::move(accept)};
   }
   /// Global grouping restricted to tuples `accept` admits.
   static Grouping GlobalWhere(std::function<bool(const Message&)> accept) {

@@ -14,8 +14,11 @@
 
 #include "core/jaccard.h"
 #include "core/tagset.h"
+#include "gen/tweet_generator.h"
+#include "ops/checkpoint_runner.h"
 #include "ops/checkpoint_state.h"
 #include "ops/pipeline_checkpoint.h"
+#include "ops/source.h"
 #include "serve/correlation_index.h"
 #include "storage/checkpoint.h"
 #include "storage/crc32c.h"
@@ -322,6 +325,48 @@ TEST(CheckpointFormat, OversizedSectionCountsAreRefusedNotFatal) {
     ops::PipelineCheckpointState out;
     EXPECT_FALSE(ops::DecodeCheckpoint(WithSection(name, writer.Take()), &out))
         << name;
+  }
+}
+
+TEST(CheckpointFormat, CountersNoStreamProducesAreRefused) {
+  // A CRC-valid calculator section that decodes, but whose counters no
+  // document stream produces: {1,2} counted five times, {1} and {2} once
+  // each, so the union count of {1,2} would be 1 + 1 - 5. Restored, the
+  // first report aborts on it; restore must refuse the section instead.
+  // The same section with {1} and {2} at 5 restores and runs.
+  ops::PipelineConfig pipeline;
+  pipeline.report_period = kMillisPerMinute;
+  pipeline.bootstrap_time = kMillisPerMinute;
+  for (const uint64_t singles : {uint64_t{1}, uint64_t{5}}) {
+    ops::PipelineCheckpointState state;
+    ops::CalculatorState& cs = state.calculators.emplace_back();
+    cs.instance = 0;
+    cs.counters = {{TagSet({1}), singles},
+                   {TagSet({1, 2}), 5},
+                   {TagSet({2}), singles}};
+    storage::MemoryStorage::Global()->Clear();
+    storage::OpenedStorage opened;
+    ASSERT_TRUE(storage::OpenStorage("mem://forged_counters", &opened).ok());
+    ASSERT_TRUE(storage::CheckpointWriter(opened.storage, opened.root)
+                    .Write(ops::EncodeCheckpoint(
+                        state, /*seq=*/1,
+                        ops::PipelineConfigFingerprint(pipeline)))
+                    .ok());
+
+    ops::CheckpointRunnerOptions options;
+    options.restore_uri = "mem://forged_counters";
+    ops::CheckpointedRun run;
+    std::string error;
+    const bool ran = ops::RunCheckpointedPipeline(
+        std::make_unique<ops::GeneratorSpout>(gen::GeneratorConfig{}, 5000),
+        pipeline, options, nullptr, false, nullptr, nullptr,
+        pipeline.report_period, &run, &error);
+    if (singles == 1) {
+      EXPECT_FALSE(ran);
+      EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+    } else {
+      EXPECT_TRUE(ran) << error;
+    }
   }
 }
 

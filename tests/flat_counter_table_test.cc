@@ -1,5 +1,6 @@
 #include "core/flat_counter_table.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <unordered_map>
@@ -21,67 +22,101 @@ TagSet RandomTagSet(std::mt19937& rng, int max_tags, TagId max_tag) {
   return TagSet(raw);
 }
 
-TEST(PackedTagKey, PaddingIsCanonical) {
-  const PackedTagKey a = TagSet({1, 2, 3}).PackKey();
-  PackedTagKey b = TagSet({1, 2, 3, 4}).PackKey();
-  EXPECT_NE(a, b);
-  // Shrinking b back to 3 tags must restore equality only when the padding
-  // is reset — exactly what ForEachSubsetKey maintains between subsets.
-  b.tags[3] = kInvalidTag;
-  b.size = 3;
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.Hash(), b.Hash());
+/// Counter of `tags` in `table`.
+uint64_t FindSet(const FlatCounterTable& table, const TagSet& tags) {
+  return table.Find(tags.begin(), tags.size());
 }
 
-TEST(PackedTagKey, RoundTripsThroughTagSet) {
+void IncrementSet(FlatCounterTable* table, const TagSet& tags,
+                  uint64_t delta = 1) {
+  table->Increment(tags.begin(), tags.size(), delta);
+}
+
+TagSet TagSetAt(const FlatCounterTable& table, FlatCounterTable::Entry entry) {
+  const TagId* tags = table.TagsAt(entry);
+  return TagSet::FromSorted(tags, tags + table.SizeAt(entry));
+}
+
+TEST(FlatCounterTable, PrefixSpansAreDistinctKeys) {
+  // {1,2,3} is a prefix of {1,2,3,4}: the spans share their first three
+  // tags and differ only in length, which key equality must see.
+  FlatCounterTable table;
+  const TagSet a({1, 2, 3});
+  const TagSet b({1, 2, 3, 4});
+  EXPECT_NE(HashTagSpan(a.begin(), a.size()), HashTagSpan(b.begin(), b.size()));
+  IncrementSet(&table, b);
+  EXPECT_EQ(FindSet(table, a), 0u);
+  IncrementSet(&table, a, 2);
+  EXPECT_EQ(FindSet(table, a), 2u);
+  EXPECT_EQ(FindSet(table, b), 1u);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(FlatCounterTable, KeyRoundTripsThroughTheArena) {
+  FlatCounterTable table;
   const TagSet s({7, 11, 90000, 4000000000u});
-  EXPECT_EQ(TagSet::FromPackedKey(s.PackKey()), s);
+  IncrementSet(&table, s);
+  const FlatCounterTable::Entry entry = table.FindEntry(s.begin(), s.size());
+  ASSERT_EQ(entry, 0u);
+  EXPECT_EQ(TagSetAt(table, entry), s);
 }
 
-TEST(PackedTagKey, HashNeverZero) {
-  EXPECT_NE(PackedTagKey().Hash(), 0u);
-  EXPECT_NE(TagSet({0}).PackKey().Hash(), 0u);
+TEST(FlatCounterTable, SpanHashNeverZero) {
+  const TagId zero = 0;
+  EXPECT_NE(HashTagSpan(nullptr, 0), 0u);
+  EXPECT_NE(HashTagSpan(&zero, 1), 0u);
 }
 
 TEST(FlatCounterTable, IncrementAndFind) {
   FlatCounterTable table;
-  const PackedTagKey a = TagSet({1, 2}).PackKey();
-  const PackedTagKey b = TagSet({1}).PackKey();
-  EXPECT_EQ(table.Find(a), 0u);
-  table.Increment(a);
-  table.Increment(a, 4);
-  table.Increment(b);
-  EXPECT_EQ(table.Find(a), 5u);
-  EXPECT_EQ(table.Find(b), 1u);
-  EXPECT_EQ(table.Find(TagSet({2}).PackKey()), 0u);
+  const TagSet a({1, 2});
+  const TagSet b({1});
+  EXPECT_EQ(FindSet(table, a), 0u);
+  IncrementSet(&table, a);
+  IncrementSet(&table, a, 4);
+  IncrementSet(&table, b);
+  EXPECT_EQ(FindSet(table, a), 5u);
+  EXPECT_EQ(FindSet(table, b), 1u);
+  EXPECT_EQ(FindSet(table, TagSet({2})), 0u);
   EXPECT_EQ(table.size(), 2u);
 }
 
-TEST(FlatCounterTable, SlotAccessAgreesWithFind) {
+TEST(FlatCounterTable, EntryAccessAgreesWithFind) {
   FlatCounterTable table;
-  std::vector<PackedTagKey> keys;
+  std::vector<TagSet> keys;
   std::mt19937 rng(17);
-  for (int i = 0; i < 300; ++i) {
-    keys.push_back(RandomTagSet(rng, 6, 40).PackKey());
+  for (int i = 0; i < 300; ++i) keys.push_back(RandomTagSet(rng, 6, 40));
+  for (const TagSet& key : keys) {  // Empty table.
+    EXPECT_EQ(table.FindEntry(key.begin(), key.size()),
+              FlatCounterTable::kNoEntry);
   }
-  std::vector<size_t> slots(keys.size(), 0);
-  table.FindSlots(keys.data(), keys.size(), slots.data());  // Empty table.
-  for (const size_t slot : slots) EXPECT_EQ(slot, FlatCounterTable::kNoSlot);
 
-  for (size_t i = 0; i < keys.size(); i += 2) table.Increment(keys[i], i + 1);
-  table.FindSlots(keys.data(), keys.size(), slots.data());
+  // Entries are numbered in insertion order.
+  std::vector<TagSet> inserted;
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    if (FindSet(table, keys[i]) == 0) inserted.push_back(keys[i]);
+    IncrementSet(&table, keys[i], i + 1);
+  }
+  ASSERT_EQ(table.size(), inserted.size());
+  for (size_t e = 0; e < inserted.size(); ++e) {
+    EXPECT_EQ(TagSetAt(table, static_cast<FlatCounterTable::Entry>(e)),
+              inserted[e]);
+  }
   for (size_t i = 0; i < keys.size(); ++i) {
-    const size_t slot = table.FindSlot(keys[i]);
-    ASSERT_EQ(slots[i], slot) << i;
-    if (table.Find(keys[i]) == 0) {
-      EXPECT_EQ(slot, FlatCounterTable::kNoSlot);
+    const TagSet& key = keys[i];
+    const FlatCounterTable::Entry entry =
+        table.FindEntry(key.begin(), key.size());
+    ASSERT_EQ(table.FindEntry(key.begin(), key.size(),
+                              HashTagSpan(key.begin(), key.size())),
+              entry)
+        << i;
+    if (FindSet(table, key) == 0) {
+      EXPECT_EQ(entry, FlatCounterTable::kNoEntry);
       continue;
     }
-    ASSERT_NE(slot, FlatCounterTable::kNoSlot);
-    ASSERT_LT(slot, table.capacity());
-    EXPECT_TRUE(table.Occupied(slot));
-    EXPECT_EQ(table.KeyAt(slot), keys[i]);
-    EXPECT_EQ(table.CountAt(slot), table.Find(keys[i]));
+    ASSERT_LT(entry, table.size());
+    EXPECT_EQ(TagSetAt(table, entry), key);
+    EXPECT_EQ(table.CountAt(entry), FindSet(table, key));
   }
 }
 
@@ -91,8 +126,8 @@ TEST(FlatCounterTable, GrowthUnderLoadFactorPressure) {
   FlatCounterTable table;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    table.Increment(TagSet({static_cast<TagId>(i)}).PackKey(),
-                    static_cast<uint64_t>(i) + 1);
+    IncrementSet(&table, TagSet({static_cast<TagId>(i)}),
+                 static_cast<uint64_t>(i) + 1);
   }
   EXPECT_EQ(table.size(), static_cast<size_t>(n));
   EXPECT_GE(table.capacity(), static_cast<size_t>(n));
@@ -100,7 +135,7 @@ TEST(FlatCounterTable, GrowthUnderLoadFactorPressure) {
   EXPECT_EQ(table.capacity() & (table.capacity() - 1), 0u);
   EXPECT_LE(table.size() * 4, table.capacity() * 3);
   for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(table.Find(TagSet({static_cast<TagId>(i)}).PackKey()),
+    EXPECT_EQ(FindSet(table, TagSet({static_cast<TagId>(i)})),
               static_cast<uint64_t>(i) + 1);
   }
 }
@@ -113,43 +148,48 @@ TEST(FlatCounterTable, CollisionChainsResolve) {
   for (TagId a = 0; a < 64; ++a) {
     for (TagId b = a; b < 64; ++b) {
       const TagSet s = a == b ? TagSet({a}) : TagSet({a, b});
-      table.Increment(s.PackKey(), a + b + 1);
+      IncrementSet(&table, s, a + b + 1);
       oracle[s] += a + b + 1;
     }
   }
   EXPECT_EQ(table.size(), oracle.size());
   for (const auto& [tags, count] : oracle) {
-    EXPECT_EQ(table.Find(tags.PackKey()), count) << tags.ToString();
+    EXPECT_EQ(FindSet(table, tags), count) << tags.ToString();
   }
 }
 
 TEST(FlatCounterTable, ResetClearsButKeepsCapacity) {
   FlatCounterTable table;
-  for (TagId t = 0; t < 1000; ++t) table.Increment(TagSet({t}).PackKey());
+  for (TagId t = 0; t < 1000; ++t) IncrementSet(&table, TagSet({t}));
   const size_t capacity = table.capacity();
   EXPECT_GT(capacity, 0u);
   table.Reset();
   EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.capacity(), capacity);
-  EXPECT_EQ(table.Find(TagSet({5}).PackKey()), 0u);
+  for (TagId t = 0; t < 1000; ++t) EXPECT_EQ(FindSet(table, TagSet({t})), 0u);
+  EXPECT_EQ(FindSet(table, TagSet({5})), 0u);
   // The table is fully usable after Reset.
-  table.Increment(TagSet({5}).PackKey(), 9);
-  EXPECT_EQ(table.Find(TagSet({5}).PackKey()), 9u);
+  IncrementSet(&table, TagSet({5}), 9);
+  EXPECT_EQ(FindSet(table, TagSet({5})), 9u);
   EXPECT_EQ(table.size(), 1u);
 }
 
-TEST(FlatCounterTable, ForEachVisitsEveryCounterOnce) {
+TEST(FlatCounterTable, ForEachVisitsEveryCounterOnceInInsertionOrder) {
   FlatCounterTable table;
   for (TagId t = 0; t < 500; ++t) {
-    table.Increment(TagSet({t, t + 1000}).PackKey(), t + 1);
+    IncrementSet(&table, TagSet({t, t + 1000}), t + 1);
   }
+  std::vector<TagSet> order;
   std::unordered_map<TagSet, uint64_t, TagSetHash> seen;
-  table.ForEach([&](const PackedTagKey& key, uint64_t count) {
-    const auto [it, inserted] = seen.emplace(TagSet::FromPackedKey(key), count);
+  table.ForEach([&](const TagId* tags, size_t n, uint64_t count) {
+    const TagSet key = TagSet::FromSorted(tags, tags + n);
+    order.push_back(key);
+    const auto [it, inserted] = seen.emplace(key, count);
     EXPECT_TRUE(inserted) << "duplicate visit: " << it->first.ToString();
   });
-  EXPECT_EQ(seen.size(), 500u);
+  ASSERT_EQ(seen.size(), 500u);
   for (TagId t = 0; t < 500; ++t) {
+    EXPECT_EQ(order[t], TagSet({t, t + 1000}));
     EXPECT_EQ(seen.at(TagSet({t, t + 1000})), t + 1);
   }
 }
@@ -168,13 +208,12 @@ TEST(FlatCounterTable, DifferentialParityWithUnorderedMapOracle) {
     if (o < 70) {
       const TagSet tags = RandomTagSet(rng, kMaxTagsPerDocument, 60);
       const uint64_t d = delta(rng);
-      table.Increment(tags.PackKey(), d);
+      IncrementSet(&table, tags, d);
       oracle[tags] += d;
     } else if (o < 99) {
       const TagSet tags = RandomTagSet(rng, kMaxTagsPerDocument, 60);
       const auto it = oracle.find(tags);
-      ASSERT_EQ(table.Find(tags.PackKey()),
-                it == oracle.end() ? 0u : it->second)
+      ASSERT_EQ(FindSet(table, tags), it == oracle.end() ? 0u : it->second)
           << tags.ToString();
     } else {
       table.Reset();
@@ -183,9 +222,9 @@ TEST(FlatCounterTable, DifferentialParityWithUnorderedMapOracle) {
     if (step % 1000 == 999) {
       ASSERT_EQ(table.size(), oracle.size());
       size_t visited = 0;
-      table.ForEach([&](const PackedTagKey& key, uint64_t count) {
+      table.ForEach([&](const TagId* tags, size_t n, uint64_t count) {
         ++visited;
-        const auto it = oracle.find(TagSet::FromPackedKey(key));
+        const auto it = oracle.find(TagSet::FromSorted(tags, tags + n));
         ASSERT_NE(it, oracle.end());
         ASSERT_EQ(count, it->second);
       });
@@ -210,6 +249,117 @@ TEST(SubsetCounterTable, DifferentialParityWithMapBaseline) {
   for (const auto& [tags, count] : baseline) {
     EXPECT_EQ(table.Count(tags), count) << tags.ToString();
   }
+}
+
+/// Eq. 2 over the oracle's counters: the union count of `tags`.
+int64_t OracleUnion(
+    const std::unordered_map<TagSet, uint64_t, TagSetHash>& oracle,
+    const TagSet& tags) {
+  int64_t union_count = 0;
+  tags.ForEachSubset([&](const TagSet& subset) {
+    const auto it = oracle.find(subset);
+    const int64_t term =
+        it == oracle.end() ? 0 : static_cast<int64_t>(it->second);
+    union_count += subset.size() % 2 == 1 ? term : -term;
+  });
+  return union_count;
+}
+
+void ExpectSameReport(const std::vector<JaccardEstimate>& a,
+                      const std::vector<JaccardEstimate>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].tags, b[i].tags) << i;
+    ASSERT_EQ(a[i].intersection_count, b[i].intersection_count) << i;
+    ASSERT_EQ(a[i].union_count, b[i].union_count) << i;
+    ASSERT_EQ(a[i].coefficient, b[i].coefficient) << i;
+  }
+}
+
+TEST(SubsetCounterTable, MultiPeriodDifferentialWithOracle) {
+  // One table reused over eight periods (Observe, checks, Reset), against
+  // an unordered_map oracle of every subset's count. Documents hold 1..16
+  // tags; the 16-tag one, in the middle of period 3, adds 2^16 - 1 counters
+  // at once, more than any earlier period held, so the table grows in the
+  // middle of a period. Each period's counters,
+  // exported and added to a fresh table, must report the same bits.
+  std::mt19937 rng(2503);
+  std::uniform_int_distribution<int> size_pick(1, 6);
+  SubsetCounterTable table;
+  for (int period = 0; period < 8; ++period) {
+    std::unordered_map<TagSet, uint64_t, TagSetHash> oracle;
+    std::vector<TagSet> docs;
+    for (int doc = 0; doc < 400; ++doc) {
+      docs.push_back(RandomTagSet(rng, size_pick(rng), 30));
+    }
+    if (period == 3) {
+      std::vector<TagId> wide;
+      for (TagId t = 0; t < 16; ++t) wide.push_back(100 + 3 * t);
+      docs.insert(docs.begin() + 200, TagSet(wide));
+    }
+    for (int k = 7; k < kMaxTagsPerDocument; k += 3) {
+      docs.push_back(RandomTagSet(rng, k, 200));
+    }
+    size_t grown_at = 0;
+    for (size_t d = 0; d < docs.size(); ++d) {
+      const size_t before = table.num_counters();
+      table.Observe(docs[d]);
+      docs[d].ForEachSubset([&](const TagSet& subset) { ++oracle[subset]; });
+      if (period == 3 && table.num_counters() > before + 60000) grown_at = d;
+    }
+    if (period == 3) EXPECT_EQ(grown_at, 200u);
+    ASSERT_EQ(table.num_counters(), oracle.size()) << period;
+
+    // Counters and their export, against the oracle.
+    std::vector<std::pair<TagSet, uint64_t>> expected(oracle.begin(),
+                                                      oracle.end());
+    std::sort(expected.begin(), expected.end());
+    const auto exported = table.ExportCounters();
+    ASSERT_EQ(exported, expected) << period;
+
+    // The report, against the oracle for sets small enough to sum, and
+    // against a table rebuilt from the export for all of them.
+    const std::vector<JaccardEstimate> report = table.ReportAll();
+    size_t tracked = 0;
+    for (const auto& [tags, count] : expected) tracked += tags.size() >= 2;
+    ASSERT_EQ(report.size(), tracked) << period;
+    for (const JaccardEstimate& e : report) {
+      ASSERT_EQ(e.intersection_count, oracle.at(e.tags));
+      if (e.tags.size() <= 6) {
+        ASSERT_EQ(static_cast<int64_t>(e.union_count),
+                  OracleUnion(oracle, e.tags))
+            << e.tags.ToString();
+      }
+    }
+    SubsetCounterTable rebuilt;
+    for (const auto& [tags, count] : exported) rebuilt.Add(tags, count);
+    EXPECT_TRUE(rebuilt.Consistent());
+    ExpectSameReport(rebuilt.ReportAll(), report);
+    ExpectSameReport(rebuilt.ReportAll(/*min_support=*/2),
+                     table.ReportAll(/*min_support=*/2));
+
+    table.Reset();
+    EXPECT_EQ(table.num_counters(), 0u);
+    EXPECT_TRUE(table.ReportAll().empty());
+    EXPECT_TRUE(table.ExportCounters().empty());
+  }
+}
+
+TEST(SubsetCounterTable, InconsistentCountersAreNotConsistent) {
+  // {1,2} seen 5 times but {1} and {2} once each: the union count of
+  // {1,2} would be 1 + 1 - 5 < 5. No document stream produces this.
+  SubsetCounterTable table;
+  table.Add(TagSet({1, 2}), 5);
+  table.Add(TagSet({1}), 1);
+  table.Add(TagSet({2}), 1);
+  EXPECT_FALSE(table.Consistent());
+  table.Add(TagSet({1}), 4);
+  table.Add(TagSet({2}), 4);
+  EXPECT_TRUE(table.Consistent());
+  EXPECT_EQ(table.ReportAll().size(), 1u);
+  // A counter beyond int64_t cannot be a document count.
+  table.Add(TagSet({1, 2}), uint64_t{1} << 63);
+  EXPECT_FALSE(table.Consistent());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 #include <memory>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +201,72 @@ TEST(PipelineIntegration, DsCommunicationIsMinimal) {
   // must stay essentially redundancy-free (Figure 3).
   EXPECT_GE(metrics.AvgCommunication(), 1.0);
   EXPECT_LT(metrics.AvgCommunication(), 1.01);
+}
+
+/// Forwards to a wrapped bolt and counts the tuples it receives by message
+/// type (the Message variant's index).
+class CountingBolt : public stream::Bolt<ops::Message> {
+ public:
+  CountingBolt(std::unique_ptr<stream::Bolt<ops::Message>> inner,
+               std::vector<uint64_t>* by_type)
+      : inner_(std::move(inner)), by_type_(by_type) {}
+
+  void Prepare(stream::TaskAddress self, int parallelism) override {
+    inner_->Prepare(self, parallelism);
+  }
+  void AttachControl(stream::TopologyControl* control) override {
+    inner_->AttachControl(control);
+  }
+  void Execute(const stream::Envelope<ops::Message>& in,
+               stream::Emitter<ops::Message>& out) override {
+    ++(*by_type_)[in.payload().index()];
+    inner_->Execute(in, out);
+  }
+  void OnTick(Timestamp tick_time,
+              stream::Emitter<ops::Message>& out) override {
+    inner_->OnTick(tick_time, out);
+  }
+
+ private:
+  std::unique_ptr<stream::Bolt<ops::Message>> inner_;
+  std::vector<uint64_t>* by_type_;
+};
+
+TEST(PipelineIntegration, DisseminatorFeedbackEdgesArePerStream) {
+  // Repartition requests reach every Partitioner and never the Merger;
+  // uncovered tagsets reach the Merger and never a Partitioner.
+  const ops::PipelineConfig pipeline = FastPipeline(AlgorithmKind::kSCL);
+  stream::Topology<ops::Message> topology;
+  const ops::TopologyHandles handles = ops::BuildCorrelationTopology(
+      &topology,
+      std::make_unique<ops::GeneratorSpout>(SmallWorkload(), 20000), pipeline,
+      nullptr, /*with_centralized_baseline=*/false);
+  std::vector<uint64_t> to_partitioners(std::variant_size_v<ops::Message>);
+  std::vector<uint64_t> to_merger(std::variant_size_v<ops::Message>);
+  for (const auto& [component, counts] :
+       {std::pair{handles.partitioner, &to_partitioners},
+        std::pair{handles.merger, &to_merger}}) {
+    auto& factory = topology.mutable_components()[component].bolt_factory;
+    factory = [inner = factory, counts = counts](int instance) {
+      return std::make_unique<CountingBolt>(inner(instance), counts);
+    };
+  }
+  stream::SimulationRuntime<ops::Message> runtime(&topology);
+  runtime.Run(pipeline.report_period);
+
+  const auto index = [](auto alternative) {
+    return ops::Message(alternative).index();
+  };
+  const size_t request = index(ops::RepartitionRequest{});
+  const size_t uncovered = index(ops::UncoveredTagset{});
+  const auto* disseminator = static_cast<const ops::DisseminatorBolt*>(
+      runtime.bolt(handles.disseminator, 0));
+  ASSERT_GT(disseminator->repartitions_requested(), 0u);
+  EXPECT_GT(to_partitioners[request], 0u);
+  EXPECT_EQ(to_partitioners[request] % pipeline.num_partitioners, 0u);
+  EXPECT_EQ(to_partitioners[uncovered], 0u);
+  EXPECT_GT(to_merger[uncovered], 0u);
+  EXPECT_EQ(to_merger[request], 0u);
 }
 
 TEST(PipelineIntegration, EveryOperatorReceivesTraffic) {

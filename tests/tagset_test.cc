@@ -132,47 +132,51 @@ TEST(TagSet, ForEachSubsetSixteenTagBoundary) {
   EXPECT_EQ(count, (uint64_t{1} << 16) - 1);
   EXPECT_EQ(full_sets, 1u);
 
-  // The packed-key sibling walks the identical mask sequence.
-  uint64_t key_count = 0;
-  s.ForEachSubsetKey([&](const PackedTagKey&) { ++key_count; });
-  EXPECT_EQ(key_count, count);
+  // The span enumerator underneath walks the identical mask sequence.
+  uint64_t span_count = 0;
+  TagId scratch[kMaxTagsPerDocument];
+  s.ForEachSubsetSpan(scratch, [&](const TagId*, size_t) { ++span_count; });
+  EXPECT_EQ(span_count, count);
 }
 
 TEST(TagSet, SubsetEnumeratorsAgree) {
-  // ForEachSubset, ForEachSubsetSpan, and ForEachSubsetKey must yield the
-  // same subsets in the same order.
+  // ForEachSubset and ForEachSubsetSpan must yield the same subsets in the
+  // same order, call m being mask m, as SelectTags spells it.
   const TagSet s({2, 3, 5, 7, 11});
   std::vector<TagSet> from_set;
   std::vector<TagSet> from_span;
-  std::vector<TagSet> from_key;
+  std::vector<TagSet> from_mask;
   s.ForEachSubset([&](const TagSet& sub) { from_set.push_back(sub); });
   TagId scratch[kMaxTagsPerDocument];
   s.ForEachSubsetSpan(scratch, [&](const TagId* tags, size_t n) {
     from_span.push_back(TagSet::FromSorted(tags, tags + n));
   });
-  s.ForEachSubsetKey([&](const PackedTagKey& key) {
-    from_key.push_back(TagSet::FromPackedKey(key));
-  });
+  for (uint32_t mask = 1; mask < (1u << s.size()); ++mask) {
+    const size_t n = SelectTags(s.begin(), mask, scratch);
+    from_mask.push_back(TagSet::FromSorted(scratch, scratch + n));
+  }
   EXPECT_EQ(from_set, from_span);
-  EXPECT_EQ(from_set, from_key);
+  EXPECT_EQ(from_set, from_mask);
 
   from_set.clear();
-  from_key.clear();
+  from_span.clear();
   s.ForEachSubset([&](const TagSet& sub) { from_set.push_back(sub); },
                   /*min_size=*/3);
-  s.ForEachSubsetKey([&](const PackedTagKey& key) {
-    from_key.push_back(TagSet::FromPackedKey(key));
+  s.ForEachSubsetSpan(scratch, [&](const TagId* tags, size_t n) {
+    from_span.push_back(TagSet::FromSorted(tags, tags + n));
   }, /*min_size=*/3);
-  EXPECT_EQ(from_set, from_key);
+  EXPECT_EQ(from_set, from_span);
   for (const TagSet& sub : from_set) EXPECT_GE(sub.size(), 3u);
 }
 
-TEST(TagSet, PackKeyMatchesHashAndEquality) {
+TEST(TagSet, SpanHashIsASetHash) {
+  // The counter tables hash a canonical set's span: input order does not
+  // matter, the tags do.
   const TagSet a({4, 9, 1});
   const TagSet b({1, 4, 9});
-  EXPECT_EQ(a.PackKey(), b.PackKey());
-  EXPECT_EQ(a.PackKey().Hash(), b.PackKey().Hash());
-  EXPECT_NE(a.PackKey(), TagSet({1, 4}).PackKey());
+  const TagSet c({1, 4});
+  EXPECT_EQ(HashTagSpan(a.begin(), a.size()), HashTagSpan(b.begin(), b.size()));
+  EXPECT_NE(HashTagSpan(a.begin(), a.size()), HashTagSpan(c.begin(), c.size()));
 }
 
 TEST(TagSet, ToString) {
