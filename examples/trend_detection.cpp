@@ -222,7 +222,6 @@ int main(int argc, char** argv) {
   options.checkpoint_uri = checkpoint_uri;
   options.every_docs = checkpoint_every;
   options.restore_uri = restore_from;
-  options.telemetry = telemetry.get();
   ops::CheckpointedRun run;
   std::string error;
   if (!ops::RunCheckpointedPipeline(

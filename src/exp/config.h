@@ -6,7 +6,6 @@
 
 #include "gen/tweet_generator.h"
 #include "ops/pipeline_config.h"
-#include "storage/fault_injection.h"
 
 namespace corrtrack::exp {
 
@@ -36,16 +35,12 @@ struct ExperimentConfig {
   /// `checkpoint_uri` (file://…, mem://…) every `checkpoint_every_docs`
   /// ingested documents; both must be set for checkpointing to engage.
   /// `restore_uri` resumes from the newest valid checkpoint under that
-  /// root before ingest starts (the run aborts on a config-fingerprint
-  /// mismatch — wrong state is worse than no state).
+  /// root before ingest starts; a missing or unreadable root or a
+  /// config-fingerprint mismatch fails the run with
+  /// ExperimentResult::error set — wrong state is worse than no state.
   std::string checkpoint_uri;
   uint64_t checkpoint_every_docs = 0;
   std::string restore_uri;
-
-  /// Fault schedule injected under the checkpoint *writer* (resilience
-  /// experiments): the run must complete with graceful degradation —
-  /// failed checkpoints logged and counted, ingest never stalled.
-  storage::FaultPlan checkpoint_faults;
 
   /// Observability: attach a telemetry::PipelineTelemetry to the run —
   /// 1-in-`telemetry_sample_every` documents carry a trace span through

@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-#include "core/check.h"
 #include "ops/centralized.h"
 #include "ops/source.h"
 #include "ops/topology_builder.h"
@@ -183,8 +182,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   options.checkpoint_uri = config.checkpoint_uri;
   options.every_docs = config.checkpoint_every_docs;
   options.restore_uri = config.restore_uri;
-  options.faults = config.checkpoint_faults;
-  options.telemetry = telemetry.get();
   if (serve_index != nullptr) {
     serve::CorrelationIndex* index = serve_index.get();
     options.export_serve = [index](std::string* out) {
@@ -195,23 +192,23 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     };
   }
   ops::CheckpointedRun run;
-  std::string error;
+  ExperimentResult result;
+  result.label = config.label;
   const bool ok = ops::RunCheckpointedPipeline(
       std::move(spout), pipeline, options, &metrics,
       config.with_centralized_baseline, serve_sink.get(),
       /*baseline_sink=*/nullptr,
-      /*final_flush_horizon=*/config.pipeline.report_period, &run, &error);
+      /*final_flush_horizon=*/config.pipeline.report_period, &run,
+      &result.error);
+  result.checkpoint = std::move(run.stats);
   if (!ok) {
-    CORRTRACK_LOG(kError, "exp", "RunExperiment: %s", error.c_str());
+    CORRTRACK_LOG(kError, "exp", "RunExperiment: %s", result.error.c_str());
+    return result;
   }
-  CORRTRACK_CHECK(ok);
   stream::Runtime<ops::Message>& runtime = *run.runtime;
   const ops::TopologyHandles& handles = run.handles;
-  metrics.OnRuntimeStats(runtime.stats());
   metrics.FinishSeries();
 
-  ExperimentResult result;
-  result.label = config.label;
   result.runtime = runtime.kind();
   result.runtime_stats = runtime.stats();
   result.documents = metrics.docs_routed();
@@ -232,16 +229,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   result.final_calculators = metrics.current_calculators();
   result.peak_calculators = metrics.peak_calculators();
   result.series = metrics.series();
-  result.repartition_events = metrics.repartitions();
-  result.checkpoints_written = run.stats.checkpoints_written;
-  result.checkpoints_failed = run.stats.checkpoints_failed;
-  result.checkpoint_bytes = run.stats.checkpoint_bytes;
-  result.restore_chunks = run.stats.restore_chunks;
-  result.storage_retries = run.stats.storage_retries;
-  result.storage_faults_injected = run.stats.storage_faults_injected;
-  result.restored = run.stats.restored;
-  result.restored_docs = run.stats.restored_docs;
-  result.checkpoint_events = std::move(run.stats.events);
 
   if (config.with_centralized_baseline && metrics.any_install()) {
     const auto* tracker = static_cast<ops::TrackerBolt*>(

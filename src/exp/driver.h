@@ -29,6 +29,12 @@ struct LatencyStat {
 struct ExperimentResult {
   std::string label;
 
+  /// Why the run did not complete (a failed restore: missing or corrupt
+  /// checkpoint store, fingerprint mismatch); empty on success. A failed
+  /// run carries only `label`, `error` and `checkpoint` — nothing ran, so
+  /// the metrics and oracles below are left at their defaults.
+  std::string error;
+
   // Figure 3: communication.
   double avg_communication = 0.0;
   // Figure 4: load distribution.
@@ -65,7 +71,7 @@ struct ExperimentResult {
   uint64_t documents = 0;
 
   // Execution substrate of the run and its backpressure counters
-  // (MetricsSink::OnRuntimeStats): which runtime executed the topology,
+  // (Runtime::stats() after the run): which runtime executed the topology,
   // envelopes moved, steals, queue-full blocks, max queue depth.
   stream::RuntimeKind runtime = stream::RuntimeKind::kSimulation;
   stream::RuntimeStats runtime_stats;
@@ -81,20 +87,11 @@ struct ExperimentResult {
 
   // Figures 8/9 time series.
   std::vector<SeriesSample> series;
-  std::vector<RepartitionEvent> repartition_events;
 
-  // Durability (storage layer): checkpoint/restore outcome counters and
-  // the per-attempt trail of the run (ExperimentConfig::checkpoint_uri and
-  // friends). All zero / empty when the run was not checkpointed.
-  uint64_t checkpoints_written = 0;
-  uint64_t checkpoints_failed = 0;
-  uint64_t checkpoint_bytes = 0;
-  uint64_t restore_chunks = 0;
-  uint64_t storage_retries = 0;
-  uint64_t storage_faults_injected = 0;
-  bool restored = false;
-  uint64_t restored_docs = 0;
-  std::vector<ops::CheckpointEvent> checkpoint_events;
+  // Durability (storage layer): the checkpoint runner's outcome counters
+  // and per-attempt trail (ExperimentConfig::checkpoint_uri and friends).
+  // All zero / empty when the run was neither checkpointed nor restored.
+  ops::CheckpointRunStats checkpoint;
 
   // Observability (ExperimentConfig::with_telemetry): every latency
   // histogram the run recorded — per-stage dwell/processing, doc and

@@ -106,36 +106,6 @@ void MetricsCollector::OnSingleAddition(Timestamp /*time*/) {
   ++single_additions_;
 }
 
-void MetricsCollector::OnRuntimeStats(const stream::RuntimeStats& stats) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  runtime_stats_ = stats;
-}
-
-void MetricsCollector::OnCheckpoint(uint64_t seq, uint64_t docs_ingested,
-                                    uint64_t bytes, size_t chunks, bool ok,
-                                    Timestamp time) {
-  (void)seq;
-  (void)docs_ingested;
-  (void)chunks;
-  (void)time;
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ok) {
-    ++checkpoints_written_;
-    checkpoint_bytes_ += bytes;
-  } else {
-    ++checkpoints_failed_;
-  }
-}
-
-void MetricsCollector::OnRestore(uint64_t seq, uint64_t docs_ingested,
-                                 size_t chunks) {
-  (void)seq;
-  (void)docs_ingested;
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++restores_;
-  restore_chunks_ += chunks;
-}
-
 double MetricsCollector::AvgCommunication() const {
   if (notified_docs_ == 0) return 0.0;
   return static_cast<double>(total_notifications_) /

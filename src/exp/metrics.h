@@ -8,7 +8,6 @@
 #include "core/types.h"
 #include "ops/messages.h"
 #include "ops/metrics_sink.h"
-#include "stream/runtime.h"
 
 namespace corrtrack::exp {
 
@@ -69,11 +68,6 @@ class MetricsCollector : public ops::MetricsSink {
   void OnSingleAddition(Timestamp time) override;
   void OnTopologyResize(Epoch epoch, int old_k, int new_k,
                         Timestamp time) override;
-  void OnRuntimeStats(const stream::RuntimeStats& stats) override;
-  void OnCheckpoint(uint64_t seq, uint64_t docs_ingested, uint64_t bytes,
-                    size_t chunks, bool ok, Timestamp time) override;
-  void OnRestore(uint64_t seq, uint64_t docs_ingested,
-                 size_t chunks) override;
 
   /// §8.2.1: average notifications per notified document.
   double AvgCommunication() const;
@@ -110,18 +104,6 @@ class MetricsCollector : public ops::MetricsSink {
 
   const std::vector<SeriesSample>& series() const { return series_; }
 
-  /// Substrate counters of the run (OnRuntimeStats).
-  const stream::RuntimeStats& runtime_stats() const {
-    return runtime_stats_;
-  }
-
-  /// Durability trail (OnCheckpoint / OnRestore).
-  uint64_t checkpoints_written() const { return checkpoints_written_; }
-  uint64_t checkpoints_failed() const { return checkpoints_failed_; }
-  uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
-  uint64_t restores() const { return restores_; }
-  uint64_t restore_chunks() const { return restore_chunks_; }
-
   /// Flushes a final partial series segment (call once, after the run).
   void FinishSeries();
 
@@ -151,13 +133,6 @@ class MetricsCollector : public ops::MetricsSink {
   std::vector<uint64_t> segment_per_calculator_;
   int segment_repartitions_ = 0;
   std::vector<SeriesSample> series_;
-  stream::RuntimeStats runtime_stats_;
-  // Durability trail.
-  uint64_t checkpoints_written_ = 0;
-  uint64_t checkpoints_failed_ = 0;
-  uint64_t checkpoint_bytes_ = 0;
-  uint64_t restores_ = 0;
-  uint64_t restore_chunks_ = 0;
 };
 
 }  // namespace corrtrack::exp

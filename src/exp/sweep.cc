@@ -58,36 +58,6 @@ std::vector<SweepPoint> PartitionSweep() {
   return points;
 }
 
-std::vector<SweepPoint> RuntimeSweep() {
-  std::vector<SweepPoint> points;
-  points.push_back({"rt=sim", [](ExperimentConfig* c) {
-                      c->set_runtime(stream::RuntimeKind::kSimulation);
-                    }});
-  points.push_back({"rt=pool@1", [](ExperimentConfig* c) {
-                      c->set_runtime(stream::RuntimeKind::kPool, 1);
-                      c->pipeline.queue_capacity = 256;
-                    }});
-  points.push_back({"rt=pool", [](ExperimentConfig* c) {
-                      c->set_runtime(stream::RuntimeKind::kPool);
-                      c->pipeline.queue_capacity = 256;
-                    }});
-  return points;
-}
-
-std::vector<SweepPoint> ElasticSweep() {
-  std::vector<SweepPoint> points;
-  points.push_back({"static k=10", [](ExperimentConfig*) {}});
-  points.push_back({"elastic<=32", [](ExperimentConfig* c) {
-                      c->pipeline.elastic.enabled = true;
-                      c->pipeline.max_calculators = 32;
-                      // ~sqrt(window load / overhead) lands in the single
-                      // digits for the default 5-minute windows; a small
-                      // overhead lets k track the observed load visibly.
-                      c->pipeline.elastic.partition_overhead_load = 200;
-                    }});
-  return points;
-}
-
 std::vector<SweepPoint> RateSweep() {
   std::vector<SweepPoint> points;
   for (int tps : {1300, 2600}) {

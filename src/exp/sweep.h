@@ -31,20 +31,6 @@ std::vector<SweepPoint> PartitionerSweep();
 std::vector<SweepPoint> PartitionSweep();
 std::vector<SweepPoint> RateSweep();
 
-/// Elastic-repartitioning sweep (§7.3 tentpole): the static build-time
-/// k=10 topology against the elastic mode (cost-model target-k, resize up
-/// to 32 Calculators) on the same workload — compares communication/load
-/// *and* the resize trail (ExperimentResult::resize_events,
-/// SeriesSample::active_calculators plots k tracking load).
-std::vector<SweepPoint> ElasticSweep();
-
-/// Execution-substrate sweep: the same workload on the deterministic
-/// simulator and the work-stealing pool (1 and hardware-concurrency
-/// workers) — compares accuracy/communication metrics across substrates
-/// rather than pipeline knobs. Concurrent points are not bit-repeatable; their value is showing the figures are
-/// substrate-independent within noise.
-std::vector<SweepPoint> RuntimeSweep();
-
 /// results[algorithm][point], algorithms in paper order (DS, SCI, SCC,
 /// SCL). Runs every combination sequentially and deterministically.
 using SweepResults = std::vector<std::vector<ExperimentResult>>;

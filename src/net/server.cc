@@ -28,6 +28,11 @@ namespace {
 constexpr uint64_t kEventFdData = 0;
 constexpr uint64_t kListenerData = 1;
 
+/// Per-readiness-event read budget: bytes drained from one socket before
+/// the loop moves on (fairness under pipelined flooding; level-triggered
+/// epoll re-delivers the rest).
+constexpr size_t kMaxReadPerEvent = 256 * 1024;
+
 void RecordNs(telemetry::LatencyHistogram* hist, int64_t span_ns) {
   if (hist != nullptr && span_ns > 0) {
     hist->Record(static_cast<uint64_t>(span_ns));
@@ -70,7 +75,7 @@ struct Server::Connection {
   int64_t arrival_ns = 0;  // First byte of the batch being accumulated.
 
   /// Effective deadline budget from the connection's last kDeadline
-  /// directive (already clamped); 0 falls back to default_deadline_ms.
+  /// directive (already clamped); 0 = requests never expire.
   uint32_t deadline_ms = 0;
 
   // Timeout bookkeeping (only touched when the reapers are configured).
@@ -670,7 +675,7 @@ void Server::HandleReadable(NetThread& net, Connection& conn) {
   char buf[65536];
   size_t total = 0;
   bool fatal = false;
-  while (total < config_.max_read_per_event) {
+  while (total < kMaxReadPerEvent) {
     const ssize_t n = sock_->Recv(conn.fd, buf, sizeof(buf));
     if (n > 0) {
       conn.in_buf.append(buf, static_cast<size_t>(n));
@@ -740,14 +745,9 @@ void Server::DecodeAndSubmit(NetThread& net, Connection& conn) {
         }
         conn.deadline_ms = effective;
         request.budget_ms = effective;  // Echoed in the kDeadlineAck.
-      } else {
-        const uint32_t budget = conn.deadline_ms != 0
-                                    ? conn.deadline_ms
-                                    : config_.default_deadline_ms;
-        if (budget != 0) {
-          request.deadline_ns =
-              decode_ns + static_cast<int64_t>(budget) * 1'000'000;
-        }
+      } else if (conn.deadline_ms != 0) {
+        request.deadline_ns =
+            decode_ns + static_cast<int64_t>(conn.deadline_ms) * 1'000'000;
       }
       requests.push_back(std::move(request));
       view.remove_prefix(consumed);

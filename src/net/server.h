@@ -40,21 +40,13 @@ struct ServerConfig {
   /// realistic connection count so producers never block the event loop.
   size_t queue_capacity = 4096;
 
-  /// Per-readiness-event read budget: bytes drained from one socket before
-  /// the loop moves on (fairness under pipelined flooding; level-triggered
-  /// epoll re-delivers the rest).
-  size_t max_read_per_event = 256 * 1024;
-
   // ------------------------------------------------ overload protection
 
   /// Ceiling on the per-request deadline budget a client may propose with
   /// a kDeadline directive; proposals above it are clamped and the clamp
   /// is echoed back in the kDeadlineAck. 0 disables deadlines entirely.
+  /// Requests on connections that never proposed a budget never expire.
   uint32_t max_deadline_ms = 60'000;
-
-  /// Deadline budget applied to connections that never proposed one.
-  /// 0 (the default) means such requests never expire.
-  uint32_t default_deadline_ms = 0;
 
   /// Admission-control watermark: when the shared queue holds at least
   /// this many batches, newly decoded request groups are shed with

@@ -92,6 +92,7 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
   if (metrics == nullptr) metrics = NullMetricsSink();
   *out = CheckpointedRun();
   CheckpointRunStats& stats = out->stats;
+  telemetry::PipelineTelemetry* const telemetry = config.telemetry;
   const uint64_t fingerprint = PipelineConfigFingerprint(config);
 
   PeekableSpout source(std::move(spout));
@@ -112,14 +113,14 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
       return false;
     }
     storage::CheckpointReader reader(opened.storage, opened.root,
-                                     options.retry, options.restore_threads);
+                                     options.retry);
     storage::CheckpointData data;
     const int64_t restore_t0 = telemetry::MonotonicNanos();
     status = reader.ReadLatest(&data);
-    if (options.telemetry != nullptr) {
-      options.telemetry->checkpoint_restore_us->Record(telemetry::SpanMicros(
+    if (telemetry != nullptr) {
+      telemetry->checkpoint_restore_us->Record(telemetry::SpanMicros(
           restore_t0, telemetry::MonotonicNanos()));
-      options.telemetry->storage_retries->Increment(reader.retries());
+      telemetry->storage_retries->Increment(reader.retries());
     }
     stats.storage_retries += reader.retries();
     if (!status.ok()) {
@@ -161,7 +162,6 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
     stats.restored = true;
     stats.restored_seq = data.seq;
     stats.restored_docs = docs;
-    metrics->OnRestore(data.seq, docs, reader.last_restore_chunks());
     restore_state = std::move(state);
   }
 
@@ -182,8 +182,8 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
                     options.checkpoint_uri.c_str(),
                     status.ToString().c_str());
       ++stats.checkpoints_failed;
-      if (options.telemetry != nullptr) {
-        options.telemetry->checkpoints_failed->Increment();
+      if (telemetry != nullptr) {
+        telemetry->checkpoints_failed->Increment();
       }
       checkpointing = false;
     } else {
@@ -202,7 +202,7 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
         backend = faulty;
       }
       writer = std::make_unique<storage::CheckpointWriter>(
-          backend, opened.root, options.retry, options.keep);
+          backend, opened.root, options.retry);
     }
   }
 
@@ -213,12 +213,11 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
 
   auto build_segment = [&](std::unique_ptr<stream::Spout<Message>> seg_spout) {
     topology = std::make_unique<stream::Topology<Message>>();
-    PipelineConfig seg_config = config;
-    seg_config.virtual_start_time = docs > 0 ? last_time : 0;
     handles = BuildCorrelationTopology(
-        topology.get(), std::move(seg_spout), seg_config, metrics,
+        topology.get(), std::move(seg_spout), config, metrics,
         with_centralized_baseline, tracker_sink, baseline_sink, restore_state);
-    runtime = MakeConfiguredRuntime(topology.get(), seg_config);
+    runtime = MakeConfiguredRuntime(topology.get(), config,
+                                    /*start_time=*/docs > 0 ? last_time : 0);
     // Re-apply the elastic parallelism of the cut. The topology was built
     // with the ORIGINAL config (stable fingerprint, stable instance
     // numbering); the live count is runtime state, restored here the same
@@ -257,8 +256,8 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
     uint64_t chunks = 0;
     const int64_t write_t0 = telemetry::MonotonicNanos();
     const storage::Status status = writer->Write(data, &bytes, &chunks);
-    if (options.telemetry != nullptr) {
-      options.telemetry->checkpoint_write_us->Record(
+    if (telemetry != nullptr) {
+      telemetry->checkpoint_write_us->Record(
           telemetry::SpanMicros(write_t0, telemetry::MonotonicNanos()));
     }
     CheckpointEvent event;
@@ -273,8 +272,8 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
       ++stats.checkpoints_written;
       stats.checkpoint_bytes += bytes;
       stats.checkpoint_chunks += chunks;
-      if (options.telemetry != nullptr) {
-        options.telemetry->checkpoints_written->Increment();
+      if (telemetry != nullptr) {
+        telemetry->checkpoints_written->Increment();
       }
     } else {
       // Graceful degradation: log + count; the previous durable checkpoint
@@ -284,12 +283,10 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
                     static_cast<unsigned long long>(docs),
                     status.ToString().c_str());
       ++stats.checkpoints_failed;
-      if (options.telemetry != nullptr) {
-        options.telemetry->checkpoints_failed->Increment();
+      if (telemetry != nullptr) {
+        telemetry->checkpoints_failed->Increment();
       }
     }
-    metrics->OnCheckpoint(seq, docs, event.bytes, event.chunks, status.ok(),
-                          last_time);
     stats.events.push_back(event);
 
     restore_state = std::move(captured);
@@ -311,8 +308,8 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
 
   if (writer != nullptr) {
     stats.storage_retries += writer->retries();
-    if (options.telemetry != nullptr) {
-      options.telemetry->storage_retries->Increment(writer->retries());
+    if (telemetry != nullptr) {
+      telemetry->storage_retries->Increment(writer->retries());
     }
   }
   if (faulty != nullptr) stats.storage_faults_injected = faulty->stats().total;

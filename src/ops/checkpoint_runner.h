@@ -29,16 +29,20 @@ namespace corrtrack::ops {
 /// uninterrupted run would have passed through at that spout position. The
 /// next segment rebuilds the topology with the captured state injected via
 /// the bolt factories and resumes the virtual-time tick schedule at the
-/// cut's timestamp (PipelineConfig::virtual_start_time); a checkpointed run
-/// and a restored run are therefore the same computation by construction,
-/// which the kill-restore differential tests verify against the
-/// centralised oracle.
+/// cut's timestamp (MakeConfiguredRuntime's `start_time`); a checkpointed
+/// run and a restored run are therefore the same computation by
+/// construction, which the kill-restore differential tests verify against
+/// the centralised oracle.
 ///
 /// Durability is decoupled from correctness: the captured state continues
 /// the live pipeline in memory whether or not the write commits, so a
 /// failed checkpoint (ENOSPC, torn rename, exhausted retries) degrades
 /// gracefully — logged, counted, previous durable checkpoint untouched —
 /// and never stalls or corrupts ingest.
+///
+/// Checkpoint write/restore timing and outcome counters are recorded into
+/// PipelineConfig::telemetry when it is set. Retention and the restore
+/// fan-out are the CheckpointWriter's and CheckpointReader's defaults.
 struct CheckpointRunnerOptions {
   /// Storage URI checkpoints are written to (file://…, mem://…); empty or
   /// `every_docs == 0` disables checkpointing.
@@ -50,13 +54,11 @@ struct CheckpointRunnerOptions {
   /// mismatch and fails the run (never silently computes on wrong state).
   std::string restore_uri;
 
-  storage::RetryPolicy retry;    ///< Transient-error policy for I/O.
-  int keep = 2;                  ///< Checkpoints retained (GC).
-  int restore_threads = 4;       ///< Chunk-parallel restore fan-out.
+  storage::RetryPolicy retry;  ///< Transient-error policy for I/O.
 
-  /// Fault schedule injected under the checkpoint *writer* (tests /
-  /// resilience experiments). Restore reads are not wrapped: read-side
-  /// fault handling is exercised against the storage layer directly.
+  /// Fault schedule injected under the checkpoint *writer* (the
+  /// degradation tests). Restore reads are not wrapped: read-side fault
+  /// handling is exercised against the storage layer directly.
   storage::FaultPlan faults;
 
   /// Serving-layer bridge (optional, both or neither): export is called at
@@ -65,12 +67,6 @@ struct CheckpointRunnerOptions {
   /// free of a serve:: dependency — exp::RunExperiment binds the index.
   std::function<void(std::string*)> export_serve;
   std::function<bool(std::string_view)> restore_serve;
-
-  /// Optional instrumentation (borrowed, must outlive the run): checkpoint
-  /// write/restore timing histograms and outcome counters. Independent of
-  /// PipelineConfig::telemetry so storage timing can be captured even on
-  /// runs that leave the per-document path untraced.
-  telemetry::PipelineTelemetry* telemetry = nullptr;
 };
 
 /// One checkpoint attempt, for the experiment trail.
@@ -83,8 +79,8 @@ struct CheckpointEvent {
   Timestamp time = 0;
 };
 
-/// Outcome counters (ISSUE: checkpoints_written, checkpoint_bytes,
-/// restore_chunks, storage_retries, storage_faults_injected).
+/// Outcome counters and the per-attempt trail of one run (also the
+/// durability record of exp::ExperimentResult::checkpoint).
 struct CheckpointRunStats {
   uint64_t checkpoints_written = 0;
   uint64_t checkpoints_failed = 0;

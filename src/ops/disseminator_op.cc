@@ -160,7 +160,6 @@ void DisseminatorBolt::UpdateQualityStats(
   }
   const double max_load =
       total > 0 ? static_cast<double>(max) / static_cast<double>(total) : 0.0;
-  metrics_->OnQualityBatch(avg_com, max_load, ref_avg_com_, ref_max_load_);
 
   uint8_t cause = 0;
   const double margin = 1.0 + config_.repartition_threshold;

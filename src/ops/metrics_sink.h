@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "core/types.h"
-#include "stream/runtime.h"
 
 namespace corrtrack::ops {
 
@@ -56,48 +55,6 @@ class MetricsSink {
     (void)old_k;
     (void)new_k;
     (void)time;
-  }
-
-  /// The Disseminator finished a z-batch of quality statistics (§7.2):
-  /// measured avgCom' / maxLoad' against the installed reference values.
-  virtual void OnQualityBatch(double avg_com, double max_load,
-                              double ref_avg_com, double ref_max_load) {
-    (void)avg_com;
-    (void)max_load;
-    (void)ref_avg_com;
-    (void)ref_max_load;
-  }
-
-  /// The runtime finished Run(): substrate-level counters (envelopes
-  /// moved, steals, queue-full blocks, max queue depth) so backpressure is
-  /// observable per experiment. Called once, by the driver, after the run.
-  virtual void OnRuntimeStats(const stream::RuntimeStats& stats) {
-    (void)stats;
-  }
-
-  /// A checkpoint attempt finished (ops/checkpoint_runner.h): sequence
-  /// number, spout position of the cut, bytes and chunks actually written,
-  /// and whether the commit succeeded. A failed attempt (`ok == false`,
-  /// zero bytes counted) is the graceful-degradation path — the pipeline
-  /// keeps running on the previous durable checkpoint.
-  virtual void OnCheckpoint(uint64_t seq, uint64_t docs_ingested,
-                            uint64_t bytes, size_t chunks, bool ok,
-                            Timestamp time) {
-    (void)seq;
-    (void)docs_ingested;
-    (void)bytes;
-    (void)chunks;
-    (void)ok;
-    (void)time;
-  }
-
-  /// A checkpoint was restored before ingest resumed: which sequence
-  /// number, the spout position it rewinds to, and the chunks read.
-  virtual void OnRestore(uint64_t seq, uint64_t docs_ingested,
-                         size_t chunks) {
-    (void)seq;
-    (void)docs_ingested;
-    (void)chunks;
   }
 };
 

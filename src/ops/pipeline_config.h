@@ -116,18 +116,13 @@ struct PipelineConfig {
   /// pusher). Must be > 0 on the pool. Ignored by the simulation runtime.
   size_t queue_capacity = 4096;
 
-  /// Virtual time the runtime starts at (RuntimeOptions::start_time): tick
-  /// schedules begin at the first period boundary strictly after it.
-  /// Checkpoint restore sets this to the cut's newest timestamp so a
-  /// restored mid-period counter table is not flushed by a stale catch-up
-  /// tick. 0 = the normal from-the-beginning schedule.
-  Timestamp virtual_start_time = 0;
-
   /// Optional observability bundle (telemetry/pipeline_telemetry.h): when
   /// set, the Parser samples trace spans, every stage records dwell/proc
-  /// histograms, and MakeConfiguredRuntime hands the bundle's registry to
-  /// the substrate. Borrowed, not owned; must outlive the run. Not part of
-  /// the checkpoint fingerprint — observability does not change semantics.
+  /// histograms, MakeConfiguredRuntime hands the bundle's registry to the
+  /// substrate, and the checkpoint runner records its write/restore timing
+  /// and outcome counters. Borrowed, not owned; must outlive the run. Not
+  /// part of the checkpoint fingerprint — observability does not change
+  /// semantics.
   telemetry::PipelineTelemetry* telemetry = nullptr;
 };
 

@@ -174,11 +174,12 @@ TopologyHandles BuildCorrelationTopology(
 }
 
 std::unique_ptr<stream::Runtime<Message>> MakeConfiguredRuntime(
-    stream::Topology<Message>* topology, const PipelineConfig& config) {
+    stream::Topology<Message>* topology, const PipelineConfig& config,
+    Timestamp start_time) {
   stream::RuntimeOptions options;
   options.queue_capacity = config.queue_capacity;
   options.num_threads = config.num_threads;
-  options.start_time = config.virtual_start_time;
+  options.start_time = start_time;
   if (config.telemetry != nullptr) {
     options.metrics = &config.telemetry->registry;
   }

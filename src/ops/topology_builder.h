@@ -73,8 +73,15 @@ TopologyHandles BuildCorrelationTopology(
 /// num_threads, queue_capacity) for a topology built above — the one place
 /// that maps PipelineConfig knobs onto stream::RuntimeOptions, so drivers,
 /// examples and tests pick a runtime the same way.
+///
+/// `start_time` is the virtual time the runtime starts at
+/// (RuntimeOptions::start_time): tick schedules begin at the first period
+/// boundary strictly after it. The checkpoint runner passes a cut's newest
+/// timestamp so a restored mid-period counter table is not flushed by a
+/// stale catch-up tick; 0 is the normal from-the-beginning schedule.
 std::unique_ptr<stream::Runtime<Message>> MakeConfiguredRuntime(
-    stream::Topology<Message>* topology, const PipelineConfig& config);
+    stream::Topology<Message>* topology, const PipelineConfig& config,
+    Timestamp start_time = 0);
 
 }  // namespace corrtrack::ops
 

@@ -9,8 +9,8 @@
 namespace corrtrack::storage {
 
 /// Retry policy for transient (StatusCode::kUnavailable) storage errors.
-/// Attempt n sleeps base_backoff_ms * 2^(n-1) before retrying; permanent
-/// errors never retry. `sleeper` is injectable so the fault-matrix tests
+/// Attempt n sleeps base_backoff_ms * 2^(n-1) ms (saturated at INT_MAX)
+/// before retrying; permanent errors never retry. `sleeper` is injectable so the fault-matrix tests
 /// run without wall-clock sleeps.
 struct RetryPolicy {
   int max_attempts = 4;

@@ -129,8 +129,8 @@ inline Timestamp FirstTickAfter(Timestamp period, Timestamp start_time) {
 }
 
 /// Counters a runtime exposes after Run(), so backpressure and scheduling
-/// behaviour are observable (ops::MetricsSink::OnRuntimeStats forwards them
-/// to the experiment harness).
+/// behaviour are observable (exp::RunExperiment copies them into
+/// ExperimentResult::runtime_stats).
 struct RuntimeStats {
   /// Envelopes executed by bolt tasks (all components, all instances).
   uint64_t envelopes_moved = 0;

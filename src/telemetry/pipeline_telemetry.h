@@ -11,8 +11,8 @@ namespace corrtrack::telemetry {
 /// One bundle wiring a whole pipeline run: the registry every component
 /// records into, the document trace sampler, and pre-resolved handles for
 /// the hot-path instruments so bolts never pay a registry lookup per
-/// message. Attach via PipelineConfig::telemetry (bolts), RuntimeOptions::
-/// metrics (substrates), CheckpointRunnerOptions (storage timing) and
+/// message. Attach via PipelineConfig::telemetry (bolts, and the checkpoint
+/// runner's storage timing), RuntimeOptions::metrics (substrates) and
 /// CorrelationIndex::AttachTelemetry (serve queries).
 ///
 /// Metric catalogue (all durations in microseconds):

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/driver.h"
+#include "exp/sweep.h"
 #include "gen/tweet_generator.h"
 #include "ops/centralized.h"
 #include "ops/checkpoint_runner.h"
@@ -29,6 +30,7 @@
 #include "storage/checkpoint.h"
 #include "storage/serialize.h"
 #include "storage/storage.h"
+#include "telemetry/pipeline_telemetry.h"
 
 namespace corrtrack {
 namespace {
@@ -409,6 +411,64 @@ TEST(KillRestore, UnknownSchemeDegradesGracefully) {
   EXPECT_EQ(run.stats.checkpoints_failed, 1u);
 }
 
+TEST(KillRestore, CheckpointInstrumentsRecordThroughPipelineTelemetry) {
+  // The runner records its write/restore instruments into the run's one
+  // telemetry bundle (PipelineConfig::telemetry): one write sample per
+  // attempt, one restore sample per restore, counters equal to the stats.
+  storage::MemoryStorage::Global()->Clear();
+  const gen::GeneratorConfig workload = TopicPureWorkload();
+  telemetry::PipelineTelemetry written;
+  ops::PipelineConfig pipeline =
+      ElasticPipeline(stream::RuntimeKind::kSimulation);
+  pipeline.telemetry = &written;
+  ops::CheckpointRunnerOptions options;
+  options.checkpoint_uri = "mem://instrumented";
+  options.every_docs = kEveryDocs;
+  ops::CheckpointedRun run;
+  std::string error;
+  ASSERT_TRUE(ops::RunCheckpointedPipeline(
+      std::make_unique<ops::GeneratorSpout>(workload, kNumDocs), pipeline,
+      options, nullptr, /*with_centralized_baseline=*/false,
+      /*tracker_sink=*/nullptr, /*baseline_sink=*/nullptr,
+      /*final_flush_horizon=*/pipeline.report_period, &run, &error))
+      << error;
+  telemetry::MetricRegistry& registry = written.registry;
+  EXPECT_EQ(run.stats.checkpoints_written, 3u);
+  EXPECT_EQ(
+      registry.GetCounter("corrtrack_checkpoints_written_total")->value(),
+      run.stats.checkpoints_written);
+  EXPECT_EQ(registry.GetCounter("corrtrack_checkpoints_failed_total")->value(),
+            0u);
+  EXPECT_EQ(registry.GetCounter("corrtrack_storage_retries_total")->value(),
+            run.stats.storage_retries);
+  EXPECT_EQ(registry.GetHistogram("corrtrack_checkpoint_write_us")->count(),
+            run.stats.events.size());
+  EXPECT_EQ(registry.GetHistogram("corrtrack_checkpoint_restore_us")->count(),
+            0u);
+
+  telemetry::PipelineTelemetry restored;
+  pipeline.telemetry = &restored;
+  ops::CheckpointRunnerOptions restore_options;
+  restore_options.restore_uri = "mem://instrumented";
+  ops::CheckpointedRun run2;
+  ASSERT_TRUE(ops::RunCheckpointedPipeline(
+      std::make_unique<ops::GeneratorSpout>(workload, kNumDocs), pipeline,
+      restore_options, nullptr, /*with_centralized_baseline=*/false,
+      /*tracker_sink=*/nullptr, /*baseline_sink=*/nullptr,
+      /*final_flush_horizon=*/pipeline.report_period, &run2, &error))
+      << error;
+  EXPECT_TRUE(run2.stats.restored);
+  EXPECT_EQ(restored.registry.GetHistogram("corrtrack_checkpoint_restore_us")
+                ->count(),
+            1u);
+  EXPECT_EQ(
+      restored.registry.GetHistogram("corrtrack_checkpoint_write_us")->count(),
+      0u);
+  EXPECT_EQ(restored.registry.GetCounter("corrtrack_storage_retries_total")
+                ->value(),
+            run2.stats.storage_retries);
+}
+
 TEST(KillRestore, FaultedWritesDegradeGracefullyAndNeverPerturbIngest) {
   // Random storage faults under the writer: whatever fails, the pipeline's
   // computation must equal the uninterrupted run's, failures are logged
@@ -626,11 +686,11 @@ TEST(KillRestore, DriverRecordsCheckpointTrail) {
   config.checkpoint_uri = "mem://driver_trail";
   config.checkpoint_every_docs = kEveryDocs;
   const exp::ExperimentResult result = exp::RunExperiment(config);
-  EXPECT_EQ(result.checkpoints_written, 3u);
-  EXPECT_EQ(result.checkpoints_failed, 0u);
-  EXPECT_GT(result.checkpoint_bytes, 0u);
-  EXPECT_EQ(result.checkpoint_events.size(), 3u);
-  EXPECT_FALSE(result.restored);
+  EXPECT_EQ(result.checkpoint.checkpoints_written, 3u);
+  EXPECT_EQ(result.checkpoint.checkpoints_failed, 0u);
+  EXPECT_GT(result.checkpoint.checkpoint_bytes, 0u);
+  EXPECT_EQ(result.checkpoint.events.size(), 3u);
+  EXPECT_FALSE(result.checkpoint.restored);
   EXPECT_EQ(result.serve_mismatches, 0u);
 
   // Second run restores from the first one's store and finishes clean —
@@ -641,10 +701,52 @@ TEST(KillRestore, DriverRecordsCheckpointTrail) {
   resume.checkpoint_every_docs = 0;
   resume.restore_uri = "mem://driver_trail";
   const exp::ExperimentResult resumed = exp::RunExperiment(resume);
-  EXPECT_TRUE(resumed.restored);
-  EXPECT_EQ(resumed.restored_docs, 3 * kEveryDocs);
-  EXPECT_GT(resumed.restore_chunks, 0u);
+  EXPECT_TRUE(resumed.checkpoint.restored);
+  EXPECT_EQ(resumed.checkpoint.restored_docs, 3 * kEveryDocs);
+  EXPECT_GT(resumed.checkpoint.restore_chunks, 0u);
   EXPECT_EQ(resumed.serve_mismatches, 0u);
+}
+
+TEST(KillRestore, DriverReturnsRestoreErrorForMissingRoot) {
+  // A failed restore is the run's result, not a process abort.
+  storage::MemoryStorage::Global()->Clear();
+  exp::ExperimentConfig config = exp::PaperBaseConfig();
+  config.restore_uri = "mem://no_such_root";
+  const exp::ExperimentResult result = exp::RunExperiment(config);
+  EXPECT_NE(result.error.find("restore"), std::string::npos) << result.error;
+  EXPECT_FALSE(result.checkpoint.restored);
+  EXPECT_EQ(result.documents, 0u);
+  EXPECT_EQ(result.compared_tagsets, 0u);
+}
+
+TEST(KillRestore, DriverReturnsRestoreErrorForFingerprintMismatch) {
+  storage::MemoryStorage::Global()->Clear();
+  exp::ExperimentConfig config;
+  config.label = "mismatch";
+  config.pipeline = ElasticPipeline(stream::RuntimeKind::kSimulation);
+  config.generator = TopicPureWorkload();
+  config.num_documents = 12000;
+  config.with_centralized_baseline = false;
+  config.checkpoint_uri = "mem://driver_mismatch";
+  config.checkpoint_every_docs = 5000;
+  const exp::ExperimentResult written = exp::RunExperiment(config);
+  ASSERT_TRUE(written.error.empty()) << written.error;
+  ASSERT_GT(written.checkpoint.checkpoints_written, 0u);
+
+  // Same store, different semantics: the driver reports the refusal.
+  exp::ExperimentConfig other = config;
+  other.checkpoint_uri.clear();
+  other.checkpoint_every_docs = 0;
+  other.restore_uri = "mem://driver_mismatch";
+  other.with_centralized_baseline = true;
+  other.with_serve_index = true;
+  other.pipeline.single_addition_threshold += 1;
+  const exp::ExperimentResult result = exp::RunExperiment(other);
+  EXPECT_NE(result.error.find("fingerprint"), std::string::npos)
+      << result.error;
+  EXPECT_FALSE(result.checkpoint.restored);
+  EXPECT_EQ(result.documents, 0u);
+  EXPECT_EQ(result.serve_lookups_checked, 0u);
 }
 
 }  // namespace

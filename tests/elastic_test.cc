@@ -231,8 +231,8 @@ TEST(ElasticResize, DriverRecordsResizeTrail) {
   EXPECT_GT(result.serve_sets, 0u);
   EXPECT_GT(result.serve_lookups_checked, 0u);
   EXPECT_EQ(result.serve_mismatches, 0u);
-  // The runtime counters flow into the result as well, surfaced through
-  // MetricsSink::OnRuntimeStats.
+  // The runtime counters flow into the result as well (Runtime::stats()
+  // after the run).
   EXPECT_GE(result.runtime_stats.tasks_spawned, 4u);
   EXPECT_GE(result.runtime_stats.tasks_retired, 5u);
 }

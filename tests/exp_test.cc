@@ -134,31 +134,6 @@ TEST(Sweep, PaperBaseConfigMatchesSection82) {
   EXPECT_DOUBLE_EQ(config.generator.tps, 1300.0);
 }
 
-TEST(Sweep, RuntimeSweepCoversSubstrates) {
-  const auto points = RuntimeSweep();
-  ASSERT_EQ(points.size(), 3u);
-  ExperimentConfig config = PaperBaseConfig();
-  EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kSimulation);
-  points[1].apply(&config);
-  EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kPool);
-  EXPECT_EQ(config.pipeline.num_threads, 1);
-  points[2].apply(&config);
-  EXPECT_EQ(config.pipeline.runtime, stream::RuntimeKind::kPool);
-  EXPECT_EQ(config.pipeline.num_threads, 0);  // Hardware concurrency.
-}
-
-TEST(Sweep, ElasticSweepTogglesElasticMode) {
-  const auto points = ElasticSweep();
-  ASSERT_EQ(points.size(), 2u);
-  ExperimentConfig config = PaperBaseConfig();
-  points[0].apply(&config);
-  EXPECT_FALSE(config.pipeline.elastic.enabled);
-  points[1].apply(&config);
-  EXPECT_TRUE(config.pipeline.elastic.enabled);
-  EXPECT_EQ(config.pipeline.max_calculators, 32);
-  EXPECT_EQ(config.pipeline.EffectiveMaxCalculators(), 32);
-}
-
 TEST(Driver, RunExperimentOnPoolRuntime) {
   // The experiment harness must run on the concurrent substrates too: the
   // collector's hooks are called from several worker threads, and the

@@ -24,11 +24,11 @@
 #include <gtest/gtest.h>
 
 #include "core/jaccard.h"
-#include "gen/tweet_generator.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/signal_drain.h"
 #include "net/timer_wheel.h"
+#include "net_test_support.h"
 #include "telemetry/registry.h"
 
 namespace corrtrack::net {
@@ -36,6 +36,8 @@ namespace {
 
 using serve::CorrelationIndex;
 using serve::ScoredSet;
+using testing::Bits;
+using testing::MakePeriods;
 
 // ------------------------------------------------------------- timer wheel
 
@@ -119,26 +121,6 @@ TEST(TimerWheelTest, CallbackMayRescheduleItsOwnId) {
 }
 
 // ------------------------------------------------------------ server rigs
-
-std::vector<std::vector<JaccardEstimate>> MakePeriods(int periods, int docs,
-                                                      uint64_t seed) {
-  gen::GeneratorConfig config;
-  config.seed = seed;
-  gen::TweetGenerator generator(config);
-  std::vector<std::vector<JaccardEstimate>> out;
-  for (int p = 0; p < periods; ++p) {
-    SubsetCounterTable counters;
-    for (int d = 0; d < docs; ++d) counters.Observe(generator.Next().tags);
-    out.push_back(counters.ReportAll(2));
-  }
-  return out;
-}
-
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
 
 /// Fixture owning a populated index; each test Start()s a server with its
 /// own overload knobs. Single net thread + single reader by default so one

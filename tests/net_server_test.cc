@@ -21,8 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "core/jaccard.h"
-#include "gen/tweet_generator.h"
 #include "net/client.h"
+#include "net_test_support.h"
 #include "telemetry/registry.h"
 
 namespace corrtrack::net {
@@ -31,40 +31,9 @@ namespace {
 using serve::CorrelationIndex;
 using serve::LookupResult;
 using serve::ScoredSet;
-
-// Generator-made period batches: realistic tag skew, deterministic content.
-std::vector<std::vector<JaccardEstimate>> MakePeriods(int periods, int docs,
-                                                      uint64_t seed) {
-  gen::GeneratorConfig config;
-  config.seed = seed;
-  gen::TweetGenerator generator(config);
-  std::vector<std::vector<JaccardEstimate>> out;
-  for (int p = 0; p < periods; ++p) {
-    SubsetCounterTable counters;
-    for (int d = 0; d < docs; ++d) counters.Observe(generator.Next().tags);
-    out.push_back(counters.ReportAll(2));
-  }
-  return out;
-}
-
-uint64_t Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-void ExpectSameScored(const std::vector<ScoredSet>& via_socket,
-                      const std::vector<ScoredSet>& direct,
-                      const char* what) {
-  ASSERT_EQ(via_socket.size(), direct.size()) << what;
-  for (size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(via_socket[i].tags, direct[i].tags) << what << " [" << i << "]";
-    EXPECT_EQ(Bits(via_socket[i].coefficient), Bits(direct[i].coefficient))
-        << what << " [" << i << "]";
-    EXPECT_EQ(via_socket[i].period_end, direct[i].period_end)
-        << what << " [" << i << "]";
-  }
-}
+using testing::Bits;
+using testing::ExpectSameScored;
+using testing::MakePeriods;
 
 void ExpectSameLookup(const std::optional<LookupResult>& via_socket,
                       const std::optional<LookupResult>& direct,

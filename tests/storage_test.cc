@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -305,6 +306,29 @@ TEST(RetryOpTest, GivesUpAfterMaxAttempts) {
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(calls, 3);
   EXPECT_EQ(retries, 2u);
+}
+
+TEST(RetryOpTest, LongRetryChainsSaturateTheBackoff) {
+  // Past 2^31 ms the doubling must saturate, not wrap negative (a skipped
+  // sleep) or shift past the width of int (undefined).
+  std::vector<int> sleeps;
+  RetryPolicy policy;
+  policy.max_attempts = 40;
+  policy.base_backoff_ms = 5;
+  policy.sleeper = [&sleeps](int ms) { sleeps.push_back(ms); };
+  uint64_t retries = 0;
+  const Status status = RetryOp(policy, &retries, []() {
+    return Status::Unavailable("still down");
+  });
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(retries, 39u);
+  ASSERT_EQ(sleeps.size(), 39u);
+  EXPECT_EQ(sleeps.front(), 5);
+  for (size_t i = 0; i < sleeps.size(); ++i) {
+    EXPECT_GT(sleeps[i], 0) << "sleep " << i;
+    if (i > 0) EXPECT_GE(sleeps[i], sleeps[i - 1]) << "sleep " << i;
+  }
+  EXPECT_EQ(sleeps.back(), std::numeric_limits<int>::max());
 }
 
 }  // namespace
