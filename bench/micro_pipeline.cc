@@ -2,11 +2,16 @@
 // (Calculator), routing through the tag -> partition index (Disseminator),
 // Calculator reporting (the lattice pass against per-set inclusion-exclusion
 // from the public API, on generated and hostile tables, and whole
-// observe/report/reset periods on one reused table), hashtag parsing
+// observe/report/reset periods on one reused table), the Tracker's retained
+// period maps (bytes and merge cost per estimate), hashtag parsing
 // (tokenizer alone and the Parser bolt's whole per-document step), and
 // partition-quality evaluation.
 
+#include <malloc.h>
+
 #include <algorithm>
+#include <chrono>
+#include <map>
 #include <random>
 #include <string>
 #include <utility>
@@ -20,6 +25,7 @@
 #include "core/jaccard.h"
 #include "core/partition.h"
 #include "core/partitioning.h"
+#include "core/period_table.h"
 #include "gen/tweet_generator.h"
 #include "ops/parser.h"
 
@@ -163,6 +169,92 @@ void BM_CalculatorComputeEachHostile(benchmark::State& state) {
                           static_cast<int64_t>(table.num_counters()));
 }
 
+/// Calculator reports of 25 periods, 5 per period, each the ReportAll of
+/// one Calculator's period of 800 generated documents (the clean shape of
+/// BM_CalculatorPeriod/0); the 5 Calculators of a period count different
+/// documents, so common tagsets recur across a period's reports.
+const std::vector<std::vector<JaccardEstimate>>& RetainReports() {
+  static const auto* reports = [] {
+    constexpr int kPeriods = 25;
+    constexpr int kCalculators = 5;
+    constexpr int kDocs = 800;
+    const auto docs = MakeDocs(kPeriods * kCalculators * kDocs);
+    auto* out = new std::vector<std::vector<JaccardEstimate>>();
+    SubsetCounterTable table;
+    for (int r = 0; r < kPeriods * kCalculators; ++r) {
+      for (int d = 0; d < kDocs; ++d) table.Observe(docs[r * kDocs + d].tags);
+      out->push_back(table.ReportAll());
+      table.Reset();
+    }
+    return out;
+  }();
+  return *reports;
+}
+
+/// Bytes the allocator has handed out and not taken back (heap and
+/// mmapped chunks).
+size_t AllocatedBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+/// The Tracker's retained period maps: every period's 5 reports merged by
+/// max-CN into one map per period, all 25 periods kept. Arg 0 is the
+/// FlatTagSetMap<JaccardEstimate> the Tracker used before (the tagset held
+/// as key and again in the value), arg 1 the PeriodTable it uses now.
+/// bytes_per_estimate is the allocator's growth while the maps are alive
+/// over the estimates they retain; merge_ns_per_estimate the build time
+/// over the reported estimates.
+void BM_TrackerRetain(benchmark::State& state) {
+  const bool compact = state.range(0) == 1;
+  const auto& reports = RetainReports();
+  size_t reported = 0;
+  for (const auto& report : reports) reported += report.size();
+  size_t retained = 0;
+  size_t bytes = 0;
+  double merge_ns = 0.0;
+  for (auto _ : state) {
+    const size_t before = AllocatedBytes();
+    const auto start = std::chrono::steady_clock::now();
+    std::map<Timestamp, FlatTagSetMap<JaccardEstimate>> maps;
+    std::map<Timestamp, PeriodTable> tables;
+    for (size_t r = 0; r < reports.size(); ++r) {
+      const auto period_end = static_cast<Timestamp>(r / 5);
+      if (compact) {
+        PeriodTable& table = tables[period_end];
+        for (const JaccardEstimate& e : reports[r]) {
+          table.Merge(e, EstimateMerge::kMaxCN);
+        }
+      } else {
+        FlatTagSetMap<JaccardEstimate>& map = maps[period_end];
+        for (const JaccardEstimate& e : reports[r]) {
+          auto [it, inserted] = map.emplace(e.tags, e);
+          if (!inserted) MergeEstimate(&it->second, e, EstimateMerge::kMaxCN);
+        }
+      }
+    }
+    merge_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    state.PauseTiming();
+    bytes = AllocatedBytes() - before;
+    retained = 0;
+    for (const auto& [period_end, map] : maps) retained += map.size();
+    for (const auto& [period_end, table] : tables) retained += table.size();
+    benchmark::DoNotOptimize(retained);
+    maps.clear();
+    tables.clear();
+    state.ResumeTiming();
+  }
+  state.counters["retained"] = static_cast<double>(retained);
+  state.counters["bytes_per_estimate"] =
+      static_cast<double>(bytes) / static_cast<double>(retained);
+  state.counters["merge_ns_per_estimate"] =
+      merge_ns / static_cast<double>(state.iterations() * reported);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(reported));
+}
+
 void BM_DisseminatorRoute(benchmark::State& state) {
   const auto docs = MakeDocs(20000);
   const auto snapshot =
@@ -283,6 +375,7 @@ BENCHMARK(BM_CalculatorComputeEachHostile)
     ->Repetitions(3)
     ->ReportAggregatesOnly(true)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TrackerRetain)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DisseminatorRoute)
     ->Arg(static_cast<int>(AlgorithmKind::kDS))
     ->Arg(static_cast<int>(AlgorithmKind::kSCL));

@@ -44,25 +44,31 @@ class FlatCounterTable {
   /// Adds `delta` to the counter of the ascending tags [tags, tags + n),
   /// creating it at `delta` as entry size(). Returns its entry.
   Entry Increment(const TagId* tags, size_t n, uint64_t delta = 1) {
+    const auto [entry, inserted] = Emplace(tags, n, delta);
+    if (!inserted) records_[entry].count += delta;
+    return entry;
+  }
+
+  /// Entry of the ascending tags [tags, tags + n), created with counter
+  /// `count` as entry size() when absent. Returns (entry, created); an
+  /// existing counter is left as it is.
+  std::pair<Entry, bool> Emplace(const TagId* tags, size_t n, uint64_t count) {
     if ((records_.size() + 1) * 4 > capacity() * 3) Grow();
     const uint64_t hash = HashTagSpan(tags, n);
     size_t i = static_cast<size_t>(hash) & mask_;
     for (; slots_[i] != 0; i = (i + 1) & mask_) {
       const Entry entry = EntryIfTagged(slots_[i], hash);
-      if (entry != kNoEntry && KeyEquals(entry, tags, n)) {
-        records_[entry].count += delta;
-        return entry;
-      }
+      if (entry != kNoEntry && KeyEquals(entry, tags, n)) return {entry, false};
     }
     CORRTRACK_CHECK_LT(records_.size(), size_t{kNoEntry});
     CORRTRACK_CHECK_LE(arena_.size() + n, size_t{UINT32_MAX});
     const Entry entry = static_cast<Entry>(records_.size());
     slots_[i] = SlotWord(hash, entry);
-    records_.push_back({delta, static_cast<uint32_t>(arena_.size()),
+    records_.push_back({count, static_cast<uint32_t>(arena_.size()),
                         static_cast<uint32_t>(n)});
     arena_.insert(arena_.end(), tags, tags + n);
     entry_slot_.push_back(static_cast<uint32_t>(i));
-    return entry;
+    return {entry, true};
   }
 
   /// Entry of the ascending tags [tags, tags + n) with hash `hash`
@@ -100,6 +106,9 @@ class FlatCounterTable {
   }
   uint32_t SizeAt(Entry entry) const { return records_[entry].size; }
   uint64_t CountAt(Entry entry) const { return records_[entry].count; }
+  void SetCountAt(Entry entry, uint64_t count) {
+    records_[entry].count = count;
+  }
 
   /// Invokes `fn(const TagId* tags, size_t n, uint64_t count)` for every
   /// counter, in insertion order.
@@ -169,10 +178,10 @@ class FlatCounterTable {
 /// A hash map from TagSet to V with dense, cache-friendly storage: entries
 /// live contiguously in insertion order and an open-addressing index
 /// (hash lane + entry-index lane, linear probing, power-of-two) maps keys to
-/// them. Replaces the node-based std::unordered_map<TagSet, V, TagSetHash>
-/// in the Tracker/Centralized period results and the Disseminator's
-/// uncovered-tagset counts. Unlike FlatCounterTable it accepts tagsets of
-/// any size, and its keys are whole TagSets.
+/// them. Holds the Disseminator's uncovered-tagset counts, the
+/// co-occurrence snapshot's counts and the serving index's builder
+/// entries. Unlike FlatCounterTable it accepts tagsets of any size, and its
+/// keys are whole TagSets.
 ///
 /// Iteration is over std::pair<TagSet, V> in insertion order
 /// (deterministic, unlike unordered_map). Iterators are invalidated by

@@ -43,13 +43,17 @@ enum class EstimateMerge {
 };
 
 /// Applies `policy` to merge `incoming` into `*entry` (same tagset, same
-/// reporting period).
-inline void MergeEstimate(JaccardEstimate* entry,
-                          const JaccardEstimate& incoming,
+/// reporting period). `Entry` is a JaccardEstimate or any record of its
+/// three numbers (`coefficient`, `intersection_count`, `union_count`), such
+/// as a PeriodTable entry's; only those three are read and written.
+template <typename Entry>
+inline void MergeEstimate(Entry* entry, const JaccardEstimate& incoming,
                           EstimateMerge policy) {
   if (policy == EstimateMerge::kMaxCN) {
     if (incoming.intersection_count > entry->intersection_count) {
-      *entry = incoming;
+      entry->coefficient = incoming.coefficient;
+      entry->intersection_count = incoming.intersection_count;
+      entry->union_count = incoming.union_count;
     }
     return;
   }

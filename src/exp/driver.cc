@@ -1,6 +1,7 @@
 #include "exp/driver.h"
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -242,6 +243,10 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
         ((install + period - 1) / period + 1) * period;
     CompareAgainstBaseline(*tracker, *baseline, first_full_period_end,
                            &result);
+  }
+  if (config.with_centralized_baseline && result.compared_tagsets == 0) {
+    result.coverage = std::numeric_limits<double>::quiet_NaN();
+    result.jaccard_error = std::numeric_limits<double>::quiet_NaN();
   }
   if (serve_index != nullptr) {
     const auto* tracker = static_cast<ops::TrackerBolt*>(

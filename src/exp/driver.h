@@ -41,7 +41,11 @@ struct ExperimentResult {
   double load_gini = 0.0;
   double max_load_share = 0.0;
   // Figure 5: accuracy vs the centralised baseline (tagsets with more than
-  // sn occurrences in a reporting period).
+  // sn occurrences in a reporting period). A run with the baseline whose
+  // oracle compared no tagset has no accuracy data and reads quiet NaN in
+  // both, not 0: a run too short to install partitions, or one restored
+  // from a checkpoint that installs none after the cut (the collector sees
+  // only the documents after it).
   double jaccard_error = 0.0;
   double coverage = 0.0;  // Fraction of baseline tagsets with a reported J.
   uint64_t compared_tagsets = 0;

@@ -31,9 +31,10 @@ struct ClientConfig {
   /// the protocol cannot un-send half a frame. 1 = no retries.
   int max_attempts = 1;
 
-  /// Backoff before retry n is base_backoff_ms * 2^(n-1), scaled by a
-  /// seeded jitter factor in [0.5, 1.5) so a herd of retrying clients
-  /// does not re-converge on the same instant.
+  /// Backoff before retry n is base_backoff_ms * 2^(n-1), clamped at
+  /// storage::kMaxBackoffMs, scaled by a seeded jitter factor in
+  /// [0.5, 1.5) so a herd of retrying clients does not re-converge on the
+  /// same instant.
   int base_backoff_ms = 5;
   uint64_t retry_seed = 0;
 

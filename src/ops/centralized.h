@@ -3,9 +3,8 @@
 
 #include <map>
 
-#include "core/flat_counter_table.h"
 #include "core/jaccard.h"
-#include "core/tagset.h"
+#include "core/period_table.h"
 #include "ops/checkpoint_state.h"
 #include "ops/messages.h"
 #include "ops/period_sink.h"
@@ -19,9 +18,11 @@ namespace corrtrack::ops {
 /// reporting schedule as the Calculators. The experiment driver compares
 /// the Tracker's coefficients against these to obtain the error metric
 /// (restricted, as in the paper, to tagsets seen more than sn = 3 times).
+/// Each period is one PeriodTable, like the Tracker's; ReportAll's tagsets
+/// are unique, so its estimates are stored as reported.
 class CentralizedBolt : public stream::Bolt<Message> {
  public:
-  using PeriodResults = FlatTagSetMap<JaccardEstimate>;
+  using PeriodResults = PeriodTable;
 
   explicit CentralizedBolt(const PipelineConfig& config,
                            PeriodSink* sink = nullptr)
@@ -43,8 +44,8 @@ class CentralizedBolt : public stream::Bolt<Message> {
     std::vector<JaccardEstimate> estimates = counters_.ReportAll(
         static_cast<uint64_t>(config_.single_addition_threshold));
     if (sink_ != nullptr) sink_->OnPeriodResults(tick_time, estimates);
-    for (JaccardEstimate& estimate : estimates) {
-      results.emplace(estimate.tags, std::move(estimate));
+    for (const JaccardEstimate& estimate : estimates) {
+      results.Merge(estimate, EstimateMerge::kMaxCN);
     }
     counters_.Reset();
   }
@@ -54,16 +55,12 @@ class CentralizedBolt : public stream::Bolt<Message> {
   }
 
   /// Checkpoint support (same discipline as TrackerBolt: insertion-order
-  /// export/re-emplace, linear counter re-Add, sink not replayed).
+  /// export/re-merge, linear counter re-Add, sink not replayed).
   void ExportState(CentralizedState* out) const {
     out->counters = counters_.ExportCounters();
     out->periods.clear();
     for (const auto& [period_end, results] : periods_) {
-      std::vector<JaccardEstimate>& estimates = out->periods[period_end];
-      estimates.reserve(results.size());
-      for (const auto& [tags, estimate] : results) {
-        estimates.push_back(estimate);
-      }
+      results.AppendTo(&out->periods[period_end]);
     }
   }
 
@@ -76,7 +73,7 @@ class CentralizedBolt : public stream::Bolt<Message> {
     for (const auto& [period_end, estimates] : state.periods) {
       PeriodResults& results = periods_[period_end];
       for (const JaccardEstimate& estimate : estimates) {
-        results.emplace(estimate.tags, estimate);
+        results.Merge(estimate, EstimateMerge::kMaxCN);
       }
     }
   }

@@ -66,7 +66,7 @@ struct CalculatorState {
 };
 
 /// TrackerBolt: the full period map. Each period's estimates are exported
-/// in the FlatTagSetMap's insertion order and re-emplaced in that order, so
+/// in the PeriodTable's insertion order and merged back in that order, so
 /// the restored map iterates identically to the captured one.
 struct TrackerState {
   uint64_t reports_received = 0;

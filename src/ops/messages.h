@@ -31,9 +31,9 @@ namespace corrtrack::ops {
 /// does this for the Merger's install broadcast. Everything else that fans
 /// out (a ParsedDoc, a SingleAdditionDecision) is small and keeps its tags
 /// inline. A consumer may take its own
-/// envelope's message apart (the Tracker moves report estimates out
-/// through Envelope::MutablePayload); a consumer that mutates shared bulk
-/// copies it first (DisseminatorBolt::MutablePartitions).
+/// envelope's message apart through Envelope::MutablePayload; a consumer
+/// that mutates shared bulk copies it first
+/// (DisseminatorBolt::MutablePartitions).
 
 /// Source -> Parser (shuffle): a raw tweet. `text` carries the hashtags
 /// inline ("... #tag ..."), exactly what the paper's Parser extracts.

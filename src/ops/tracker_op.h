@@ -3,9 +3,8 @@
 
 #include <map>
 
-#include "core/flat_counter_table.h"
 #include "core/jaccard.h"
-#include "core/tagset.h"
+#include "core/period_table.h"
 #include "ops/checkpoint_state.h"
 #include "ops/messages.h"
 #include "ops/period_sink.h"
@@ -22,6 +21,9 @@ namespace corrtrack::ops {
 /// tagsets assigned to the partitions during the creation of them will have
 /// a correct Jaccard coefficient".
 ///
+/// Each period is one PeriodTable: every tagset stored once, duplicates
+/// merged in place by the bolt's EstimateMerge rule.
+///
 /// With a PeriodSink attached, every incoming report is forwarded raw (the
 /// sink re-applies the max-CN rule, see PeriodSink's contract), so a
 /// serving index converges to the same period map without the Tracker
@@ -29,7 +31,7 @@ namespace corrtrack::ops {
 /// the pool runtime's cross-producer interleaving.
 class TrackerBolt : public stream::Bolt<Message> {
  public:
-  using PeriodResults = FlatTagSetMap<JaccardEstimate>;
+  using PeriodResults = PeriodTable;
 
   /// `merge` selects the duplicate rule: the paper's max-CN (default), or
   /// the additive merge that is exact for disjoint partitionings and sums
@@ -59,21 +61,15 @@ class TrackerBolt : public stream::Bolt<Message> {
             lag > 0 ? static_cast<uint64_t>(lag) : 0u);
       }
     }
-    // The envelope owns its report, so each estimate's TagSet storage
-    // *moves* into the period map instead of being duplicated.
-    JaccardReport& report = std::get<JaccardReport>(in.MutablePayload());
+    const JaccardReport& report = std::get<JaccardReport>(in.payload());
     ++reports_received_;
     if (report.epoch > latest_epoch_) latest_epoch_ = report.epoch;
     if (sink_ != nullptr) {
       sink_->OnPeriodResults(report.period_end, report.estimates);
     }
     PeriodResults& results = periods_[report.period_end];
-    for (JaccardEstimate& estimate : report.estimates) {
-      // emplace only consumes the value on insert (see FlatTagSetMap), so
-      // the merge path still sees the untouched estimate.
-      auto [it, inserted] =
-          results.emplace(estimate.tags, std::move(estimate));
-      if (!inserted) MergeEstimate(&it->second, estimate, merge_);
+    for (const JaccardEstimate& estimate : report.estimates) {
+      results.Merge(estimate, merge_);
     }
     if (telemetry_ != nullptr) {
       telemetry_->reports_tracked->Increment();
@@ -95,7 +91,7 @@ class TrackerBolt : public stream::Bolt<Message> {
   Epoch latest_epoch() const { return latest_epoch_; }
 
   /// Checkpoint support: the full period map, each period's estimates in
-  /// the FlatTagSetMap's insertion order. Restore re-emplaces in that order
+  /// the PeriodTable's insertion order. Restore re-merges in that order
   /// (keys are unique per period, so no merge fires) — the restored map
   /// iterates identically to the captured one. The sink is NOT replayed:
   /// the serving index checkpoints its own state (serve_blob).
@@ -104,11 +100,7 @@ class TrackerBolt : public stream::Bolt<Message> {
     out->latest_epoch = latest_epoch_;
     out->periods.clear();
     for (const auto& [period_end, results] : periods_) {
-      std::vector<JaccardEstimate>& estimates = out->periods[period_end];
-      estimates.reserve(results.size());
-      for (const auto& [tags, estimate] : results) {
-        estimates.push_back(estimate);
-      }
+      results.AppendTo(&out->periods[period_end]);
     }
   }
 
@@ -119,7 +111,7 @@ class TrackerBolt : public stream::Bolt<Message> {
     for (const auto& [period_end, estimates] : state.periods) {
       PeriodResults& results = periods_[period_end];
       for (const JaccardEstimate& estimate : estimates) {
-        results.emplace(estimate.tags, estimate);
+        results.Merge(estimate, merge_);
       }
     }
   }

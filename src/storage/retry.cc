@@ -3,23 +3,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <thread>
 
 namespace corrtrack::storage {
 
 namespace {
 
-/// base_ms * 2^(attempt - 1), saturated at INT_MAX: a long retry chain must
-/// not shift past the width of int (undefined from 2^31 on, and a wrapped
-/// negative backoff would skip the sleep). base_ms < 2^31 and a shift of at
-/// most 31 keep the product inside int64_t.
+/// base_ms * 2^(attempt - 1), clamped at kMaxBackoffMs: a long retry chain
+/// must neither sleep for days nor shift past the width of int (undefined
+/// from 2^31 on, and a wrapped negative backoff would skip the sleep).
+/// base_ms < 2^31 and a shift of at most 31 keep the product inside int64_t.
 int BackoffMs(int base_ms, int attempt) {
   if (base_ms <= 0) return 0;
   const int64_t backoff = static_cast<int64_t>(base_ms)
                           << std::min(attempt - 1, 31);
-  return static_cast<int>(std::min<int64_t>(
-      backoff, std::numeric_limits<int>::max()));
+  return static_cast<int>(std::min<int64_t>(backoff, kMaxBackoffMs));
 }
 
 }  // namespace

@@ -8,10 +8,14 @@
 
 namespace corrtrack::storage {
 
+/// Ceiling of one retry's backoff: a long chain (net::ClientConfig's
+/// max_attempts feeds RetryOp) waits at most this long between attempts.
+inline constexpr int kMaxBackoffMs = 2000;
+
 /// Retry policy for transient (StatusCode::kUnavailable) storage errors.
-/// Attempt n sleeps base_backoff_ms * 2^(n-1) ms (saturated at INT_MAX)
-/// before retrying; permanent errors never retry. `sleeper` is injectable so the fault-matrix tests
-/// run without wall-clock sleeps.
+/// Attempt n sleeps base_backoff_ms * 2^(n-1) ms, clamped at kMaxBackoffMs,
+/// before retrying; permanent errors never retry. `sleeper` is injectable
+/// so the fault-matrix tests run without wall-clock sleeps.
 struct RetryPolicy {
   int max_attempts = 4;
   int base_backoff_ms = 5;

@@ -27,8 +27,8 @@ struct TaskAddress {
 /// last (RouteAlongEdges), so no payload memory is shared between tasks or
 /// threads. A message type that broadcasts bulk keeps it behind a
 /// shared_ptr<const T> (see ops/messages.h). Bolts read through payload();
-/// a consumer that takes the value apart (the Tracker stealing a report's
-/// estimates) goes through MutablePayload().
+/// a consumer that takes the value apart (a relay moving its message on
+/// instead of copying it) goes through MutablePayload().
 template <typename Message>
 class Envelope {
  public:

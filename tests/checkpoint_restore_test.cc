@@ -9,6 +9,7 @@
 // the centralised baseline's, so any state lost or doubled across the
 // kill/restore shows up as a counter mismatch.
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -705,6 +706,36 @@ TEST(KillRestore, DriverRecordsCheckpointTrail) {
   EXPECT_EQ(resumed.checkpoint.restored_docs, 3 * kEveryDocs);
   EXPECT_GT(resumed.checkpoint.restore_chunks, 0u);
   EXPECT_EQ(resumed.serve_mismatches, 0u);
+}
+
+TEST(KillRestore, DriverReportsNoAccuracyAfterRestore) {
+  // The restored run's collector sees only the documents after the cut, so
+  // its oracle compares no tagset: coverage and error read NaN, not a 0
+  // that looks like a measured failure. The uninterrupted run measures.
+  storage::MemoryStorage::Global()->Clear();
+  exp::ExperimentConfig config = exp::PaperBaseConfig();
+  config.pipeline.window_span = kMillisPerMinute;
+  config.pipeline.report_period = kMillisPerMinute;
+  config.pipeline.bootstrap_time = kMillisPerMinute;
+  config.num_documents = 40000;
+  config.checkpoint_uri = "mem://driver_accuracy";
+  config.checkpoint_every_docs = 25000;
+  const exp::ExperimentResult full = exp::RunExperiment(config);
+  ASSERT_TRUE(full.error.empty()) << full.error;
+  EXPECT_GT(full.compared_tagsets, 0u);
+  EXPECT_GT(full.coverage, 0.0);
+  EXPECT_GT(full.jaccard_error, 0.0);
+
+  exp::ExperimentConfig resume = config;
+  resume.checkpoint_uri.clear();
+  resume.checkpoint_every_docs = 0;
+  resume.restore_uri = "mem://driver_accuracy";
+  const exp::ExperimentResult restored = exp::RunExperiment(resume);
+  ASSERT_TRUE(restored.error.empty()) << restored.error;
+  EXPECT_TRUE(restored.checkpoint.restored);
+  EXPECT_EQ(restored.compared_tagsets, 0u);
+  EXPECT_TRUE(std::isnan(restored.coverage));
+  EXPECT_TRUE(std::isnan(restored.jaccard_error));
 }
 
 TEST(KillRestore, DriverReturnsRestoreErrorForMissingRoot) {

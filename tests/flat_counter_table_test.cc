@@ -1,15 +1,19 @@
 #include "core/flat_counter_table.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <random>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/jaccard.h"
+#include "core/period_table.h"
 #include "core/tagset.h"
+#include "ops/tracker_op.h"
 
 namespace corrtrack {
 namespace {
@@ -399,7 +403,7 @@ TEST(FlatTagSetMap, IterationIsInsertionOrdered) {
 }
 
 TEST(FlatTagSetMap, EmplaceMovingTheValueContainingTheKeyIsSafe) {
-  // The Tracker emplaces estimates as emplace(e.tags, std::move(e)); the
+  // emplace(e.tags, std::move(e)) with a value that holds its own key: the
   // key must be captured before the value is consumed.
   FlatTagSetMap<JaccardEstimate> map;
   JaccardEstimate e;
@@ -455,6 +459,181 @@ TEST(FlatTagSetMap, DifferentialParityWithUnorderedMapOracle) {
     }
   }
   ASSERT_EQ(map.size(), oracle.size());
+}
+
+// ---------------------------------------------------------------------------
+// PeriodTable
+// ---------------------------------------------------------------------------
+
+/// A pool of distinct tagsets of 2..16 tags, about half of them past
+/// TagSet's 8 inline tags.
+std::vector<TagSet> TagSetPool(std::mt19937& rng, size_t n) {
+  std::uniform_int_distribution<size_t> len(2, 16);
+  std::uniform_int_distribution<TagId> tag(0, 60);
+  std::vector<TagSet> pool;
+  while (pool.size() < n) {
+    std::vector<TagId> raw;
+    const size_t want = len(rng);
+    while (TagSet(raw).size() < want) raw.push_back(tag(rng));
+    const TagSet tags(raw);
+    if (std::find(pool.begin(), pool.end(), tags) == pool.end()) {
+      pool.push_back(tags);
+    }
+  }
+  return pool;
+}
+
+/// One Calculator report drawn from `pool`: tagsets repeat across reports
+/// and may repeat within one; CN ties are frequent. The coefficient is
+/// arbitrary bits, which max-CN must keep as reported.
+std::vector<JaccardEstimate> RandomReport(std::mt19937& rng,
+                                          const std::vector<TagSet>& pool) {
+  std::uniform_int_distribution<size_t> pick(0, pool.size() - 1);
+  std::uniform_int_distribution<size_t> len(1, 120);
+  std::uniform_int_distribution<uint64_t> count(1, 40);
+  std::uniform_real_distribution<double> coefficient(0.0, 1.0);
+  std::vector<JaccardEstimate> report(len(rng));
+  for (JaccardEstimate& e : report) {
+    e.tags = pool[pick(rng)];
+    e.intersection_count = count(rng);
+    e.union_count = e.intersection_count + count(rng);
+    e.coefficient = coefficient(rng);
+  }
+  return report;
+}
+
+void ExpectSameEstimate(const JaccardEstimate& got,
+                        const JaccardEstimate& want) {
+  ASSERT_EQ(got.tags, want.tags);
+  ASSERT_EQ(got.intersection_count, want.intersection_count)
+      << want.tags.ToString();
+  ASSERT_EQ(got.union_count, want.union_count) << want.tags.ToString();
+  ASSERT_EQ(std::bit_cast<uint64_t>(got.coefficient),
+            std::bit_cast<uint64_t>(want.coefficient))
+      << want.tags.ToString();
+}
+
+/// Same entries in the same order, bit for bit.
+void ExpectSameEntries(const PeriodTable& table,
+                       const FlatTagSetMap<JaccardEstimate>& oracle) {
+  ASSERT_EQ(table.size(), oracle.size());
+  auto it = table.begin();
+  for (const auto& [tags, want] : oracle) {
+    const auto [got_tags, got] = *it;
+    ASSERT_EQ(got_tags, tags);
+    ExpectSameEstimate(got, want);
+    ++it;
+  }
+  EXPECT_EQ(it, table.end());
+}
+
+TEST(PeriodTable, DifferentialWithFlatTagSetMapOracle) {
+  // Random reports under each merge policy, into the table and into the
+  // map the Tracker kept before (emplace, else MergeEstimate): the same
+  // entries in the same order and the same bits after every report, and
+  // lookups of present and absent sets agree.
+  std::mt19937 rng(2707);
+  const std::vector<TagSet> pool = TagSetPool(rng, 400);
+  for (const EstimateMerge policy :
+       {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
+    for (int period = 0; period < 6; ++period) {
+      PeriodTable table;
+      FlatTagSetMap<JaccardEstimate> oracle;
+      size_t merged = 0;
+      for (int r = 0; r < 12; ++r) {
+        for (const JaccardEstimate& e : RandomReport(rng, pool)) {
+          table.Merge(e, policy);
+          auto [it, inserted] = oracle.emplace(e.tags, e);
+          if (!inserted) MergeEstimate(&it->second, e, policy);
+          merged += inserted ? 0 : 1;
+        }
+        ExpectSameEntries(table, oracle);
+      }
+      EXPECT_GT(merged, 100u);
+      for (const TagSet& tags : pool) {
+        ASSERT_EQ(table.count(tags), oracle.count(tags));
+        const auto want = oracle.find(tags);
+        const auto got = table.find(tags);
+        if (want == oracle.end()) {
+          ASSERT_EQ(got, table.end());
+          continue;
+        }
+        ASSERT_NE(got, table.end());
+        EXPECT_EQ(got->first, tags);
+        ExpectSameEstimate(got->second, want->second);
+        ExpectSameEstimate(table.at(tags), want->second);
+      }
+      std::vector<JaccardEstimate> appended;
+      table.AppendTo(&appended);
+      ASSERT_EQ(appended.size(), oracle.size());
+      auto want = oracle.begin();
+      for (const JaccardEstimate& got : appended) {
+        ExpectSameEstimate(got, want->second);
+        ++want;
+      }
+    }
+  }
+}
+
+/// Drops every emission: the Tracker emits nothing.
+class DropEmitter : public stream::Emitter<ops::Message> {
+ public:
+  void Emit(ops::Message) override {}
+  void EmitDirect(int, ops::Message) override {}
+  Timestamp now() const override { return 0; }
+};
+
+TEST(PeriodTable, TrackerStateRoundTripIsIdentical) {
+  // Reports over five periods into a Tracker, exported and restored into a
+  // fresh one under each merge policy: the same period maps in the same
+  // order, bit for bit, and the restored Tracker exports the same state.
+  std::mt19937 rng(2708);
+  const std::vector<TagSet> pool = TagSetPool(rng, 300);
+  for (const EstimateMerge policy :
+       {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
+    ops::TrackerBolt tracker(/*sink=*/nullptr, policy);
+    DropEmitter emitter;
+    for (int r = 0; r < 40; ++r) {
+      ops::JaccardReport report;
+      report.calculator = r % 5;
+      report.epoch = static_cast<Epoch>(r / 10);
+      report.period_end = 1000 * (1 + r / 8);
+      report.estimates = RandomReport(rng, pool);
+      stream::Envelope<ops::Message> env;
+      env.set_payload(ops::Message(std::move(report)));
+      tracker.Execute(env, emitter);
+    }
+    ops::TrackerState state;
+    tracker.ExportState(&state);
+    ops::TrackerBolt restored(/*sink=*/nullptr, policy);
+    restored.RestoreState(state);
+    EXPECT_EQ(restored.reports_received(), 40u);
+    EXPECT_EQ(restored.latest_epoch(), 3u);
+    ASSERT_EQ(restored.periods().size(), 5u);
+    auto got = restored.periods().begin();
+    for (const auto& [period_end, want] : tracker.periods()) {
+      ASSERT_EQ(got->first, period_end);
+      ASSERT_EQ(got->second.size(), want.size());
+      auto got_entry = got->second.begin();
+      for (const auto& [tags, estimate] : want) {
+        const auto [got_tags, got_estimate] = *got_entry;
+        ASSERT_EQ(got_tags, tags);
+        ExpectSameEstimate(got_estimate, estimate);
+        ++got_entry;
+      }
+      ++got;
+    }
+    ops::TrackerState again;
+    restored.ExportState(&again);
+    ASSERT_EQ(again.periods.size(), state.periods.size());
+    for (const auto& [period_end, estimates] : state.periods) {
+      const std::vector<JaccardEstimate>& other = again.periods.at(period_end);
+      ASSERT_EQ(other.size(), estimates.size());
+      for (size_t i = 0; i < estimates.size(); ++i) {
+        ExpectSameEstimate(other[i], estimates[i]);
+      }
+    }
+  }
 }
 
 }  // namespace
