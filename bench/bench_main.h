@@ -1,6 +1,10 @@
 #ifndef CORRTRACK_BENCH_BENCH_MAIN_H_
 #define CORRTRACK_BENCH_BENCH_MAIN_H_
 
+#include <malloc.h>
+
+#include <cstddef>
+
 #include <benchmark/benchmark.h>
 
 // Build-type attestation for the merge guard in bench/run_bench.sh: the
@@ -14,6 +18,14 @@
 #ifndef CORRTRACK_BUILD_TYPE_NAME
 #define CORRTRACK_BUILD_TYPE_NAME "unknown"
 #endif
+
+/// Bytes the allocator has handed out and not taken back (heap and
+/// mmapped chunks); a benchmark's memory counter is the growth of this
+/// while its structure is alive.
+inline size_t AllocatedBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
 
 #define CORRTRACK_BENCHMARK_MAIN()                                        \
   int main(int argc, char** argv) {                                       \

@@ -7,7 +7,6 @@
 // (tokenizer alone and the Parser bolt's whole per-document step), and
 // partition-quality evaluation.
 
-#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -191,13 +190,6 @@ const std::vector<std::vector<JaccardEstimate>>& RetainReports() {
   return *reports;
 }
 
-/// Bytes the allocator has handed out and not taken back (heap and
-/// mmapped chunks).
-size_t AllocatedBytes() {
-  const struct mallinfo2 info = mallinfo2();
-  return info.uordblks + info.hblkhd;
-}
-
 /// The Tracker's retained period maps: every period's 5 reports merged by
 /// max-CN into one map per period, all 25 periods kept. Arg 0 is the
 /// FlatTagSetMap<JaccardEstimate> the Tracker used before (the tagset held
@@ -207,7 +199,9 @@ size_t AllocatedBytes() {
 /// over the reported estimates.
 void BM_TrackerRetain(benchmark::State& state) {
   const bool compact = state.range(0) == 1;
-  const auto& reports = RetainReports();
+  // A copy: PeriodTable::Merge writes the settled value back, which under
+  // max-CN leaves every estimate as it was.
+  std::vector<std::vector<JaccardEstimate>> reports = RetainReports();
   size_t reported = 0;
   for (const auto& report : reports) reported += report.size();
   size_t retained = 0;
@@ -222,8 +216,8 @@ void BM_TrackerRetain(benchmark::State& state) {
       const auto period_end = static_cast<Timestamp>(r / 5);
       if (compact) {
         PeriodTable& table = tables[period_end];
-        for (const JaccardEstimate& e : reports[r]) {
-          table.Merge(e, EstimateMerge::kMaxCN);
+        for (JaccardEstimate& e : reports[r]) {
+          table.Merge(&e, EstimateMerge::kMaxCN);
         }
       } else {
         FlatTagSetMap<JaccardEstimate>& map = maps[period_end];

@@ -144,6 +144,8 @@ BENCHMARK(BM_ServeIngestPeriod)->Unit(benchmark::kMillisecond);
 /// period) applied to a steady index of ~2k sets at its retention plateau.
 /// This is the per-report publish cost a live Tracker pays, where
 /// BM_ServeIngestPeriod applies a whole period per call.
+/// writer_bytes_per_set is the allocator's growth while the index is alive
+/// (published snapshots and writer state) over the sets it serves.
 void BM_ServeApplyReport(benchmark::State& state) {
   constexpr int kReportsPerPeriod = 5;
   static const auto reports = [] {
@@ -168,6 +170,7 @@ void BM_ServeApplyReport(benchmark::State& state) {
     }
     return out;
   }();
+  const size_t bytes_before = AllocatedBytes();
   serve::CorrelationIndex index;
   size_t i = 0;
   auto apply_next = [&] {
@@ -181,9 +184,12 @@ void BM_ServeApplyReport(benchmark::State& state) {
   while (i < reports.size()) apply_next();
   uint64_t estimates = 0;
   for (auto _ : state) estimates += apply_next();
+  const size_t writer_bytes = AllocatedBytes() - bytes_before;
+  const auto index_sets = static_cast<double>(index.NewReader().TotalSets());
   state.SetItemsProcessed(static_cast<int64_t>(estimates));
-  state.counters["index_sets"] =
-      static_cast<double>(index.NewReader().TotalSets());
+  state.counters["index_sets"] = index_sets;
+  state.counters["writer_bytes_per_set"] =
+      static_cast<double>(writer_bytes) / index_sets;
   state.counters["estimates_per_report"] =
       static_cast<double>(estimates) / static_cast<double>(state.iterations());
 }

@@ -121,6 +121,11 @@ class FlatCounterTable {
   bool empty() const { return records_.empty(); }
   size_t capacity() const { return slots_.size(); }
 
+  /// Makes room for `n` counters without a rehash.
+  void Reserve(size_t n) {
+    while (n * 4 > capacity() * 3) Grow();
+  }
+
   /// Deletes all counters but keeps the allocated capacity (the reporting
   /// period reset of §6.2 reuses the table at its high-water size).
   void Reset() {
@@ -178,10 +183,9 @@ class FlatCounterTable {
 /// A hash map from TagSet to V with dense, cache-friendly storage: entries
 /// live contiguously in insertion order and an open-addressing index
 /// (hash lane + entry-index lane, linear probing, power-of-two) maps keys to
-/// them. Holds the Disseminator's uncovered-tagset counts, the
-/// co-occurrence snapshot's counts and the serving index's builder
-/// entries. Unlike FlatCounterTable it accepts tagsets of any size, and its
-/// keys are whole TagSets.
+/// them. Holds the Disseminator's uncovered-tagset counts and the
+/// co-occurrence snapshot's counts. Unlike FlatCounterTable it accepts
+/// tagsets of any size, and its keys are whole TagSets.
 ///
 /// Iteration is over std::pair<TagSet, V> in insertion order
 /// (deterministic, unlike unordered_map). Iterators are invalidated by

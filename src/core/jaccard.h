@@ -24,8 +24,9 @@ struct JaccardEstimate {
 };
 
 /// How duplicate estimates of one tagset within one reporting period merge.
-/// The Tracker and the serving index share the rule, so served state stays
-/// bit-identical to the Tracker's period map under either policy.
+/// The Tracker and the serving index share the rule: the Tracker applies it
+/// and forwards what it settled on, so served state stays bit-identical to
+/// the Tracker's period map under either policy.
 enum class EstimateMerge {
   /// §6.2: keep the estimate with the larger counter CN. Correct under tag
   /// replication (SCC/SCL/SCI, or DS degraded by Single Additions), where
@@ -38,7 +39,8 @@ enum class EstimateMerge {
   /// reports that an elastic resize splits across owners (old owner's
   /// residual counters, the install protocol's quiesce flush, the new
   /// owner's tail) are over *disjoint* document sets and add up to the
-  /// centralised oracle's counts bit for bit.
+  /// centralised oracle's counts bit for bit. BuildCorrelationTopology
+  /// refuses it with the tag-replicating SCC, SCL and SCI.
   kAdditive,
 };
 
@@ -46,16 +48,16 @@ enum class EstimateMerge {
 /// reporting period). `Entry` is a JaccardEstimate or any record of its
 /// three numbers (`coefficient`, `intersection_count`, `union_count`), such
 /// as a PeriodTable entry's; only those three are read and written.
+/// Returns whether `*entry` changed (always, under the additive merge).
 template <typename Entry>
-inline void MergeEstimate(Entry* entry, const JaccardEstimate& incoming,
+inline bool MergeEstimate(Entry* entry, const JaccardEstimate& incoming,
                           EstimateMerge policy) {
   if (policy == EstimateMerge::kMaxCN) {
-    if (incoming.intersection_count > entry->intersection_count) {
-      entry->coefficient = incoming.coefficient;
-      entry->intersection_count = incoming.intersection_count;
-      entry->union_count = incoming.union_count;
-    }
-    return;
+    if (incoming.intersection_count <= entry->intersection_count) return false;
+    entry->coefficient = incoming.coefficient;
+    entry->intersection_count = incoming.intersection_count;
+    entry->union_count = incoming.union_count;
+    return true;
   }
   entry->intersection_count += incoming.intersection_count;
   entry->union_count += incoming.union_count;
@@ -65,6 +67,7 @@ inline void MergeEstimate(Entry* entry, const JaccardEstimate& incoming,
                            ? static_cast<double>(entry->intersection_count) /
                                  static_cast<double>(entry->union_count)
                            : 0.0;
+  return true;
 }
 
 namespace jaccard_internal {

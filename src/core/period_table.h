@@ -62,22 +62,31 @@ class PeriodTable {
     Entry entry_;
   };
 
-  /// Adds `estimate` as a new entry when its tagset is absent, else merges
-  /// it into the tagset's entry under `policy` (MergeEstimate).
-  void Merge(const JaccardEstimate& estimate, EstimateMerge policy) {
+  /// Adds `*estimate` as a new entry when its tagset is absent, else merges
+  /// it into the tagset's entry under `policy` (MergeEstimate). Returns
+  /// whether the entry changed; when it did, `*estimate` holds the entry's
+  /// settled numbers.
+  bool Merge(JaccardEstimate* estimate, EstimateMerge policy) {
     const auto [entry, inserted] = table_.Emplace(
-        estimate.tags.begin(), estimate.tags.size(),
-        estimate.intersection_count);
+        estimate->tags.begin(), estimate->tags.size(),
+        estimate->intersection_count);
     if (inserted) {
-      lanes_.push_back({estimate.union_count, estimate.coefficient});
-      return;
+      lanes_.push_back({estimate->union_count, estimate->coefficient});
+      return true;
     }
     Lane& lane = lanes_[entry];
     Numbers numbers{lane.coefficient, table_.CountAt(entry), lane.union_count};
-    MergeEstimate(&numbers, estimate, policy);
+    if (!MergeEstimate(&numbers, *estimate, policy)) return false;
     table_.SetCountAt(entry, numbers.intersection_count);
     lane = {numbers.union_count, numbers.coefficient};
+    estimate->coefficient = numbers.coefficient;
+    estimate->intersection_count = numbers.intersection_count;
+    estimate->union_count = numbers.union_count;
+    return true;
   }
+
+  /// Makes room for `n` entries without a rehash.
+  void Reserve(size_t n) { table_.Reserve(n); }
 
   /// Appends every estimate to `out`, in insertion order.
   void AppendTo(std::vector<JaccardEstimate>* out) const {

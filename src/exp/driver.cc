@@ -164,12 +164,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   std::unique_ptr<serve::CorrelationIndex> serve_index;
   std::unique_ptr<serve::IndexSink> serve_sink;
   if (config.with_serve_index) {
-    // The index must merge duplicates the way the Tracker feeding it does,
-    // or the bit-identical-oracle validation below would flag policy skew
-    // as mismatches.
-    serve::ServeConfig serve_config;
-    serve_config.merge = config.pipeline.tracker_merge;
-    serve_index = std::make_unique<serve::CorrelationIndex>(serve_config);
+    serve_index = std::make_unique<serve::CorrelationIndex>();
     if (telemetry != nullptr) {
       serve_index->AttachTelemetry(&telemetry->registry);
     }

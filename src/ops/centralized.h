@@ -44,8 +44,8 @@ class CentralizedBolt : public stream::Bolt<Message> {
     std::vector<JaccardEstimate> estimates = counters_.ReportAll(
         static_cast<uint64_t>(config_.single_addition_threshold));
     if (sink_ != nullptr) sink_->OnPeriodResults(tick_time, estimates);
-    for (const JaccardEstimate& estimate : estimates) {
-      results.Merge(estimate, EstimateMerge::kMaxCN);
+    for (JaccardEstimate& estimate : estimates) {
+      results.Merge(&estimate, EstimateMerge::kMaxCN);
     }
     counters_.Reset();
   }
@@ -72,8 +72,8 @@ class CentralizedBolt : public stream::Bolt<Message> {
     periods_.clear();
     for (const auto& [period_end, estimates] : state.periods) {
       PeriodResults& results = periods_[period_end];
-      for (const JaccardEstimate& estimate : estimates) {
-        results.Merge(estimate, EstimateMerge::kMaxCN);
+      for (JaccardEstimate estimate : estimates) {
+        results.Merge(&estimate, EstimateMerge::kMaxCN);
       }
     }
   }

@@ -14,12 +14,13 @@ namespace corrtrack::ops {
 /// (serve::IndexSink) — mirroring how MetricsSink exposes run-time events
 /// to the experiment harness. Bolts run fine without one (nullptr).
 ///
-/// Contract: OnPeriodResults may be invoked several times for the same
-/// `period_end` — the Tracker forwards every Calculator report as it
-/// arrives, before its own dedup settles — so consumers must merge
-/// duplicate tagsets with the Tracker's max-CN rule (keep the estimate
-/// with the strictly larger intersection count). Calls arrive on the
-/// owning bolt's execution thread: one bolt, one producer.
+/// Contract: each call carries the bolt's current value for every tagset
+/// of that period that the report changed. The Tracker calls once per
+/// Calculator report, after merging it (so possibly with no estimates, and
+/// several times for the same `period_end`); the baseline once per period.
+/// A later value for a tagset supersedes an earlier one of the same
+/// period, so consumers store what they are given and never merge. Calls
+/// arrive on the owning bolt's execution thread: one bolt, one producer.
 class PeriodSink {
  public:
   virtual ~PeriodSink() = default;

@@ -94,9 +94,9 @@ struct PipelineConfig {
   /// fall back to the configured policy.
   std::vector<int> forced_k_schedule;
 
-  /// Duplicate-estimate merge rule applied by the Tracker (and mirrored by
-  /// the serving index): the paper's max-CN heuristic by default, or the
-  /// additive merge that is exact for disjoint partitionings (DS) and
+  /// Duplicate-estimate merge rule of the Tracker (a serving index stores
+  /// what it settles on): the paper's max-CN heuristic by default, or the
+  /// additive merge that is exact for disjoint partitionings (DS only) and
   /// makes resize-split partial reports sum to the centralised oracle's
   /// counts — see core/jaccard.h's EstimateMerge.
   EstimateMerge tracker_merge = EstimateMerge::kMaxCN;

@@ -32,6 +32,13 @@ TopologyHandles BuildCorrelationTopology(
   // rather than at the first install.
   CORRTRACK_CHECK_LE(config.EffectiveMaxCalculators(),
                      PartitionSet::kMaxPartitions);
+  // The additive merge is exact only for disjoint partitionings; under tag
+  // replication a Calculator can be handed a set's counter without its
+  // subsets' and abort in ReportAll.
+  const bool additive_on_disjoint =
+      config.tracker_merge != EstimateMerge::kAdditive ||
+      config.algorithm == AlgorithmKind::kDS;
+  CORRTRACK_CHECK(additive_on_disjoint);
   TopologyHandles handles;
   // The elastic install protocol's participants need the Calculator's
   // component id, which is only known after the components below are

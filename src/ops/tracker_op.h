@@ -22,13 +22,13 @@ namespace corrtrack::ops {
 /// a correct Jaccard coefficient".
 ///
 /// Each period is one PeriodTable: every tagset stored once, duplicates
-/// merged in place by the bolt's EstimateMerge rule.
+/// merged in place by the bolt's EstimateMerge rule, applied nowhere else.
 ///
-/// With a PeriodSink attached, every incoming report is forwarded raw (the
-/// sink re-applies the max-CN rule, see PeriodSink's contract), so a
-/// serving index converges to the same period map without the Tracker
-/// having to know when a period is complete — no watermark exists under
-/// the pool runtime's cross-producer interleaving.
+/// A PeriodSink gets each report after the merge, reduced to the settled
+/// values of the tagsets it changed (PeriodSink's contract), so a serving
+/// index that stores them converges to the same period map without the
+/// Tracker having to know when a period is complete — no watermark exists
+/// under the pool runtime's cross-producer interleaving.
 class TrackerBolt : public stream::Bolt<Message> {
  public:
   using PeriodResults = PeriodTable;
@@ -61,16 +61,24 @@ class TrackerBolt : public stream::Bolt<Message> {
             lag > 0 ? static_cast<uint64_t>(lag) : 0u);
       }
     }
-    const JaccardReport& report = std::get<JaccardReport>(in.payload());
+    // The envelope owns its report, so it is compacted in place, without
+    // allocating, to the settled values of the estimates that changed.
+    JaccardReport& report = std::get<JaccardReport>(in.MutablePayload());
     ++reports_received_;
     if (report.epoch > latest_epoch_) latest_epoch_ = report.epoch;
-    if (sink_ != nullptr) {
-      sink_->OnPeriodResults(report.period_end, report.estimates);
-    }
     PeriodResults& results = periods_[report.period_end];
-    for (const JaccardEstimate& estimate : report.estimates) {
-      results.Merge(estimate, merge_);
+    std::vector<JaccardEstimate>& estimates = report.estimates;
+    // The sink waits on this merge: a period's first report sizes its table
+    // so that it merges without a rehash.
+    if (results.size() == 0) results.Reserve(estimates.size());
+    size_t changed = 0;
+    for (JaccardEstimate& estimate : estimates) {
+      if (results.Merge(&estimate, merge_)) {
+        estimates[changed++] = std::move(estimate);  // Self-move is safe.
+      }
     }
+    estimates.resize(changed);
+    if (sink_ != nullptr) sink_->OnPeriodResults(report.period_end, estimates);
     if (telemetry_ != nullptr) {
       telemetry_->reports_tracked->Increment();
       if (t0 != 0) {
@@ -85,7 +93,6 @@ class TrackerBolt : public stream::Bolt<Message> {
     return periods_;
   }
 
-  EstimateMerge merge_policy() const { return merge_; }
   uint64_t reports_received() const { return reports_received_; }
   /// Newest partition epoch any report carried (resize observability).
   Epoch latest_epoch() const { return latest_epoch_; }
@@ -110,8 +117,8 @@ class TrackerBolt : public stream::Bolt<Message> {
     periods_.clear();
     for (const auto& [period_end, estimates] : state.periods) {
       PeriodResults& results = periods_[period_end];
-      for (const JaccardEstimate& estimate : estimates) {
-        results.Merge(estimate, merge_);
+      for (JaccardEstimate estimate : estimates) {
+        results.Merge(&estimate, merge_);
       }
     }
   }

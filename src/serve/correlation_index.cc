@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -18,7 +19,7 @@ namespace {
 
 /// Within-tag posting order: strongest correlation first, fresher values
 /// before staler on ties, canonical tagset order as the final tie-break so
-/// snapshots are deterministic functions of the builder state.
+/// snapshots are deterministic functions of their entries.
 bool PostingLess(const ShardSnapshot::Entry& a, const ShardSnapshot::Entry& b) {
   if (a.coefficient != b.coefficient) return a.coefficient > b.coefficient;
   if (a.period_end != b.period_end) return a.period_end > b.period_end;
@@ -78,71 +79,41 @@ void CorrelationIndex::ApplyPeriod(
     Timestamp period_end, const std::vector<JaccardEstimate>& estimates) {
   const int64_t apply_t0 =
       apply_hist_ != nullptr ? telemetry::MonotonicNanos() : 0;
+  // Retention first: its tombstones are staged before this call's values,
+  // so a value refreshing an expiring entry wins. A period past the
+  // retention horizon would expire at once, so it stores nothing.
+  const Timestamp cutoff = EvictExpired(period_end);
   for (const JaccardEstimate& estimate : estimates) {
-    if (estimate.tags.size() < 2) continue;
-    // System-wide invariant (and the bound on owners[] below): nothing
+    if (estimate.tags.size() < 2 || period_end < cutoff) continue;
+    // System-wide invariant (and what a serve blob can hold): nothing
     // upstream reports sets beyond the subset-enumeration limit.
     CORRTRACK_CHECK_LE(estimate.tags.size(),
                        static_cast<size_t>(kMaxTagsPerDocument));
-    if (estimate.coefficient < config_.min_coefficient) continue;
-    // Every shard owning one of the set's tags gets the entry (deduped:
-    // several tags may hash to the same shard).
-    size_t owners[kMaxTagsPerDocument];
-    size_t num_owners = 0;
+    // Every owner shard holds the same entry for a set, so its home shard
+    // answers for all of them.
+    const ShardSnapshot::Entry* held =
+        shards_[ShardOf(estimate.tags[0])].slot->FindSet(estimate.tags);
+    if (held != nullptr && held->period_end > period_end) continue;
+    const bool erase = estimate.coefficient < config_.min_coefficient;
+    // Every shard owning one of the set's tags gets the change, once per
+    // tag it owns: BuildSnapshot keeps one of the identical copies.
     for (const TagId tag : estimate.tags) {
-      const size_t s = ShardOf(tag);
-      bool seen = false;
-      for (size_t i = 0; i < num_owners; ++i) {
-        if (owners[i] == s) {
-          seen = true;
-          break;
-        }
-      }
-      if (!seen) owners[num_owners++] = s;
-    }
-    for (size_t i = 0; i < num_owners; ++i) {
-      Shard& shard = shards_[owners[i]];
-      BuilderEntry& entry = shard.builder[estimate.tags];
-      // union_count == 0 marks a freshly defaulted entry (a real estimate
-      // always has union_count >= intersection_count >= 1). Newer periods
-      // win outright; within a period the configured merge rule applies —
-      // the Tracker's max-CN, or the additive sum that mirrors an
-      // additive Tracker's period map (see ServeConfig::merge). Reports
-      // for periods older than the entry's are ignored either way.
-      const bool fresh = entry.union_count == 0;
-      if (fresh || period_end > entry.period_end) {
-        entry.coefficient = estimate.coefficient;
-        entry.intersection_count = estimate.intersection_count;
-        entry.union_count = estimate.union_count;
-        entry.period_end = period_end;
-        shard.changed.push_back(estimate.tags);
-      } else if (period_end == entry.period_end) {
-        if (config_.merge == EstimateMerge::kAdditive) {
-          entry.intersection_count += estimate.intersection_count;
-          entry.union_count += estimate.union_count;
-          // Same expression as SubsetCounterTable::Compute — the summed
-          // partials reproduce the oracle coefficient bit for bit.
-          entry.coefficient =
-              static_cast<double>(entry.intersection_count) /
-              static_cast<double>(entry.union_count);
-          shard.changed.push_back(estimate.tags);
-        } else if (estimate.intersection_count > entry.intersection_count) {
-          entry.coefficient = estimate.coefficient;
-          entry.intersection_count = estimate.intersection_count;
-          entry.union_count = estimate.union_count;
-          shard.changed.push_back(estimate.tags);
-        }
-      }
+      Shard& shard = shards_[ShardOf(tag)];
+      // A tombstone for an absent set can only cancel a value this call
+      // staged, and a shard with nothing staged holds none.
+      if (erase && held == nullptr && shard.changes.empty()) continue;
+      shard.changes.push_back(
+          {{estimate.tags, estimate.coefficient, estimate.intersection_count,
+            estimate.union_count, period_end},
+           erase});
     }
   }
-
-  EvictExpired(period_end);
 
   bool published = false;
   const uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    if (shard.changed.empty()) continue;
+    if (shard.changes.empty()) continue;
     // The writer is the only thread that swaps the slot, so it may read
     // the published snapshot without the slot mutex.
     Publish(shard, BuildSnapshot(s, *shard.slot, next_epoch));
@@ -167,77 +138,79 @@ void CorrelationIndex::ApplyPeriod(
   }
 }
 
-void CorrelationIndex::EvictExpired(Timestamp period_end) {
-  if (config_.retention_periods <= 0) return;
+Timestamp CorrelationIndex::EvictExpired(Timestamp period_end) {
+  constexpr Timestamp kNoCutoff = std::numeric_limits<Timestamp>::min();
+  if (config_.retention_periods <= 0) return kNoCutoff;
   const auto it = std::lower_bound(recent_periods_.begin(),
                                    recent_periods_.end(), period_end);
   if (it == recent_periods_.end() || *it != period_end) {
     recent_periods_.insert(it, period_end);
   }
   const size_t keep = static_cast<size_t>(config_.retention_periods);
-  if (recent_periods_.size() <= keep) return;
+  if (recent_periods_.size() <= keep) return kNoCutoff;
   recent_periods_.erase(recent_periods_.begin(),
                         recent_periods_.end() - static_cast<ptrdiff_t>(keep));
   const Timestamp cutoff = recent_periods_.front();
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    const size_t first = shard.changed.size();
-    for (const auto& [tags, entry] : shard.builder) {
-      if (entry.period_end < cutoff) shard.changed.push_back(tags);
-    }
-    for (size_t i = first; i < shard.changed.size(); ++i) {
-      shard.builder.erase(shard.changed[i]);
+    for (const ShardSnapshot::Entry& entry : shard.slot->entries()) {
+      if (entry.period_end < cutoff) shard.changes.push_back({entry, true});
     }
   }
+  return cutoff;
 }
 
 std::shared_ptr<const ShardSnapshot> CorrelationIndex::BuildSnapshot(
     size_t s, const ShardSnapshot& base, uint64_t epoch) {
-  Shard& shard = shards_[s];
-  std::vector<TagSet>& changed = shard.changed;
-  std::sort(changed.begin(), changed.end());
-  changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
+  // Sorted by tagset, each tagset's last change kept: reversed, then
+  // stably sorted, a tagset's changes run from the last staged on.
+  std::vector<Change>& changes = shards_[s].changes;
+  std::reverse(changes.begin(), changes.end());
+  std::stable_sort(changes.begin(), changes.end(),
+                   [](const Change& a, const Change& b) {
+                     return a.entry.tags < b.entry.tags;
+                   });
+  changes.erase(std::unique(changes.begin(), changes.end(),
+                            [](const Change& a, const Change& b) {
+                              return a.entry.tags == b.entry.tags;
+                            }),
+                changes.end());
 
   auto snapshot = std::make_shared<ShardSnapshot>();
   snapshot->epoch_ = epoch;
   std::vector<ShardSnapshot::Entry>& entries = snapshot->entries_;
   const std::vector<ShardSnapshot::Entry>& old_entries = base.entries_;
+  entries.reserve(old_entries.size() + changes.size());
 
   // Entries: one merge of the base's sorted entries with the sorted
-  // changed keys. An unchanged entry is copied and remapped; a changed key
-  // takes its current builder value, or vanishes when it was erased.
-  // Postings: a changed key holds the same tags before and after, so the
-  // runs that move are exactly those of the changed keys' owned tags
-  // (`touched`); `pairs` are the changed entries' postings.
+  // changes. An unchanged entry is copied and remapped; a changed tagset
+  // takes its new entry, or vanishes under a tombstone. Postings: a
+  // changed tagset holds the same tags before and after, so the runs that
+  // move are exactly those of the changed tagsets' owned tags (`touched`);
+  // `pairs` are the new entries' postings.
   constexpr uint32_t kGone = UINT32_MAX;
   std::vector<uint32_t> remap(old_entries.size(), kGone);
   std::vector<TagId> touched;
   std::vector<std::pair<TagId, uint32_t>> pairs;
-  entries.reserve(shard.builder.size());
   size_t old = 0;
   auto keep_old = [&] {
     remap[old] = static_cast<uint32_t>(entries.size());
     entries.push_back(old_entries[old++]);
   };
-  for (const TagSet& key : changed) {
+  for (Change& change : changes) {
+    const TagSet& key = change.entry.tags;
     while (old < old_entries.size() && old_entries[old].tags < key) keep_old();
     if (old < old_entries.size() && old_entries[old].tags == key) ++old;
-    const auto it = shard.builder.find(key);
-    const bool held = it != shard.builder.end();
     const auto e = static_cast<uint32_t>(entries.size());
-    if (held) {
-      const BuilderEntry& value = it->second;
-      entries.push_back({key, value.coefficient, value.intersection_count,
-                         value.union_count, value.period_end});
-    }
     for (const TagId tag : key) {
       if (ShardOf(tag) != s) continue;
       touched.push_back(tag);
-      if (held) pairs.emplace_back(tag, e);
+      if (!change.erase) pairs.emplace_back(tag, e);
     }
+    if (!change.erase) entries.push_back(std::move(change.entry));
   }
   while (old < old_entries.size()) keep_old();
-  changed.clear();
+  changes.clear();
   snapshot->prefixes_.reserve(entries.size());
   for (const ShardSnapshot::Entry& entry : entries) {
     snapshot->prefixes_.push_back(ShardSnapshot::Prefix(entry.tags));
@@ -298,7 +271,7 @@ std::shared_ptr<const ShardSnapshot> CorrelationIndex::BuildSnapshot(
 namespace {
 
 /// The serve blob's contents: on export each shard's entries are a view of
-/// its builder, on restore a vector parsed ahead of any change.
+/// its published snapshot, on restore a vector parsed ahead of any change.
 template <class Entries>
 struct Blob {
   uint32_t num_shards = 0;
@@ -310,10 +283,9 @@ struct Blob {
 
 /// The blob's layout. The shard a tag hashes into depends on the shard
 /// count, so a blob from a differently configured index would scatter
-/// entries wrongly: refused. Entries are in builder insertion order:
-/// FlatTagSetMap iterates in it, and restoring in the same order
-/// reproduces the builder's internal layout — and therefore every future
-/// export — bit for bit.
+/// entries wrongly: refused. Export writes each shard's entries in tagset
+/// order (the snapshot's); blobs written before listed them in insertion
+/// order, which restore accepts as well.
 template <class Io, class B>
 bool Fields(Io& io, B& b) {
   if (!io.U32(b.num_shards) || b.num_shards != b.shards.size() ||
@@ -324,10 +296,9 @@ bool Fields(Io& io, B& b) {
   for (auto& entries : b.shards) {
     const bool ok = storage::Seq(io, entries, [](auto& io, auto& e) {
       // ApplyPeriod never stores a set of fewer than two tags.
-      return storage::Tags(io, e.first) && io.F64(e.second.coefficient) &&
-             io.U64(e.second.intersection_count) &&
-             io.U64(e.second.union_count) && io.I64(e.second.period_end) &&
-             e.first.size() >= 2;
+      return storage::Tags(io, e.tags) && io.F64(e.coefficient) &&
+             io.U64(e.intersection_count) && io.U64(e.union_count) &&
+             io.I64(e.period_end) && e.tags.size() >= 2;
     });
     if (!ok) return false;
   }
@@ -337,14 +308,14 @@ bool Fields(Io& io, B& b) {
 }  // namespace
 
 void CorrelationIndex::ExportState(std::string* out) const {
-  Blob<std::span<const std::pair<TagSet, BuilderEntry>>> blob;
+  Blob<std::span<const ShardSnapshot::Entry>> blob;
   blob.num_shards = static_cast<uint32_t>(num_shards_);
   blob.epoch = epoch_.load(std::memory_order_acquire);
   blob.latest_period = latest_period_.load(std::memory_order_acquire);
   blob.recent_periods = recent_periods_;
   for (size_t s = 0; s < num_shards_; ++s) {
-    blob.shards.emplace_back(shards_[s].builder.begin(),
-                             shards_[s].builder.end());
+    // The writer is the only thread that swaps the slot.
+    blob.shards.emplace_back(shards_[s].slot->entries());
   }
   storage::ByteWriter w;
   Fields(w, std::as_const(blob));
@@ -354,24 +325,36 @@ void CorrelationIndex::ExportState(std::string* out) const {
 bool CorrelationIndex::RestoreState(std::string_view blob) {
   // Parse everything before touching the index, so a malformed blob
   // leaves it untouched.
-  Blob<std::vector<std::pair<TagSet, BuilderEntry>>> parsed;
+  Blob<std::vector<ShardSnapshot::Entry>> parsed;
   parsed.shards.resize(num_shards_);
   storage::ByteReader r(blob);
   if (!Fields(r, parsed) || !r.empty()) return false;
+  // A CRC-valid blob may still be forged: a snapshot must hold each
+  // tagset once, and only tagsets one of whose tags its shard owns.
+  for (size_t s = 0; s < num_shards_; ++s) {
+    std::vector<ShardSnapshot::Entry>& entries = parsed.shards[s];
+    std::sort(entries.begin(), entries.end(),
+              [](const auto& a, const auto& b) { return a.tags < b.tags; });
+    for (size_t i = 0; i < entries.size(); ++i) {
+      const TagSet& tags = entries[i].tags;
+      const bool owned = std::any_of(tags.begin(), tags.end(), [&](TagId t) {
+        return ShardOf(t) == s;
+      });
+      if (!owned || (i > 0 && entries[i - 1].tags == tags)) return false;
+    }
+  }
   recent_periods_ = std::move(parsed.recent_periods);
   latest_period_.store(parsed.latest_period, std::memory_order_release);
   epoch_.store(parsed.epoch, std::memory_order_release);
   // Republish every shard so readers serve the restored state immediately:
-  // every restored key is a change against an empty base, which builds
+  // every restored entry is a change against an empty base, which builds
   // the snapshot from scratch through the one publish path.
   const ShardSnapshot empty;
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    shard.builder.clear();
-    shard.changed.clear();
-    for (const auto& [tags, entry] : parsed.shards[s]) {
-      shard.builder.emplace(tags, entry);
-      shard.changed.push_back(tags);
+    shard.changes.clear();
+    for (ShardSnapshot::Entry& entry : parsed.shards[s]) {
+      shard.changes.push_back({std::move(entry)});
     }
     Publish(shard, BuildSnapshot(s, empty, parsed.epoch));
   }

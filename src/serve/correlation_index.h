@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/flat_counter_table.h"
 #include "core/jaccard.h"
 #include "core/tagset.h"
 #include "core/types.h"
@@ -116,12 +115,12 @@ class ShardSnapshot {
 /// smallest tag.
 ///
 /// Concurrency (RCU-style): each shard publishes an immutable
-/// ShardSnapshot. The single writer (ApplyPeriod) mutates private builder
-/// state, records which keys it upserted or erased, and builds each
-/// touched shard's next snapshot off-path by merging that delta into the
-/// previous snapshot — O(n + d log d) for d changed keys, not a rebuild of
-/// the shard — then swaps it in; old snapshots are reclaimed by shared_ptr
-/// once the last reader drops them.
+/// ShardSnapshot, which is also the only copy of the shard's entries. The
+/// single writer (ApplyPeriod) stages each touched shard's changes — a
+/// tagset's new entry, or a tombstone — and builds the shard's next
+/// snapshot off-path by merging them into the published one — O(n + d log
+/// d) for d changes, not a rebuild of the shard — then swaps it in; old
+/// snapshots are reclaimed by shared_ptr once the last reader drops them.
 /// Readers go through per-thread Reader handles that cache the shared_ptr
 /// per shard and re-copy it only when the shard's atomic version counter
 /// changed, so a steady-state query performs no reference-count traffic
@@ -147,14 +146,12 @@ class CorrelationIndex {
   CorrelationIndex(const CorrelationIndex&) = delete;
   CorrelationIndex& operator=(const CorrelationIndex&) = delete;
 
-  /// Ingests one batch of period results (single writer). May be called
-  /// several times for the same `period_end` — duplicate tagsets within a
-  /// period merge with the Tracker's max-CN rule, so the final state is
-  /// bit-identical to the Tracker's period map regardless of report
-  /// interleaving. A newer period's value replaces an older one; reports
-  /// for periods older than the entry's are ignored. Estimates with fewer
-  /// than two tags or a coefficient below ServeConfig::min_coefficient are
-  /// screened out.
+  /// Ingests the values the Tracker settled on for `period_end` (single
+  /// writer; ops::PeriodSink's contract). The index never merges: a value
+  /// replaces the stored one of the same or an older period and is ignored
+  /// when that is newer; of one tagset twice in a call the later wins. A
+  /// value below ServeConfig::min_coefficient removes the one it would
+  /// replace. Estimates with fewer than two tags are skipped.
   void ApplyPeriod(Timestamp period_end,
                    const std::vector<JaccardEstimate>& estimates);
 
@@ -218,13 +215,13 @@ class CorrelationIndex {
   }
 
   /// Checkpoint support (writer-side, externally serialised like
-  /// ApplyPeriod): serialises the builder state — per-shard entries in
-  /// insertion order, the retention window and the publish counters — into
-  /// `out`. RestoreState parses a blob back, rebuilds every shard's builder
-  /// and republishes fresh snapshots, so a restored index serves exactly
-  /// what the captured one did. Returns false (leaving the index
-  /// untouched) on a malformed blob (trailing bytes included) or a
-  /// shard-count mismatch with this index's configuration.
+  /// ApplyPeriod): serialises each shard's published entries in tagset
+  /// order, the retention window and the publish counters into `out`.
+  /// RestoreState parses a blob back (entries in any order) and
+  /// republishes every shard, so a restored index serves exactly what the
+  /// captured one did. Returns false (leaving the index untouched) on a
+  /// malformed blob (trailing bytes included), a shard-count mismatch, or a
+  /// shard holding a tagset twice or one none of whose tags it owns.
   void ExportState(std::string* out) const;
   bool RestoreState(std::string_view blob);
 
@@ -241,12 +238,11 @@ class CorrelationIndex {
   const ServeConfig& config() const { return config_; }
 
  private:
-  /// Writer-side per-entry state (latest value per tagset).
-  struct BuilderEntry {
-    double coefficient = 0.0;
-    uint64_t intersection_count = 0;
-    uint64_t union_count = 0;  // 0 marks a freshly defaulted entry.
-    Timestamp period_end = 0;
+  /// A change staged for one shard's next snapshot: `entry` replaces the
+  /// stored entry of its tagset, or removes it when `erase`.
+  struct Change {
+    ShardSnapshot::Entry entry;
+    bool erase = false;
   };
 
   struct Shard {
@@ -257,11 +253,9 @@ class CorrelationIndex {
     /// and copy only; the pointee is immutable.
     mutable std::mutex slot_mutex;
     std::shared_ptr<const ShardSnapshot> slot;
-    // Writer-only state below.
-    FlatTagSetMap<BuilderEntry> builder;
-    /// Keys upserted or erased since the last publish (may repeat); the
-    /// shard republishes when this is non-empty.
-    std::vector<TagSet> changed;
+    /// Writer-only: changes since the last publish, in staging order (a
+    /// tagset's last change wins); the shard republishes when non-empty.
+    std::vector<Change> changes;
   };
 
   /// Swaps in `snapshot` and bumps the shard's version (writer side).
@@ -272,15 +266,18 @@ class CorrelationIndex {
     return static_cast<size_t>(HashTagSpan(&tag, 1)) & shard_mask_;
   }
 
-  /// Builds shard `s`'s next immutable snapshot by merging its changed
-  /// keys' builder state into `base` (the shard's published snapshot, or
-  /// an empty one to build from scratch), and clears the changed keys.
+  /// Builds shard `s`'s next immutable snapshot by merging its staged
+  /// changes into `base` (the shard's published snapshot, or an empty one
+  /// to build from scratch), and clears the changes.
   std::shared_ptr<const ShardSnapshot> BuildSnapshot(
       size_t s, const ShardSnapshot& base, uint64_t epoch);
 
-  /// Applies the retention policy after ingesting `period_end`; records
-  /// the keys it evicts as changed.
-  void EvictExpired(Timestamp period_end);
+  /// Applies the retention policy to a call for `period_end`: once more
+  /// than `retention_periods` distinct period-ends were seen, stages a
+  /// tombstone for every published entry older than the newest
+  /// `retention_periods` of them. Returns the oldest period still retained,
+  /// or the lowest Timestamp when nothing expires.
+  Timestamp EvictExpired(Timestamp period_end);
 
   ServeConfig config_;
   size_t num_shards_;

@@ -13,9 +13,10 @@ namespace corrtrack::serve {
 /// Adapter that plugs a CorrelationIndex into the topology: attach one to
 /// the Tracker (or the Centralized baseline) through
 /// ops::BuildCorrelationTopology and the index continuously ingests period
-/// results as they are reported. ApplyPeriod's max-CN merge makes the
-/// ingest idempotent under the Tracker's duplicate reports, so the served
-/// state converges to the Tracker's own period map.
+/// results as they are reported. The Tracker forwards the values it
+/// settled on (ops::PeriodSink's contract) and ApplyPeriod stores them, so
+/// the served state converges to the Tracker's own period map under
+/// either merge rule.
 ///
 /// Threading: the sink is driven by exactly one bolt task (the topology
 /// never shares a sink between bolts), which is precisely the index's

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 
-#include "core/jaccard.h"
-
 namespace corrtrack::serve {
 
 /// Knobs of the correlation query service (CorrelationIndex).
@@ -29,16 +27,9 @@ struct ServeConfig {
   /// bound — so an evicted top entry is replaced by the next one exactly.
   size_t top_k_capacity = 64;
 
-  /// Screening threshold: estimates with a Jaccard coefficient below this
-  /// are not ingested at all. 0 keeps everything the Tracker reports.
+  /// Screening threshold on the values the Tracker settles on: one below
+  /// it is not stored and removes the value it supersedes. 0 keeps all.
   double min_coefficient = 0.0;
-
-  /// Duplicate-estimate merge rule within one reporting period. Must match
-  /// the Tracker feeding the index (PipelineConfig::tracker_merge), or the
-  /// served state diverges from the Tracker's period map: max-CN for the
-  /// paper's replicating partitionings, additive for the exact disjoint
-  /// (elastic-resize) mode — see core/jaccard.h's EstimateMerge.
-  EstimateMerge merge = EstimateMerge::kMaxCN;
 
   /// How many distinct reporting periods an entry stays servable without a
   /// fresh report. Entries whose last report is older than the

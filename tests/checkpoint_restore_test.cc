@@ -164,8 +164,7 @@ void RunKillRestoreDifferential(stream::RuntimeKind kind) {
   storage::MemoryStorage::Global()->Clear();
 
   // --- A: uninterrupted ---------------------------------------------------
-  serve::CorrelationIndex index_a(
-      serve::ServeConfig{.merge = pipeline.tracker_merge});
+  serve::CorrelationIndex index_a;
   serve::IndexSink sink_a(&index_a);
   stream::Topology<ops::Message> topology_a;
   const ops::TopologyHandles handles_a = ops::BuildCorrelationTopology(
@@ -180,8 +179,7 @@ void RunKillRestoreDifferential(stream::RuntimeKind kind) {
 
   // --- B: checkpointed, killed mid-stream ---------------------------------
   {
-    serve::CorrelationIndex index_b(
-        serve::ServeConfig{.merge = pipeline.tracker_merge});
+    serve::CorrelationIndex index_b;
     serve::IndexSink sink_b(&index_b);
     ops::CheckpointRunnerOptions options;
     options.checkpoint_uri = store;
@@ -211,8 +209,7 @@ void RunKillRestoreDifferential(stream::RuntimeKind kind) {
   }
 
   // --- C: restored over the full stream -----------------------------------
-  serve::CorrelationIndex index_c(
-      serve::ServeConfig{.merge = pipeline.tracker_merge});
+  serve::CorrelationIndex index_c;
   serve::IndexSink sink_c(&index_c);
   ops::CheckpointRunnerOptions restore_options;
   restore_options.restore_uri = store;

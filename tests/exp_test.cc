@@ -204,22 +204,30 @@ TEST(Sweep, DescribeBase) {
 TEST(Driver, ServeIndexValidatesAgainstTracker) {
   // The driver can stand up the serving layer next to the topology and
   // prove the served answers match its own ExperimentResult baseline: the
-  // ingest adapter leaves zero mismatches against the Tracker's maps.
-  ExperimentConfig config;
-  config.label = "serve-validation";
-  config.pipeline.num_calculators = 4;
-  config.pipeline.num_partitioners = 3;
-  config.pipeline.window_span = kMillisPerMinute;
-  config.pipeline.report_period = kMillisPerMinute;
-  config.pipeline.bootstrap_time = kMillisPerMinute;
-  config.generator.seed = 11;
-  config.generator.topics.num_topics = 60;
-  config.num_documents = 12000;
-  config.with_serve_index = true;
-  const ExperimentResult result = RunExperiment(config);
-  EXPECT_GT(result.serve_sets, 0u);
-  EXPECT_GT(result.serve_lookups_checked, result.serve_sets);
-  EXPECT_EQ(result.serve_mismatches, 0u);
+  // ingest adapter leaves zero mismatches against the Tracker's maps. The
+  // replicating algorithms make several Calculators report a tagset in one
+  // period, so the Tracker's max-CN merge decides what is served.
+  for (const AlgorithmKind algorithm :
+       {AlgorithmKind::kDS, AlgorithmKind::kSCC, AlgorithmKind::kSCL,
+        AlgorithmKind::kSCI}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    ExperimentConfig config;
+    config.label = "serve-validation";
+    config.pipeline.algorithm = algorithm;
+    config.pipeline.num_calculators = 4;
+    config.pipeline.num_partitioners = 3;
+    config.pipeline.window_span = kMillisPerMinute;
+    config.pipeline.report_period = kMillisPerMinute;
+    config.pipeline.bootstrap_time = kMillisPerMinute;
+    config.generator.seed = 11;
+    config.generator.topics.num_topics = 60;
+    config.num_documents = 12000;
+    config.with_serve_index = true;
+    const ExperimentResult result = RunExperiment(config);
+    EXPECT_GT(result.serve_sets, 0u);
+    EXPECT_GT(result.serve_lookups_checked, result.serve_sets);
+    EXPECT_EQ(result.serve_mismatches, 0u);
+  }
 }
 
 }  // namespace

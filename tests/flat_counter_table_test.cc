@@ -531,25 +531,33 @@ TEST(PeriodTable, DifferentialWithFlatTagSetMapOracle) {
   // Random reports under each merge policy, into the table and into the
   // map the Tracker kept before (emplace, else MergeEstimate): the same
   // entries in the same order and the same bits after every report, and
-  // lookups of present and absent sets agree.
+  // lookups of present and absent sets agree. Merge reports a change
+  // exactly when the oracle's entry changed, and then hands back the
+  // settled value. Odd periods start from a reserved table.
   std::mt19937 rng(2707);
   const std::vector<TagSet> pool = TagSetPool(rng, 400);
   for (const EstimateMerge policy :
        {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
     for (int period = 0; period < 6; ++period) {
       PeriodTable table;
+      if (period % 2 == 1) table.Reserve(100 * period);
       FlatTagSetMap<JaccardEstimate> oracle;
       size_t merged = 0;
+      size_t unchanged = 0;
       for (int r = 0; r < 12; ++r) {
-        for (const JaccardEstimate& e : RandomReport(rng, pool)) {
-          table.Merge(e, policy);
+        for (JaccardEstimate e : RandomReport(rng, pool)) {
           auto [it, inserted] = oracle.emplace(e.tags, e);
-          if (!inserted) MergeEstimate(&it->second, e, policy);
+          const bool changed =
+              inserted || MergeEstimate(&it->second, e, policy);
+          ASSERT_EQ(table.Merge(&e, policy), changed);
+          if (changed) ExpectSameEstimate(e, it->second);
           merged += inserted ? 0 : 1;
+          unchanged += changed ? 0 : 1;
         }
         ExpectSameEntries(table, oracle);
       }
       EXPECT_GT(merged, 100u);
+      EXPECT_EQ(unchanged > 0, policy == EstimateMerge::kMaxCN);
       for (const TagSet& tags : pool) {
         ASSERT_EQ(table.count(tags), oracle.count(tags));
         const auto want = oracle.find(tags);

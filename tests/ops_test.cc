@@ -239,6 +239,29 @@ TEST(BuildCorrelationTopologyDeathTest, RejectsMoreThan64Calculators) {
   build(PartitionSet::kMaxPartitions, 0);
 }
 
+TEST(BuildCorrelationTopologyDeathTest, RejectsAdditiveMergeWithReplication) {
+  // Summing partial reports is exact only over disjoint partitions: the
+  // tag-replicating algorithms are refused when the topology is built,
+  // not when a Calculator's report aborts.
+  const auto build = [](AlgorithmKind algorithm, EstimateMerge merge) {
+    PipelineConfig config;
+    config.algorithm = algorithm;
+    config.tracker_merge = merge;
+    stream::Topology<Message> topology;
+    BuildCorrelationTopology(
+        &topology,
+        std::make_unique<GeneratorSpout>(gen::GeneratorConfig{}, 1), config,
+        /*metrics=*/nullptr, /*with_centralized_baseline=*/false);
+  };
+  for (const AlgorithmKind algorithm :
+       {AlgorithmKind::kSCC, AlgorithmKind::kSCL, AlgorithmKind::kSCI}) {
+    EXPECT_DEATH(build(algorithm, EstimateMerge::kAdditive),
+                 "additive_on_disjoint");
+    build(algorithm, EstimateMerge::kMaxCN);
+  }
+  build(AlgorithmKind::kDS, EstimateMerge::kAdditive);
+}
+
 TEST(PartitionerBolt, ProposesFromWindowOnRequest) {
   const PipelineConfig config = SmallConfig();
   PartitionerBolt partitioner(config, /*instance=*/3);
@@ -476,14 +499,69 @@ TEST(TrackerBolt, ForwardsEveryReportToPeriodSink) {
   report.calculator = 1;
   report.period_end = 1000;
   tracker.Execute(Env(Message(report)), emitter);
+  // A second report of period 1000: {1,2} loses the max-CN merge and is
+  // dropped, {1,3} is new, {2,3} appears twice and wins the second time.
+  report.calculator = 2;
+  report.estimates.clear();
+  e.intersection_count = 3;
+  report.estimates.push_back(e);
+  e.tags = TagSet({1, 3});
+  report.estimates.push_back(e);
+  e.tags = TagSet({2, 3});
+  report.estimates.push_back(e);
+  e.intersection_count = 6;
+  report.estimates.push_back(e);
+  tracker.Execute(Env(Message(report)), emitter);
+  // Nothing changes: the sink still gets its one call.
+  report.estimates = {report.estimates[0]};
+  tracker.Execute(Env(Message(report)), emitter);
 
-  // Raw reports are forwarded as-is (the sink owns the max-CN merge).
-  ASSERT_EQ(sink.calls.size(), 2u);
+  // One call per report, after the merge: the settled values of the
+  // tagsets the report changed, in report order.
+  ASSERT_EQ(sink.calls.size(), 4u);
   EXPECT_EQ(sink.calls[0].first, 500);
   EXPECT_EQ(sink.calls[1].first, 1000);
   ASSERT_EQ(sink.calls[0].second.size(), 1u);
   EXPECT_EQ(sink.calls[0].second[0].tags, TagSet({1, 2}));
   EXPECT_EQ(sink.calls[0].second[0].intersection_count, 4u);
+  const std::vector<JaccardEstimate>& changed = sink.calls[2].second;
+  ASSERT_EQ(changed.size(), 3u);
+  EXPECT_EQ(changed[0].tags, TagSet({1, 3}));
+  EXPECT_EQ(changed[1].tags, TagSet({2, 3}));
+  EXPECT_EQ(changed[1].intersection_count, 3u);
+  EXPECT_EQ(changed[2].tags, TagSet({2, 3}));
+  EXPECT_EQ(changed[2].intersection_count, 6u);
+  EXPECT_EQ(sink.calls[3].first, 1000);
+  EXPECT_TRUE(sink.calls[3].second.empty());
+}
+
+TEST(TrackerBolt, ForwardsSettledAdditiveSums) {
+  // Under the additive merge the sink gets the running sum, not the
+  // partial report.
+  RecordingPeriodSink sink;
+  TrackerBolt tracker(&sink, EstimateMerge::kAdditive);
+  CapturingEmitter emitter;
+  JaccardReport report;
+  report.period_end = 500;
+  JaccardEstimate e;
+  e.tags = TagSet({1, 2});
+  e.coefficient = 0.5;
+  e.intersection_count = 1;
+  e.union_count = 2;
+  report.estimates.push_back(e);
+  tracker.Execute(Env(Message(report)), emitter);
+  report.estimates[0].intersection_count = 2;
+  report.estimates[0].union_count = 6;
+  report.estimates[0].coefficient = 2.0 / 6.0;
+  tracker.Execute(Env(Message(report)), emitter);
+  ASSERT_EQ(sink.calls.size(), 2u);
+  ASSERT_EQ(sink.calls[1].second.size(), 1u);
+  const JaccardEstimate& settled = sink.calls[1].second[0];
+  EXPECT_EQ(settled.intersection_count, 3u);
+  EXPECT_EQ(settled.union_count, 8u);
+  EXPECT_EQ(settled.coefficient, 3.0 / 8.0);
+  EXPECT_EQ(settled.coefficient,
+            tracker.periods().at(500).at(TagSet({1, 2})).coefficient);
 }
 
 TEST(CentralizedBolt, ForwardsPeriodToSinkOnTick) {

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <random>
@@ -21,6 +24,7 @@
 #include "ops/topology_builder.h"
 #include "ops/tracker_op.h"
 #include "serve/index_sink.h"
+#include "storage/serialize.h"
 #include "stream/simulation.h"
 
 namespace corrtrack::serve {
@@ -34,6 +38,26 @@ JaccardEstimate Estimate(std::vector<TagId> tags, double coefficient,
   e.intersection_count = intersection;
   e.union_count = unioned;
   return e;
+}
+
+/// Drops every emission: the Tracker emits nothing.
+class DropEmitter : public stream::Emitter<ops::Message> {
+ public:
+  void Emit(ops::Message) override {}
+  void EmitDirect(int, ops::Message) override {}
+  Timestamp now() const override { return 0; }
+};
+
+/// Hands `estimates` to `tracker` as one Calculator report of `period_end`.
+void Track(ops::TrackerBolt& tracker, Timestamp period_end,
+           std::vector<JaccardEstimate> estimates) {
+  ops::JaccardReport report;
+  report.period_end = period_end;
+  report.estimates = std::move(estimates);
+  stream::Envelope<ops::Message> env;
+  env.set_payload(ops::Message(std::move(report)));
+  DropEmitter emitter;
+  tracker.Execute(env, emitter);
 }
 
 TEST(CorrelationIndex, EmptyIndexAnswersEmpty) {
@@ -86,18 +110,40 @@ TEST(CorrelationIndex, ServesTopLookupAndScan) {
   EXPECT_EQ(reader.TotalSets(), 4u);
 }
 
-TEST(CorrelationIndex, MaxCnMergeWithinPeriod) {
-  // Duplicate reports of one period merge with the Tracker's max-CN rule,
-  // independent of arrival order; ties keep the first (strict >).
+TEST(IndexSink, MaxCnMergeWithinPeriod) {
+  // Duplicate reports of one period merge in the Tracker by max-CN,
+  // independent of arrival order; ties keep the first (strict >). The
+  // index serves the value the Tracker settled on, and a losing report
+  // changes nothing, so nothing is published for it.
   CorrelationIndex index;
-  index.ApplyPeriod(500, {Estimate({1, 2}, 0.4, 4, 10)});
-  index.ApplyPeriod(500, {Estimate({1, 2}, 0.9, 9, 10)});
-  index.ApplyPeriod(500, {Estimate({1, 2}, 0.1, 2, 20)});
+  IndexSink sink(&index);
+  ops::TrackerBolt tracker(&sink);
+  Track(tracker, 500, {Estimate({1, 2}, 0.4, 4, 10)});
+  Track(tracker, 500, {Estimate({1, 2}, 0.9, 9, 10)});
+  const uint64_t epoch = index.epoch();
+  Track(tracker, 500, {Estimate({1, 2}, 0.1, 2, 20)});
+  Track(tracker, 500, {Estimate({1, 2}, 0.3, 9, 30)});
+  EXPECT_EQ(index.epoch(), epoch);
   CorrelationIndex::Reader reader = index.NewReader();
   const std::optional<LookupResult> hit = reader.Lookup(TagSet({1, 2}));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->intersection_count, 9u);
   EXPECT_DOUBLE_EQ(hit->coefficient, 0.9);
+}
+
+TEST(CorrelationIndex, StoresTheValueItIsGiven) {
+  // The index does not merge: a value replaces the stored value of its
+  // period whatever its CN, and within one call the later entry of a
+  // tagset wins.
+  CorrelationIndex index;
+  CorrelationIndex::Reader reader = index.NewReader();
+  index.ApplyPeriod(500, {Estimate({1, 2}, 0.9, 9, 10)});
+  index.ApplyPeriod(500, {Estimate({1, 2}, 0.4, 4, 10)});
+  EXPECT_EQ(reader.Lookup(TagSet({1, 2}))->intersection_count, 4u);
+  index.ApplyPeriod(500, {Estimate({1, 2}, 0.5, 5, 10),
+                          Estimate({1, 2}, 0.6, 6, 10)});
+  EXPECT_EQ(reader.Lookup(TagSet({1, 2}))->intersection_count, 6u);
+  EXPECT_EQ(reader.TotalSets(), 1u);
 }
 
 TEST(CorrelationIndex, NewerPeriodReplacesOlderValue) {
@@ -145,6 +191,43 @@ TEST(CorrelationIndex, ScreeningThresholdDropsWeakCorrelations) {
   EXPECT_TRUE(reader.Lookup(TagSet({1, 2})).has_value());
   EXPECT_FALSE(reader.Lookup(TagSet({1, 3})).has_value());
   EXPECT_EQ(reader.TotalSets(), 1u);
+  // A screened value removes what it supersedes; within one call the later
+  // entry of a tagset wins, screened or not.
+  index.ApplyPeriod(2000, {Estimate({1, 2}, 0.2, 2, 10)});
+  EXPECT_FALSE(reader.Lookup(TagSet({1, 2})).has_value());
+  index.ApplyPeriod(2000, {Estimate({1, 3}, 0.6, 6, 10),
+                           Estimate({1, 3}, 0.1, 1, 10),
+                           Estimate({2, 3}, 0.1, 1, 10),
+                           Estimate({2, 3}, 0.7, 7, 10)});
+  EXPECT_FALSE(reader.Lookup(TagSet({1, 3})).has_value());
+  EXPECT_DOUBLE_EQ(reader.Lookup(TagSet({2, 3}))->coefficient, 0.7);
+  EXPECT_EQ(reader.TotalSets(), 1u);
+}
+
+TEST(IndexSink, ScreeningJudgesTheSettledValue) {
+  // CN 5 at J 0.1 and CN 3 at J 0.5 of one period: the Tracker keeps CN 5,
+  // below the threshold, so the set is not served in either arrival order
+  // — not even with the older period's value, which the newer one
+  // supersedes.
+  for (const bool high_cn_first : {true, false}) {
+    SCOPED_TRACE(high_cn_first ? "CN 5 first" : "CN 3 first");
+    ServeConfig config;
+    config.min_coefficient = 0.3;
+    CorrelationIndex index(config);
+    IndexSink sink(&index);
+    ops::TrackerBolt tracker(&sink);
+    CorrelationIndex::Reader reader = index.NewReader();
+    Track(tracker, 500, {Estimate({1, 2}, 0.8, 8, 10)});
+    ASSERT_TRUE(reader.Lookup(TagSet({1, 2})).has_value());
+    const JaccardEstimate high_cn = Estimate({1, 2}, 0.1, 5, 50);
+    const JaccardEstimate low_cn = Estimate({1, 2}, 0.5, 3, 6);
+    Track(tracker, 1000, {high_cn_first ? high_cn : low_cn});
+    Track(tracker, 1000, {high_cn_first ? low_cn : high_cn});
+    EXPECT_EQ(tracker.periods().at(1000).at(TagSet({1, 2})).intersection_count,
+              5u);
+    EXPECT_FALSE(reader.Lookup(TagSet({1, 2})).has_value());
+    EXPECT_EQ(reader.TotalSets(), 0u);
+  }
 }
 
 TEST(CorrelationIndex, RetentionEvictsStalePeriods) {
@@ -264,6 +347,75 @@ TEST(CorrelationIndex, NonCanonicalTagsInBlobAreRefused) {
   EXPECT_TRUE(index.NewReader().Lookup(TagSet({1, 2})).has_value());
 }
 
+/// A serve blob written by hand: one retained period, then each shard's
+/// entries as given, in that order and placement.
+std::string HandBlob(
+    const std::vector<std::vector<ShardSnapshot::Entry>>& shards) {
+  storage::ByteWriter w;
+  w.PutU32(static_cast<uint32_t>(shards.size()));
+  w.PutU64(1);     // epoch
+  w.PutI64(1000);  // latest period
+  w.PutU64(1);     // one retained period
+  w.PutI64(1000);
+  for (const std::vector<ShardSnapshot::Entry>& entries : shards) {
+    w.PutU64(entries.size());
+    for (const ShardSnapshot::Entry& e : entries) {
+      w.PutU32(static_cast<uint32_t>(e.tags.size()));
+      for (const TagId tag : e.tags) w.PutU32(tag);
+      w.PutDouble(e.coefficient);
+      w.PutU64(e.intersection_count);
+      w.PutU64(e.union_count);
+      w.PutI64(e.period_end);
+    }
+  }
+  return w.str();
+}
+
+ShardSnapshot::Entry Held(std::vector<TagId> tags, double coefficient) {
+  return {TagSet(tags), coefficient, 1, 2, 1000};
+}
+
+TEST(CorrelationIndex, InsertionOrderBlobRestoresAndExportsSorted) {
+  // Blobs used to list a shard's entries in insertion order; they restore,
+  // and the restored index exports them in tagset order.
+  ServeConfig config;
+  config.num_shards = 1;
+  CorrelationIndex index(config);
+  ASSERT_TRUE(index.RestoreState(
+      HandBlob({{Held({3, 4}, 0.5), Held({1, 2}, 0.25)}})));
+  CorrelationIndex::Reader reader = index.NewReader();
+  EXPECT_DOUBLE_EQ(reader.Lookup(TagSet({3, 4}))->coefficient, 0.5);
+  EXPECT_DOUBLE_EQ(reader.Lookup(TagSet({1, 2}))->coefficient, 0.25);
+  std::string blob;
+  index.ExportState(&blob);
+  EXPECT_EQ(blob, HandBlob({{Held({1, 2}, 0.25), Held({3, 4}, 0.5)}}));
+}
+
+TEST(CorrelationIndex, ForgedBlobsAreRefused) {
+  // Well-formed but impossible: a shard holding one tagset twice, or a
+  // tagset none of whose tags hashes to that shard. Either would corrupt
+  // the snapshot built from it, so RestoreState refuses both and leaves
+  // the index as it was.
+  ServeConfig config;
+  config.num_shards = 2;
+  const auto shard_of = [](TagId tag) { return HashTagSpan(&tag, 1) & 1; };
+  std::vector<TagId> home0;  // Tags of shard 0.
+  for (TagId tag = 1; home0.size() < 2; ++tag) {
+    if (shard_of(tag) == 0) home0.push_back(tag);
+  }
+  CorrelationIndex index(config);
+  index.ApplyPeriod(2000, {Estimate({5, 6}, 0.7, 7, 10)});
+  EXPECT_FALSE(index.RestoreState(
+      HandBlob({{Held(home0, 0.5), Held(home0, 0.5)}, {}})));
+  EXPECT_FALSE(index.RestoreState(HandBlob({{}, {Held(home0, 0.5)}})));
+  CorrelationIndex::Reader reader = index.NewReader();
+  EXPECT_TRUE(reader.Lookup(TagSet({5, 6})).has_value());
+  EXPECT_EQ(reader.TotalSets(), 1u);
+  ASSERT_TRUE(index.RestoreState(HandBlob({{Held(home0, 0.5)}, {}})));
+  EXPECT_TRUE(reader.Lookup(TagSet(home0)).has_value());
+  EXPECT_EQ(reader.TotalSets(), 1u);
+}
+
 /// Every answer `index` serves must equal the from-scratch twin's:
 /// RestoreState rebuilds each shard against an empty base, so a twin
 /// restored from ExportState is the full-rebuild oracle for the
@@ -312,19 +464,54 @@ void ExpectMatchesScratchRebuild(const CorrelationIndex& index,
   }
 }
 
-/// Differential: a seeded stream of small reports, published incrementally
-/// after each ApplyPeriod, against a from-scratch rebuild of the same
-/// state. The stream re-reports the current period, sends late reports
-/// for older periods, evicts through a two-period retention window, lets
-/// every entry of one tag expire, and overflows the per-tag answer bound
-/// so evicting a top entry must promote the next one.
+/// What `index` must serve after `tracker` fed it: for every tagset the
+/// Tracker holds, its value of the newest period that reported the set,
+/// unless that period fell out of the retention window.
+void ExpectMatchesTracker(const CorrelationIndex& index,
+                          const ops::TrackerBolt& tracker) {
+  const auto& periods = tracker.periods();
+  const size_t keep = static_cast<size_t>(index.config().retention_periods);
+  const Timestamp cutoff = periods.size() > keep
+                               ? std::prev(periods.end(), keep)->first
+                               : std::numeric_limits<Timestamp>::min();
+  std::map<TagSet, std::pair<Timestamp, JaccardEstimate>> newest;
+  for (const auto& [period_end, results] : periods) {
+    for (const auto& [tags, estimate] : results) {
+      newest.insert_or_assign(tags, std::pair(period_end, estimate));
+    }
+  }
+  CorrelationIndex::Reader reader = index.NewReader();
+  size_t retained = 0;
+  for (const auto& [tags, value] : newest) {
+    const auto& [period_end, estimate] = value;
+    const std::optional<LookupResult> hit = reader.Lookup(tags);
+    ASSERT_EQ(hit.has_value(), period_end >= cutoff) << tags.ToString();
+    if (!hit.has_value()) continue;
+    ++retained;
+    EXPECT_EQ(hit->period_end, period_end) << tags.ToString();
+    EXPECT_EQ(hit->coefficient, estimate.coefficient) << tags.ToString();
+    EXPECT_EQ(hit->intersection_count, estimate.intersection_count);
+    EXPECT_EQ(hit->union_count, estimate.union_count);
+  }
+  EXPECT_EQ(reader.TotalSets(), retained);
+}
+
+/// Differential: a seeded stream of small raw reports through a Tracker
+/// under `merge` into its IndexSink, published incrementally after each
+/// report, against the Tracker's period map and a from-scratch rebuild of
+/// the same state. The stream re-reports the current period (duplicates
+/// the Tracker merges), sends late reports for older periods, evicts
+/// through a two-period retention window, lets every entry of one tag
+/// expire, and overflows the per-tag answer bound so evicting a top entry
+/// must promote the next one.
 void RunIncrementalVsScratch(EstimateMerge merge) {
   ServeConfig config;
   config.num_shards = 4;
   config.top_k_capacity = 3;
   config.retention_periods = 2;
-  config.merge = merge;
   auto index = std::make_unique<CorrelationIndex>(config);
+  auto sink = std::make_unique<IndexSink>(index.get());
+  ops::TrackerBolt tracker(sink.get(), merge);
 
   constexpr TagId kTags = 10;
   constexpr TagId kDoomedTag = 99;  // Reported in the first periods only.
@@ -362,7 +549,8 @@ void RunIncrementalVsScratch(EstimateMerge merge) {
       tags_seen.insert(tags.begin(), tags.end());
       sets_seen.insert(estimates.back().tags);
     }
-    index->ApplyPeriod(period_end, estimates);
+    Track(tracker, period_end, std::move(estimates));
+    ExpectMatchesTracker(*index, tracker);
     ExpectMatchesScratchRebuild(*index, tags_seen, sets_seen);
     if (testing::Test::HasFailure()) return;  // Report the first divergence.
     index->NewReader().Snapshot(0.0, &all);
@@ -380,6 +568,7 @@ void RunIncrementalVsScratch(EstimateMerge merge) {
       index->ExportState(&blob);
       index = std::make_unique<CorrelationIndex>(config);
       ASSERT_TRUE(index->RestoreState(blob));
+      *sink = IndexSink(index.get());
     }
   }
 
@@ -390,7 +579,7 @@ void RunIncrementalVsScratch(EstimateMerge merge) {
   EXPECT_TRUE(overflowed);
 }
 
-TEST(CorrelationIndex, IncrementalPublishMatchesScratchRebuild) {
+TEST(IndexSink, IncrementalPublishMatchesScratchRebuild) {
   for (const EstimateMerge merge :
        {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
     SCOPED_TRACE(merge == EstimateMerge::kMaxCN ? "max-CN" : "additive");
