@@ -196,35 +196,43 @@ const std::vector<std::vector<JaccardEstimate>>& RetainReports() {
 /// as key and again in the value), arg 1 the PeriodTable it uses now.
 /// bytes_per_estimate is the allocator's growth while the maps are alive
 /// over the estimates they retain; merge_ns_per_estimate the build time
-/// over the reported estimates.
+/// over the reported estimates; first_report_us the mean merge of a
+/// period's first report, which a sink of that report waits on.
 void BM_TrackerRetain(benchmark::State& state) {
+  constexpr size_t kReportsPerPeriod = 5;
   const bool compact = state.range(0) == 1;
-  // A copy: PeriodTable::Merge writes the settled value back, which under
-  // max-CN leaves every estimate as it was.
-  std::vector<std::vector<JaccardEstimate>> reports = RetainReports();
+  const std::vector<std::vector<JaccardEstimate>>& reports = RetainReports();
   size_t reported = 0;
   for (const auto& report : reports) reported += report.size();
+  // PeriodTable::Merge compacts each report it merges, so every iteration
+  // merges a fresh copy, made while the timer is paused.
+  std::vector<std::vector<JaccardEstimate>> batch = reports;
   size_t retained = 0;
   size_t bytes = 0;
   double merge_ns = 0.0;
+  double first_report_ns = 0.0;
   for (auto _ : state) {
     const size_t before = AllocatedBytes();
     const auto start = std::chrono::steady_clock::now();
     std::map<Timestamp, FlatTagSetMap<JaccardEstimate>> maps;
     std::map<Timestamp, PeriodTable> tables;
-    for (size_t r = 0; r < reports.size(); ++r) {
-      const auto period_end = static_cast<Timestamp>(r / 5);
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const auto period_end = static_cast<Timestamp>(r / kReportsPerPeriod);
+      const bool first = r % kReportsPerPeriod == 0;
+      const auto report_start = std::chrono::steady_clock::now();
       if (compact) {
-        PeriodTable& table = tables[period_end];
-        for (JaccardEstimate& e : reports[r]) {
-          table.Merge(&e, EstimateMerge::kMaxCN);
-        }
+        tables[period_end].Merge(&batch[r], EstimateMerge::kMaxCN);
       } else {
         FlatTagSetMap<JaccardEstimate>& map = maps[period_end];
-        for (const JaccardEstimate& e : reports[r]) {
+        for (const JaccardEstimate& e : batch[r]) {
           auto [it, inserted] = map.emplace(e.tags, e);
           if (!inserted) MergeEstimate(&it->second, e, EstimateMerge::kMaxCN);
         }
+      }
+      if (first) {
+        first_report_ns += std::chrono::duration<double, std::nano>(
+                               std::chrono::steady_clock::now() - report_start)
+                               .count();
       }
     }
     merge_ns += std::chrono::duration<double, std::nano>(
@@ -238,13 +246,17 @@ void BM_TrackerRetain(benchmark::State& state) {
     benchmark::DoNotOptimize(retained);
     maps.clear();
     tables.clear();
+    batch = reports;
     state.ResumeTiming();
   }
+  const double periods = static_cast<double>(
+      state.iterations() * (reports.size() / kReportsPerPeriod));
   state.counters["retained"] = static_cast<double>(retained);
   state.counters["bytes_per_estimate"] =
       static_cast<double>(bytes) / static_cast<double>(retained);
   state.counters["merge_ns_per_estimate"] =
       merge_ns / static_cast<double>(state.iterations() * reported);
+  state.counters["first_report_us"] = first_report_ns / periods / 1000.0;
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(reported));
 }

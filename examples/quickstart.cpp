@@ -93,9 +93,13 @@ int main(int argc, char** argv) {
   for (const auto& [tags, estimate] : results) {
     if (estimate.intersection_count >= 5) top.push_back(estimate);
   }
+  // Ties rank by tags, so the order does not depend on the map's.
   std::sort(top.begin(), top.end(),
             [](const JaccardEstimate& a, const JaccardEstimate& b) {
-              return a.coefficient > b.coefficient;
+              if (a.coefficient != b.coefficient) {
+                return a.coefficient > b.coefficient;
+              }
+              return a.tags < b.tags;
             });
 
   std::printf("tracked %zu co-occurring tagsets in the period ending %lldms\n",

@@ -291,8 +291,11 @@ int main(int argc, char** argv) {
     prev = &results;
     last_period = period_end;
   }
-  std::sort(shifts.begin(), shifts.end(),
-            [](const Shift& a, const Shift& b) { return a.score > b.score; });
+  // Ties rank by tags, so the order does not depend on the map's.
+  std::sort(shifts.begin(), shifts.end(), [](const Shift& a, const Shift& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.tags < b.tags;
+  });
 
   std::printf("stream: %llu tagged docs over %lld min; %zu report periods\n",
               static_cast<unsigned long long>(num_docs),

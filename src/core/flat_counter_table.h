@@ -106,9 +106,6 @@ class FlatCounterTable {
   }
   uint32_t SizeAt(Entry entry) const { return records_[entry].size; }
   uint64_t CountAt(Entry entry) const { return records_[entry].count; }
-  void SetCountAt(Entry entry, uint64_t count) {
-    records_[entry].count = count;
-  }
 
   /// Invokes `fn(const TagId* tags, size_t n, uint64_t count)` for every
   /// counter, in insertion order.
@@ -120,11 +117,6 @@ class FlatCounterTable {
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
   size_t capacity() const { return slots_.size(); }
-
-  /// Makes room for `n` counters without a rehash.
-  void Reserve(size_t n) {
-    while (n * 4 > capacity() * 3) Grow();
-  }
 
   /// Deletes all counters but keeps the allocated capacity (the reporting
   /// period reset of §6.2 reuses the table at its high-water size).

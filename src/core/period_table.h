@@ -1,13 +1,14 @@
 #ifndef CORRTRACK_CORE_PERIOD_TABLE_H_
 #define CORRTRACK_CORE_PERIOD_TABLE_H_
 
+#include <algorithm>
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/check.h"
-#include "core/flat_counter_table.h"
 #include "core/jaccard.h"
 #include "core/tagset.h"
 
@@ -15,23 +16,25 @@ namespace corrtrack {
 
 /// One reporting period's coefficients: the (s_i, J(s_i), CN(s_i)) per
 /// tracked tagset that the Tracker (§6.2) and the centralised baseline
-/// (§8.2.3) retain for every period. Each tagset is stored once. A
-/// FlatCounterTable whose counter is CN holds the key in its tag arena and
-/// 8-byte slot lane, and a parallel lane by entry holds the union count and
-/// the coefficient's bits: 36 B per estimate, plus 4 B per tag and a slot.
+/// (§8.2.3) retain for every period. The period is one sorted block, sized
+/// exactly to its entries and kept in TagSet::operator< order: per entry
+/// its CN, union count and coefficient (24 B) and where its tags end in a
+/// tag arena (4 B; they start where the previous entry's end), plus 4 B
+/// per tag. That is 40 B per estimate at 3 tags. No index is kept: lookups
+/// binary-search.
 ///
-/// Merge applies MergeEstimate's rules in place, so duplicate reports of a
-/// tagset settle exactly as on JaccardEstimates. Entries keep insertion
-/// order, and reads mirror a map from TagSet to JaccardEstimate: iteration
-/// and find() yield std::pair<TagSet, JaccardEstimate> by value, built from
-/// the entry when dereferenced, and at() returns the estimate by value.
+/// Merge folds one report in by a linear merge of two sorted runs into a
+/// new block, under MergeEstimate's rules, so duplicate reports of a
+/// tagset settle exactly as on JaccardEstimates. Reads mirror a map from
+/// TagSet to JaccardEstimate: iteration (in tagset order) and find() yield
+/// std::pair<TagSet, JaccardEstimate> by value, built from the entry when
+/// dereferenced, and at() returns the estimate by value.
 class PeriodTable {
  public:
-  using Entry = FlatCounterTable::Entry;
   using value_type = std::pair<TagSet, JaccardEstimate>;
 
-  /// Walks the entries in insertion order; dereferencing builds the pair.
-  /// Entries never move, so an insertion invalidates no iterator.
+  /// Walks the entries in tagset order; dereferencing builds the pair.
+  /// Merge replaces the block, which invalidates every iterator.
   class const_iterator {
    public:
     /// What operator-> returns: the built pair, held for the expression.
@@ -55,92 +58,103 @@ class PeriodTable {
 
    private:
     friend class PeriodTable;
-    const_iterator(const PeriodTable* table, Entry entry)
+    const_iterator(const PeriodTable* table, size_t entry)
         : table_(table), entry_(entry) {}
 
     const PeriodTable* table_;
-    Entry entry_;
+    size_t entry_;
   };
 
-  /// Adds `*estimate` as a new entry when its tagset is absent, else merges
-  /// it into the tagset's entry under `policy` (MergeEstimate). Returns
-  /// whether the entry changed; when it did, `*estimate` holds the entry's
-  /// settled numbers.
-  bool Merge(JaccardEstimate* estimate, EstimateMerge policy) {
-    const auto [entry, inserted] = table_.Emplace(
-        estimate->tags.begin(), estimate->tags.size(),
-        estimate->intersection_count);
-    if (inserted) {
-      lanes_.push_back({estimate->union_count, estimate->coefficient});
-      return true;
-    }
-    Lane& lane = lanes_[entry];
-    Numbers numbers{lane.coefficient, table_.CountAt(entry), lane.union_count};
-    if (!MergeEstimate(&numbers, *estimate, policy)) return false;
-    table_.SetCountAt(entry, numbers.intersection_count);
-    lane = {numbers.union_count, numbers.coefficient};
-    estimate->coefficient = numbers.coefficient;
-    estimate->intersection_count = numbers.intersection_count;
-    estimate->union_count = numbers.union_count;
-    return true;
-  }
+  /// Merges `*report` into the period under `policy` (MergeEstimate): a
+  /// tagset not yet in the period is added as reported. Leaves in
+  /// `*report`, in arrival order, the estimates that changed an entry,
+  /// each holding the entry's numbers right after it merged — what one
+  /// merge per estimate, in arrival order, would change and settle on. A
+  /// report that is not strictly ascending (unsorted, or holding a tagset
+  /// twice) is first ordered by a stable sort, so its duplicates fold in
+  /// arrival order.
+  void Merge(std::vector<JaccardEstimate>* report, EstimateMerge policy);
 
-  /// Makes room for `n` entries without a rehash.
-  void Reserve(size_t n) { table_.Reserve(n); }
-
-  /// Appends every estimate to `out`, in insertion order.
+  /// Appends every estimate to `out`, in tagset order.
   void AppendTo(std::vector<JaccardEstimate>* out) const {
     out->reserve(out->size() + size());
-    for (Entry entry = 0; entry < size(); ++entry) {
+    for (size_t entry = 0; entry < size(); ++entry) {
       out->push_back(EstimateAt(entry));
     }
   }
 
   const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, static_cast<Entry>(size())}; }
+  const_iterator end() const { return {this, size()}; }
 
   const_iterator find(const TagSet& tags) const {
-    const Entry entry = table_.FindEntry(tags.begin(), tags.size());
-    return entry == FlatCounterTable::kNoEntry ? end()
-                                               : const_iterator(this, entry);
+    return {this, Find(tags)};
   }
   size_t count(const TagSet& tags) const {
-    return find(tags) == end() ? 0 : 1;
+    return Find(tags) == size() ? 0 : 1;
   }
   JaccardEstimate at(const TagSet& tags) const {
-    const Entry entry = table_.FindEntry(tags.begin(), tags.size());
-    CORRTRACK_CHECK_NE(entry, FlatCounterTable::kNoEntry);
+    const size_t entry = Find(tags);
+    CORRTRACK_CHECK_NE(entry, size());
     return EstimateAt(entry);
   }
 
-  size_t size() const { return table_.size(); }
+  size_t size() const { return numbers_.size(); }
 
  private:
-  /// An entry's union count and coefficient (CN is the table's counter).
-  struct Lane {
-    uint64_t union_count;
-    double coefficient;
-  };
   /// An entry's three numbers, as MergeEstimate reads and writes them.
   struct Numbers {
-    double coefficient;
     uint64_t intersection_count;
     uint64_t union_count;
+    double coefficient;
   };
 
+  /// TagSet::operator< on tag spans, three-way.
+  static std::strong_ordering Compare(const TagId* a, size_t na,
+                                      const TagId* b, size_t nb) {
+    return std::lexicographical_compare_three_way(a, a + na, b, b + nb);
+  }
+
+  /// The tags of entry `entry` < size().
+  const TagId* TagsAt(size_t entry) const {
+    return arena_.data() + (entry == 0 ? 0 : tag_end_[entry - 1]);
+  }
+  size_t SizeAt(size_t entry) const {
+    return tag_end_[entry] - (entry == 0 ? 0 : tag_end_[entry - 1]);
+  }
+
+  /// The entry of `tags`, or size() when the period does not hold it.
+  size_t Find(const TagSet& tags) const {
+    size_t lo = 0;
+    size_t hi = size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      const std::strong_ordering cmp =
+          Compare(TagsAt(mid), SizeAt(mid), tags.begin(), tags.size());
+      if (cmp == 0) return mid;
+      if (cmp < 0) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return size();
+  }
+
   /// The estimate of entry `entry` < size().
-  JaccardEstimate EstimateAt(Entry entry) const {
-    const TagId* tags = table_.TagsAt(entry);
+  JaccardEstimate EstimateAt(size_t entry) const {
+    const TagId* tags = TagsAt(entry);
     JaccardEstimate estimate;
-    estimate.tags = TagSet::FromSorted(tags, tags + table_.SizeAt(entry));
-    estimate.coefficient = lanes_[entry].coefficient;
-    estimate.intersection_count = table_.CountAt(entry);
-    estimate.union_count = lanes_[entry].union_count;
+    estimate.tags = TagSet::FromSorted(tags, tags + SizeAt(entry));
+    estimate.coefficient = numbers_[entry].coefficient;
+    estimate.intersection_count = numbers_[entry].intersection_count;
+    estimate.union_count = numbers_[entry].union_count;
     return estimate;
   }
 
-  FlatCounterTable table_;
-  std::vector<Lane> lanes_;  // By entry.
+  // By entry, in ascending tagset order.
+  std::vector<Numbers> numbers_;
+  std::vector<uint32_t> tag_end_;  // End of the entry's tags in arena_.
+  std::vector<TagId> arena_;
 };
 
 }  // namespace corrtrack

@@ -18,8 +18,8 @@ namespace corrtrack::ops {
 /// reporting schedule as the Calculators. The experiment driver compares
 /// the Tracker's coefficients against these to obtain the error metric
 /// (restricted, as in the paper, to tagsets seen more than sn = 3 times).
-/// Each period is one PeriodTable, like the Tracker's; ReportAll's tagsets
-/// are unique, so its estimates are stored as reported.
+/// Each period is one PeriodTable, like the Tracker's: ReportAll's sorted,
+/// unique estimates copied into one sorted block as reported.
 class CentralizedBolt : public stream::Bolt<Message> {
  public:
   using PeriodResults = PeriodTable;
@@ -38,15 +38,12 @@ class CentralizedBolt : public stream::Bolt<Message> {
 
   void OnTick(Timestamp tick_time, stream::Emitter<Message>& out) override {
     (void)out;
-    PeriodResults& results = periods_[tick_time];
     // "Since a tagset is added when seen at least 3 times the centralised
     // approach considers only tagsets appearing more than 3 times."
     std::vector<JaccardEstimate> estimates = counters_.ReportAll(
         static_cast<uint64_t>(config_.single_addition_threshold));
     if (sink_ != nullptr) sink_->OnPeriodResults(tick_time, estimates);
-    for (JaccardEstimate& estimate : estimates) {
-      results.Merge(&estimate, EstimateMerge::kMaxCN);
-    }
+    periods_[tick_time].Merge(&estimates, EstimateMerge::kMaxCN);
     counters_.Reset();
   }
 
@@ -54,8 +51,9 @@ class CentralizedBolt : public stream::Bolt<Message> {
     return periods_;
   }
 
-  /// Checkpoint support (same discipline as TrackerBolt: insertion-order
-  /// export/re-merge, linear counter re-Add, sink not replayed).
+  /// Checkpoint support (same discipline as TrackerBolt: tagset-order
+  /// export, restore from any order, linear counter re-Add, sink not
+  /// replayed).
   void ExportState(CentralizedState* out) const {
     out->counters = counters_.ExportCounters();
     out->periods.clear();
@@ -71,10 +69,8 @@ class CentralizedBolt : public stream::Bolt<Message> {
     }
     periods_.clear();
     for (const auto& [period_end, estimates] : state.periods) {
-      PeriodResults& results = periods_[period_end];
-      for (JaccardEstimate estimate : estimates) {
-        results.Merge(&estimate, EstimateMerge::kMaxCN);
-      }
+      std::vector<JaccardEstimate> copy = estimates;
+      periods_[period_end].Merge(&copy, EstimateMerge::kMaxCN);
     }
   }
 

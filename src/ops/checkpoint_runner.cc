@@ -136,7 +136,7 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
     }
     auto state = std::make_shared<PipelineCheckpointState>();
     if (!DecodeCheckpoint(data, state.get()) ||
-        !CheckCounterSections(*state)) {
+        !CheckCounterSections(*state) || !CheckPeriodSections(*state)) {
       if (error != nullptr) *error = "restore: malformed checkpoint payload";
       return false;
     }

@@ -66,8 +66,8 @@ struct CalculatorState {
 };
 
 /// TrackerBolt: the full period map. Each period's estimates are exported
-/// in the PeriodTable's insertion order and merged back in that order, so
-/// the restored map iterates identically to the captured one.
+/// in tagset order (the PeriodTable's); a restore accepts any order, so a
+/// checkpoint written in insertion order restores to the same map.
 struct TrackerState {
   uint64_t reports_received = 0;
   Epoch latest_epoch = 0;

@@ -1,5 +1,8 @@
 #include "ops/pipeline_checkpoint.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -272,6 +275,36 @@ bool Reportable(const std::vector<std::pair<TagSet, uint64_t>>& counters) {
   return table.Consistent();
 }
 
+/// True when every estimate is one a Calculator reports, and no period
+/// holds a tagset twice.
+bool Reported(
+    const std::map<Timestamp, std::vector<JaccardEstimate>>& periods) {
+  std::vector<const TagSet*> tags;
+  for (const auto& [period_end, estimates] : periods) {
+    tags.clear();
+    for (const JaccardEstimate& e : estimates) {
+      if (e.tags.size() < 2 || e.intersection_count == 0 ||
+          e.union_count < e.intersection_count ||
+          std::bit_cast<uint64_t>(e.coefficient) !=
+              std::bit_cast<uint64_t>(
+                  static_cast<double>(e.intersection_count) /
+                  static_cast<double>(e.union_count))) {
+        return false;
+      }
+      tags.push_back(&e.tags);
+    }
+    std::sort(tags.begin(), tags.end(),
+              [](const TagSet* a, const TagSet* b) { return *a < *b; });
+    if (std::adjacent_find(tags.begin(), tags.end(),
+                           [](const TagSet* a, const TagSet* b) {
+                             return *a == *b;
+                           }) != tags.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 bool DecodeCheckpoint(const storage::CheckpointData& data,
@@ -323,6 +356,15 @@ bool CheckCounterSections(const PipelineCheckpointState& state) {
     }
   }
   if (state.has_centralized && !Reportable(state.centralized.counters)) {
+    return RefuseSection("central", kWhy);
+  }
+  return true;
+}
+
+bool CheckPeriodSections(const PipelineCheckpointState& state) {
+  constexpr const char* kWhy = "estimates no Calculator reports in";
+  if (!Reported(state.tracker.periods)) return RefuseSection("tracker", kWhy);
+  if (state.has_centralized && !Reported(state.centralized.periods)) {
     return RefuseSection("central", kWhy);
   }
   return true;

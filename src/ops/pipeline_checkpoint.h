@@ -60,6 +60,13 @@ bool DecodeCheckpoint(const storage::CheckpointData& data,
 /// Consistent) over the counters the restore would Add.
 bool CheckCounterSections(const PipelineCheckpointState& state);
 
+/// Returns false on a decoded tracker or centralized section holding a
+/// retained estimate no Calculator reports: CN of 0, a union count below
+/// CN, a coefficient whose bits are not double(CN) / double(union) (the
+/// expression of ReportAll and MergeEstimate), fewer than two tags, or a
+/// tagset twice in one period.
+bool CheckPeriodSections(const PipelineCheckpointState& state);
+
 }  // namespace corrtrack::ops
 
 #endif  // CORRTRACK_OPS_PIPELINE_CHECKPOINT_H_

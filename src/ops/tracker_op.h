@@ -21,8 +21,10 @@ namespace corrtrack::ops {
 /// tagsets assigned to the partitions during the creation of them will have
 /// a correct Jaccard coefficient".
 ///
-/// Each period is one PeriodTable: every tagset stored once, duplicates
-/// merged in place by the bolt's EstimateMerge rule, applied nowhere else.
+/// Each period is one PeriodTable, a sorted block of every tagset once
+/// (40 B per estimate at 3 tags): each report, already sorted by ReportAll,
+/// is merged in by one linear merge under the bolt's EstimateMerge rule,
+/// applied nowhere else.
 ///
 /// A PeriodSink gets each report after the merge, reduced to the settled
 /// values of the tagsets it changed (PeriodSink's contract), so a serving
@@ -61,24 +63,15 @@ class TrackerBolt : public stream::Bolt<Message> {
             lag > 0 ? static_cast<uint64_t>(lag) : 0u);
       }
     }
-    // The envelope owns its report, so it is compacted in place, without
-    // allocating, to the settled values of the estimates that changed.
+    // The envelope owns its report, so the merge compacts it in place to
+    // the settled values of the estimates that changed.
     JaccardReport& report = std::get<JaccardReport>(in.MutablePayload());
     ++reports_received_;
     if (report.epoch > latest_epoch_) latest_epoch_ = report.epoch;
-    PeriodResults& results = periods_[report.period_end];
-    std::vector<JaccardEstimate>& estimates = report.estimates;
-    // The sink waits on this merge: a period's first report sizes its table
-    // so that it merges without a rehash.
-    if (results.size() == 0) results.Reserve(estimates.size());
-    size_t changed = 0;
-    for (JaccardEstimate& estimate : estimates) {
-      if (results.Merge(&estimate, merge_)) {
-        estimates[changed++] = std::move(estimate);  // Self-move is safe.
-      }
+    periods_[report.period_end].Merge(&report.estimates, merge_);
+    if (sink_ != nullptr) {
+      sink_->OnPeriodResults(report.period_end, report.estimates);
     }
-    estimates.resize(changed);
-    if (sink_ != nullptr) sink_->OnPeriodResults(report.period_end, estimates);
     if (telemetry_ != nullptr) {
       telemetry_->reports_tracked->Increment();
       if (t0 != 0) {
@@ -98,10 +91,11 @@ class TrackerBolt : public stream::Bolt<Message> {
   Epoch latest_epoch() const { return latest_epoch_; }
 
   /// Checkpoint support: the full period map, each period's estimates in
-  /// the PeriodTable's insertion order. Restore re-merges in that order
-  /// (keys are unique per period, so no merge fires) — the restored map
-  /// iterates identically to the captured one. The sink is NOT replayed:
-  /// the serving index checkpoints its own state (serve_blob).
+  /// tagset order. Restore merges each period's estimates into an empty
+  /// period, so any order restores to the same map (the checkpoint runner
+  /// refuses a period holding a tagset twice, so no merge fires). The sink
+  /// is NOT replayed: the serving index checkpoints its own state
+  /// (serve_blob).
   void ExportState(TrackerState* out) const {
     out->reports_received = reports_received_;
     out->latest_epoch = latest_epoch_;
@@ -116,10 +110,8 @@ class TrackerBolt : public stream::Bolt<Message> {
     latest_epoch_ = state.latest_epoch;
     periods_.clear();
     for (const auto& [period_end, estimates] : state.periods) {
-      PeriodResults& results = periods_[period_end];
-      for (JaccardEstimate estimate : estimates) {
-        results.Merge(&estimate, merge_);
-      }
+      std::vector<JaccardEstimate> copy = estimates;
+      periods_[period_end].Merge(&copy, merge_);
     }
   }
 

@@ -4,10 +4,13 @@
 // and a CRC-valid record that carries an impossible count or name is
 // refused, never fatal: restore reads bytes it did not write.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "ops/checkpoint_state.h"
 #include "ops/pipeline_checkpoint.h"
 #include "ops/source.h"
+#include "ops/tracker_op.h"
 #include "serve/correlation_index.h"
 #include "storage/checkpoint.h"
 #include "storage/crc32c.h"
@@ -221,6 +225,63 @@ TEST(CheckpointFormat, DecodeThenEncodeIsIdentity) {
   for (size_t i = 0; i < data.sections.size(); ++i) {
     EXPECT_EQ(loaded.sections[i].name, data.sections[i].name);
     EXPECT_EQ(loaded.sections[i].payload, data.sections[i].payload);
+  }
+}
+
+TEST(CheckpointFormat, InsertionOrderTrackerSectionRestoresSorted) {
+  // The pinned tracker section lists {3,9} before {1,2,3}: the insertion
+  // order Trackers once exported. Decoded and restored under either merge
+  // rule, it gives the same period map, entry for entry and bit for bit,
+  // as the same estimates in tagset order, and it exports in tagset order.
+  const storage::CheckpointData data =
+      ops::EncodeCheckpoint(PinnedState(), kPinnedSeq, kPinnedFingerprint);
+  ops::PipelineCheckpointState decoded;
+  ASSERT_TRUE(ops::DecodeCheckpoint(data, &decoded));
+  ASSERT_TRUE(ops::CheckPeriodSections(decoded));
+  const std::vector<JaccardEstimate>& insertion =
+      decoded.tracker.periods.at(60000);
+  ASSERT_EQ(insertion[0].tags, TagSet({3, 9}));
+  ops::TrackerState sorted = decoded.tracker;
+  for (auto& [period_end, estimates] : sorted.periods) {
+    std::sort(estimates.begin(), estimates.end(),
+              [](const JaccardEstimate& a, const JaccardEstimate& b) {
+                return a.tags < b.tags;
+              });
+  }
+  const auto bits = [](const JaccardEstimate& e) {
+    return std::make_tuple(e.tags.ToString(), e.intersection_count,
+                           e.union_count,
+                           std::bit_cast<uint64_t>(e.coefficient));
+  };
+  for (const EstimateMerge policy :
+       {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
+    ops::TrackerBolt from_insertion(/*sink=*/nullptr, policy);
+    ops::TrackerBolt from_sorted(/*sink=*/nullptr, policy);
+    from_insertion.RestoreState(decoded.tracker);
+    from_sorted.RestoreState(sorted);
+    ASSERT_EQ(from_insertion.periods().size(), from_sorted.periods().size());
+    auto want_period = from_sorted.periods().begin();
+    for (const auto& [period_end, results] : from_insertion.periods()) {
+      ASSERT_EQ(period_end, want_period->first);
+      ASSERT_EQ(results.size(), want_period->second.size());
+      auto want = want_period->second.begin();
+      for (const auto& [tags, estimate] : results) {
+        EXPECT_EQ(tags, want->first);
+        EXPECT_EQ(bits(estimate), bits(want->second));
+        ++want;
+      }
+      ++want_period;
+    }
+    ops::TrackerState exported;
+    from_insertion.ExportState(&exported);
+    ASSERT_EQ(exported.periods.size(), sorted.periods.size());
+    for (const auto& [period_end, estimates] : sorted.periods) {
+      const std::vector<JaccardEstimate>& got = exported.periods.at(period_end);
+      ASSERT_EQ(got.size(), estimates.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(bits(got[i]), bits(estimates[i]));
+      }
+    }
   }
 }
 

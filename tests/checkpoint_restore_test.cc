@@ -378,6 +378,87 @@ TEST(KillRestore, NonCanonicalTagListIsRefusedNotFatal) {
   }
 }
 
+JaccardEstimate Estimate(std::vector<TagId> tags, double coefficient,
+                         uint64_t intersection, uint64_t unioned) {
+  JaccardEstimate e;
+  e.tags = TagSet(tags);
+  e.coefficient = coefficient;
+  e.intersection_count = intersection;
+  e.union_count = unioned;
+  return e;
+}
+
+/// Restores, through the runner, a checkpoint whose tracker section (or,
+/// with `central`, centralized section) retains `estimates` in one period.
+/// Returns whether the restored run ran.
+bool RestoresRetained(const std::vector<JaccardEstimate>& estimates,
+                      bool central, std::string* error) {
+  ops::PipelineConfig pipeline;
+  pipeline.report_period = kMillisPerMinute;
+  pipeline.bootstrap_time = kMillisPerMinute;
+  ops::PipelineCheckpointState state;
+  state.has_centralized = central;
+  (central ? state.centralized.periods : state.tracker.periods)
+      [kMillisPerMinute] = estimates;
+  storage::MemoryStorage::Global()->Clear();
+  storage::OpenedStorage opened;
+  if (!storage::OpenStorage("mem://retained", &opened).ok() ||
+      !storage::CheckpointWriter(opened.storage, opened.root)
+           .Write(ops::EncodeCheckpoint(
+               state, /*seq=*/1, ops::PipelineConfigFingerprint(pipeline)))
+           .ok()) {
+    *error = "could not write the checkpoint";
+    return false;
+  }
+  ops::CheckpointRunnerOptions options;
+  options.restore_uri = "mem://retained";
+  ops::CheckpointedRun run;
+  return ops::RunCheckpointedPipeline(
+      std::make_unique<ops::GeneratorSpout>(TopicPureWorkload(), 2000),
+      pipeline, options, nullptr, /*with_centralized_baseline=*/central,
+      nullptr, nullptr, pipeline.report_period, &run, error);
+}
+
+/// A CRC-valid tracker or centralized section retaining `forged`, an
+/// estimate set no Calculator reports, is refused; the same section
+/// retaining estimates a Calculator does report restores and runs.
+void ExpectRetainedRefused(const std::vector<JaccardEstimate>& forged) {
+  const std::vector<JaccardEstimate> reported = {
+      Estimate({1, 2}, 0.5, 5, 10), Estimate({1, 2, 3}, 0.25, 2, 8)};
+  for (const bool central : {false, true}) {
+    std::string error;
+    EXPECT_TRUE(RestoresRetained(reported, central, &error)) << error;
+    error.clear();
+    EXPECT_FALSE(RestoresRetained(forged, central, &error))
+        << (central ? "central" : "tracker");
+    EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+  }
+}
+
+TEST(RetainedRestore, ZeroCnIsRefused) {
+  ExpectRetainedRefused({Estimate({1, 2}, 0.0, 0, 10)});
+}
+
+TEST(RetainedRestore, UnionBelowCnIsRefused) {
+  ExpectRetainedRefused({Estimate({1, 2}, 5.0 / 4.0, 5, 4)});
+}
+
+TEST(RetainedRestore, CoefficientOffItsCountsIsRefused) {
+  // One ulp above 5 / 10: only the bits give it away.
+  ExpectRetainedRefused({Estimate({1, 2}, std::nextafter(0.5, 1.0), 5, 10)});
+}
+
+TEST(RetainedRestore, FewerThanTwoTagsIsRefused) {
+  ExpectRetainedRefused({Estimate({7}, 0.5, 5, 10)});
+}
+
+TEST(RetainedRestore, TagsetTwiceInAPeriodIsRefused) {
+  // Each estimate alone is one a Calculator reports; apart by another set.
+  ExpectRetainedRefused({Estimate({1, 2}, 0.5, 5, 10),
+                         Estimate({1, 2, 3}, 0.25, 2, 8),
+                         Estimate({1, 2}, 0.6, 6, 10)});
+}
+
 TEST(KillRestore, RestoreFromEmptyStoreFails) {
   storage::MemoryStorage::Global()->Clear();
   ops::CheckpointRunnerOptions options;

@@ -513,46 +513,85 @@ void ExpectSameEstimate(const JaccardEstimate& got,
       << want.tags.ToString();
 }
 
-/// Same entries in the same order, bit for bit.
+/// The oracle's entries in tagset order, bit for bit, and iteration
+/// strictly ascending.
 void ExpectSameEntries(const PeriodTable& table,
                        const FlatTagSetMap<JaccardEstimate>& oracle) {
   ASSERT_EQ(table.size(), oracle.size());
-  auto it = table.begin();
-  for (const auto& [tags, want] : oracle) {
-    const auto [got_tags, got] = *it;
-    ASSERT_EQ(got_tags, tags);
-    ExpectSameEstimate(got, want);
-    ++it;
+  TagSet previous;  // Empty: below every set of the table.
+  for (const auto& [tags, got] : table) {
+    ASSERT_LT(previous, tags);
+    const auto want = oracle.find(tags);
+    ASSERT_NE(want, oracle.end()) << tags.ToString();
+    ExpectSameEstimate(got, want->second);
+    previous = tags;
   }
-  EXPECT_EQ(it, table.end());
+}
+
+/// A report in one of the shapes a period can be handed: as drawn
+/// (unsorted, a tagset possibly twice), sorted with its duplicates kept in
+/// arrival order, or sorted and unique (every report ReportAll builds).
+std::vector<JaccardEstimate> ShapedReport(std::mt19937& rng,
+                                          const std::vector<TagSet>& pool,
+                                          int shape) {
+  std::vector<JaccardEstimate> report = RandomReport(rng, pool);
+  if (shape == 0) return report;
+  const auto by_tags = [](const JaccardEstimate& a, const JaccardEstimate& b) {
+    return a.tags < b.tags;
+  };
+  std::stable_sort(report.begin(), report.end(), by_tags);
+  if (shape == 2) {
+    report.erase(std::unique(report.begin(), report.end(),
+                             [](const JaccardEstimate& a,
+                                const JaccardEstimate& b) {
+                               return a.tags == b.tags;
+                             }),
+                 report.end());
+  }
+  return report;
 }
 
 TEST(PeriodTable, DifferentialWithFlatTagSetMapOracle) {
   // Random reports under each merge policy, into the table and into the
-  // map the Tracker kept before (emplace, else MergeEstimate): the same
-  // entries in the same order and the same bits after every report, and
-  // lookups of present and absent sets agree. Merge reports a change
-  // exactly when the oracle's entry changed, and then hands back the
-  // settled value. Odd periods start from a reserved table.
+  // map the Tracker kept before (emplace, else MergeEstimate, one estimate
+  // at a time in arrival order): after every report the same entries with
+  // the same bits, iterated in tagset order, and lookups of present and
+  // absent sets agree. Reports come unsorted, sorted with a tagset twice,
+  // and sorted and unique. Merge leaves in the report exactly what one
+  // merge per estimate changed, in arrival order, each with the value it
+  // settled on then.
   std::mt19937 rng(2707);
   const std::vector<TagSet> pool = TagSetPool(rng, 400);
   for (const EstimateMerge policy :
        {EstimateMerge::kMaxCN, EstimateMerge::kAdditive}) {
+    size_t repeats = 0;  // Tagsets a report holds twice.
     for (int period = 0; period < 6; ++period) {
       PeriodTable table;
-      if (period % 2 == 1) table.Reserve(100 * period);
       FlatTagSetMap<JaccardEstimate> oracle;
       size_t merged = 0;
       size_t unchanged = 0;
       for (int r = 0; r < 12; ++r) {
-        for (JaccardEstimate e : RandomReport(rng, pool)) {
+        std::vector<JaccardEstimate> report =
+            ShapedReport(rng, pool, (period + r) % 3);
+        std::vector<JaccardEstimate> want_changed;
+        FlatTagSetMap<int> seen;
+        for (JaccardEstimate e : report) {
+          if (++seen[e.tags] == 2) ++repeats;
           auto [it, inserted] = oracle.emplace(e.tags, e);
-          const bool changed =
-              inserted || MergeEstimate(&it->second, e, policy);
-          ASSERT_EQ(table.Merge(&e, policy), changed);
-          if (changed) ExpectSameEstimate(e, it->second);
-          merged += inserted ? 0 : 1;
-          unchanged += changed ? 0 : 1;
+          if (!inserted) {
+            if (!MergeEstimate(&it->second, e, policy)) {
+              ++unchanged;
+              continue;
+            }
+            ++merged;
+            e = it->second;
+          }
+          want_changed.push_back(e);
+        }
+        table.Merge(&report, policy);
+        ASSERT_EQ(report.size(), want_changed.size());
+        for (size_t i = 0; i < report.size(); ++i) {
+          ExpectSameEstimate(report[i], want_changed[i]);
         }
         ExpectSameEntries(table, oracle);
       }
@@ -573,13 +612,14 @@ TEST(PeriodTable, DifferentialWithFlatTagSetMapOracle) {
       }
       std::vector<JaccardEstimate> appended;
       table.AppendTo(&appended);
-      ASSERT_EQ(appended.size(), oracle.size());
-      auto want = oracle.begin();
+      ASSERT_EQ(appended.size(), table.size());
+      auto want = table.begin();
       for (const JaccardEstimate& got : appended) {
         ExpectSameEstimate(got, want->second);
         ++want;
       }
     }
+    EXPECT_GT(repeats, 10u);
   }
 }
 
