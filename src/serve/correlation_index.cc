@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
+#include <functional>
 #include <limits>
-#include <span>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -14,19 +16,6 @@
 #include "telemetry/clock.h"
 
 namespace corrtrack::serve {
-
-namespace {
-
-/// Within-tag posting order: strongest correlation first, fresher values
-/// before staler on ties, canonical tagset order as the final tie-break so
-/// snapshots are deterministic functions of their entries.
-bool PostingLess(const ShardSnapshot::Entry& a, const ShardSnapshot::Entry& b) {
-  if (a.coefficient != b.coefficient) return a.coefficient > b.coefficient;
-  if (a.period_end != b.period_end) return a.period_end > b.period_end;
-  return a.tags < b.tags;
-}
-
-}  // namespace
 
 CorrelationIndex::CorrelationIndex(const ServeConfig& config)
     : config_(config) {
@@ -79,11 +68,28 @@ void CorrelationIndex::ApplyPeriod(
     Timestamp period_end, const std::vector<JaccardEstimate>& estimates) {
   const int64_t apply_t0 =
       apply_hist_ != nullptr ? telemetry::MonotonicNanos() : 0;
-  // Retention first: its tombstones are staged before this call's values,
-  // so a value refreshing an expiring entry wins. A period past the
-  // retention horizon would expire at once, so it stores nothing.
+  // A period past the retention horizon would expire at once, so it
+  // stores nothing.
   const Timestamp cutoff = EvictExpired(period_end);
-  for (const JaccardEstimate& estimate : estimates) {
+  // The estimates' positions in tagset order, a tagset's repeats in
+  // arrival order; empty when that is arrival order, as in every report
+  // the Tracker forwards.
+  std::vector<uint32_t> order;
+  if (std::adjacent_find(estimates.begin(), estimates.end(),
+                         [](const JaccardEstimate& a,
+                            const JaccardEstimate& b) {
+                           return !(a.tags < b.tags);
+                         }) != estimates.end()) {
+    CORRTRACK_CHECK_LE(estimates.size(), size_t{UINT32_MAX});
+    order.resize(estimates.size());
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&estimates](uint32_t a, uint32_t b) {
+                       return estimates[a].tags < estimates[b].tags;
+                     });
+  }
+  for (size_t i = 0; i < estimates.size(); ++i) {
+    const JaccardEstimate& estimate = estimates[order.empty() ? i : order[i]];
     if (estimate.tags.size() < 2 || period_end < cutoff) continue;
     // System-wide invariant (and what a serve blob can hold): nothing
     // upstream reports sets beyond the subset-enumeration limit.
@@ -91,21 +97,31 @@ void CorrelationIndex::ApplyPeriod(
                        static_cast<size_t>(kMaxTagsPerDocument));
     // Every owner shard holds the same entry for a set, so its home shard
     // answers for all of them.
-    const ShardSnapshot::Entry* held =
+    const ShardSnapshot::Record* held =
         shards_[ShardOf(estimate.tags[0])].slot->FindSet(estimate.tags);
     if (held != nullptr && held->period_end > period_end) continue;
-    const bool erase = estimate.coefficient < config_.min_coefficient;
-    // Every shard owning one of the set's tags gets the change, once per
-    // tag it owns: BuildSnapshot keeps one of the identical copies.
+    const Change change{&estimate.tags,
+                        {estimate.coefficient, estimate.intersection_count,
+                         estimate.union_count, period_end},
+                        estimate.coefficient < config_.min_coefficient};
+    // Each shard owning one of the set's tags gets the change once.
+    size_t owners[kMaxTagsPerDocument];
+    size_t num_owners = 0;
     for (const TagId tag : estimate.tags) {
-      Shard& shard = shards_[ShardOf(tag)];
-      // A tombstone for an absent set can only cancel a value this call
-      // staged, and a shard with nothing staged holds none.
-      if (erase && held == nullptr && shard.changes.empty()) continue;
-      shard.changes.push_back(
-          {{estimate.tags, estimate.coefficient, estimate.intersection_count,
-            estimate.union_count, period_end},
-           erase});
+      const size_t s = ShardOf(tag);
+      if (std::find(owners, owners + num_owners, s) == owners + num_owners) {
+        owners[num_owners++] = s;
+      }
+    }
+    for (size_t o = 0; o < num_owners; ++o) {
+      std::vector<Change>& changes = shards_[owners[o]].changes;
+      if (!changes.empty() && *changes.back().tags == estimate.tags) {
+        changes.back() = change;  // The later of a repeated tagset wins.
+      } else if (!change.erase || held != nullptr) {
+        // A tombstone for an absent set can only cancel a value this call
+        // staged, which would be the shard's last change.
+        changes.push_back(change);
+      }
     }
   }
 
@@ -113,10 +129,10 @@ void CorrelationIndex::ApplyPeriod(
   const uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
-    if (shard.changes.empty()) continue;
+    if (shard.changes.empty() && !HoldsExpired(shard, cutoff)) continue;
     // The writer is the only thread that swaps the slot, so it may read
     // the published snapshot without the slot mutex.
-    Publish(shard, BuildSnapshot(s, *shard.slot, next_epoch));
+    Publish(shard, BuildSnapshot(s, *shard.slot, cutoff, next_epoch));
     published = true;
   }
   if (published) {
@@ -150,77 +166,156 @@ Timestamp CorrelationIndex::EvictExpired(Timestamp period_end) {
   if (recent_periods_.size() <= keep) return kNoCutoff;
   recent_periods_.erase(recent_periods_.begin(),
                         recent_periods_.end() - static_cast<ptrdiff_t>(keep));
-  const Timestamp cutoff = recent_periods_.front();
-  for (size_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = shards_[s];
-    for (const ShardSnapshot::Entry& entry : shard.slot->entries()) {
-      if (entry.period_end < cutoff) shard.changes.push_back({entry, true});
-    }
+  return recent_periods_.front();
+}
+
+ShardSnapshot::ShardSnapshot(size_t entries, size_t tags, size_t keys,
+                             size_t postings)
+    : block_(new std::byte[entries * (sizeof(Record) + sizeof(uint64_t)) +
+                           (entries + 1 + tags + keys + keys + 1 + postings) *
+                               sizeof(uint32_t)]) {
+  // The 8-byte lanes first, so every lane is aligned.
+  std::byte* at = block_.get();
+  const auto carve = [&at]<class T>(T*& lane, size_t n) {
+    lane = reinterpret_cast<T*>(at);
+    at += n * sizeof(T);
+  };
+  carve(records_, entries);
+  carve(prefixes_, entries);
+  carve(tag_offsets_, entries + 1);
+  carve(arena_, tags);
+  carve(tag_keys_, keys);
+  carve(postings_offsets_, keys + 1);
+  carve(postings_, postings);
+  tag_offsets_[0] = 0;
+  postings_offsets_[0] = 0;
+}
+
+bool CorrelationIndex::HoldsExpired(Shard& shard, Timestamp cutoff) {
+  if (shard.oldest_period >= cutoff) return false;
+  const ShardSnapshot& snapshot = *shard.slot;
+  shard.oldest_period = kNoPeriod;
+  for (size_t entry = 0; entry < snapshot.size(); ++entry) {
+    shard.oldest_period =
+        std::min(shard.oldest_period, snapshot.records_[entry].period_end);
   }
-  return cutoff;
+  return shard.oldest_period < cutoff;
 }
 
 std::shared_ptr<const ShardSnapshot> CorrelationIndex::BuildSnapshot(
-    size_t s, const ShardSnapshot& base, uint64_t epoch) {
-  // Sorted by tagset, each tagset's last change kept: reversed, then
-  // stably sorted, a tagset's changes run from the last staged on.
-  std::vector<Change>& changes = shards_[s].changes;
-  std::reverse(changes.begin(), changes.end());
-  std::stable_sort(changes.begin(), changes.end(),
-                   [](const Change& a, const Change& b) {
-                     return a.entry.tags < b.entry.tags;
-                   });
-  changes.erase(std::unique(changes.begin(), changes.end(),
-                            [](const Change& a, const Change& b) {
-                              return a.entry.tags == b.entry.tags;
-                            }),
-                changes.end());
+    size_t s, const ShardSnapshot& base, Timestamp cutoff, uint64_t epoch) {
+  Shard& shard = shards_[s];
+  const std::vector<Change>& changes = shard.changes;
+  // Each change adds at most one entry, its tags, and one key and posting
+  // per tag.
+  size_t change_tags = 0;
+  for (const Change& change : changes) change_tags += change.tags->size();
+  CORRTRACK_CHECK_LE(base.NumTags() + change_tags, size_t{UINT32_MAX});
+  std::shared_ptr<ShardSnapshot> snapshot(new ShardSnapshot(
+      base.size() + changes.size(), base.NumTags() + change_tags,
+      base.num_keys_ + change_tags, base.NumPostings() + change_tags));
+  ShardSnapshot& next = *snapshot;
+  next.epoch_ = epoch;
 
-  auto snapshot = std::make_shared<ShardSnapshot>();
-  snapshot->epoch_ = epoch;
-  std::vector<ShardSnapshot::Entry>& entries = snapshot->entries_;
-  const std::vector<ShardSnapshot::Entry>& old_entries = base.entries_;
-  entries.reserve(old_entries.size() + changes.size());
-
-  // Entries: one merge of the base's sorted entries with the sorted
-  // changes. An unchanged entry is copied and remapped; a changed tagset
-  // takes its new entry, or vanishes under a tombstone. Postings: a
-  // changed tagset holds the same tags before and after, so the runs that
-  // move are exactly those of the changed tagsets' owned tags (`touched`);
-  // `pairs` are the new entries' postings.
+  // Entries: one merge of the base's sorted block with the sorted changes.
+  // A changed tagset takes its new entry, or vanishes under a tombstone;
+  // the runs between changes are copied in bulk, less the entries of
+  // expired periods. `remap` takes each base entry to its next index.
+  // Postings: a changed tagset holds the same tags before and after, so
+  // the runs that gain or reorder entries are exactly those of the changed
+  // tagsets' owned tags (`touched`); `pairs` are the new entries' postings.
   constexpr uint32_t kGone = UINT32_MAX;
-  std::vector<uint32_t> remap(old_entries.size(), kGone);
-  std::vector<TagId> touched;
-  std::vector<std::pair<TagId, uint32_t>> pairs;
-  size_t old = 0;
-  auto keep_old = [&] {
-    remap[old] = static_cast<uint32_t>(entries.size());
-    entries.push_back(old_entries[old++]);
+  std::vector<uint32_t>& remap = scratch_.remap;
+  std::vector<TagId>& touched = scratch_.touched;
+  std::vector<std::pair<TagId, uint32_t>>& pairs = scratch_.pairs;
+  remap.resize(base.size());
+  touched.clear();
+  pairs.clear();
+  // Only when the base may hold an expired entry is every unchanged entry
+  // checked, which also finds the oldest period it keeps exactly;
+  // otherwise the base's bound stays a bound.
+  const bool expiring = shard.oldest_period < cutoff;
+  Timestamp oldest = expiring ? kNoPeriod : shard.oldest_period;
+  size_t old = 0;          // The next base entry to copy or drop.
+  uint32_t arena_end = 0;  // Tags written.
+  // Copies the base's entries [old, end) as one run.
+  const auto copy_run = [&](size_t end) {
+    std::iota(remap.begin() + static_cast<ptrdiff_t>(old),
+              remap.begin() + static_cast<ptrdiff_t>(end),
+              static_cast<uint32_t>(next.size_));
+    std::copy(base.records_ + old, base.records_ + end,
+              next.records_ + next.size_);
+    std::copy(base.prefixes_ + old, base.prefixes_ + end,
+              next.prefixes_ + next.size_);
+    const uint32_t tags_begin = base.tag_offsets_[old];
+    const uint32_t tags_end = base.tag_offsets_[end];
+    std::copy(base.arena_ + tags_begin, base.arena_ + tags_end,
+              next.arena_ + arena_end);
+    // The run's tags move by the difference in what precedes them (mod
+    // 2^32, so a run moving down needs no signed type).
+    const uint32_t shift = arena_end - tags_begin;
+    std::transform(base.tag_offsets_ + old + 1, base.tag_offsets_ + end + 1,
+                   next.tag_offsets_ + next.size_ + 1,
+                   [shift](uint32_t offset) { return offset + shift; });
+    arena_end += tags_end - tags_begin;
+    next.size_ += end - old;
+    old = end;
   };
-  for (Change& change : changes) {
-    const TagSet& key = change.entry.tags;
-    while (old < old_entries.size() && old_entries[old].tags < key) keep_old();
-    if (old < old_entries.size() && old_entries[old].tags == key) ++old;
-    const auto e = static_cast<uint32_t>(entries.size());
+  // Copies the base's unexpired entries [old, stop).
+  const auto copy_old = [&](size_t stop) {
+    if (!expiring) {
+      if (old < stop) copy_run(stop);
+      return;
+    }
+    while (old < stop) {
+      if (base.records_[old].period_end < cutoff) {
+        remap[old++] = kGone;
+        continue;
+      }
+      size_t end = old;
+      for (; end < stop && base.records_[end].period_end >= cutoff; ++end) {
+        oldest = std::min(oldest, base.records_[end].period_end);
+      }
+      copy_run(end);
+    }
+  };
+  for (const Change& change : changes) {
+    const TagSet& key = *change.tags;
+    copy_old(base.LowerBound(old, key));
+    if (base.Holds(old, key)) remap[old++] = kGone;  // Replaced or erased.
+    const auto e = static_cast<uint32_t>(next.size_);
     for (const TagId tag : key) {
       if (ShardOf(tag) != s) continue;
       touched.push_back(tag);
       if (!change.erase) pairs.emplace_back(tag, e);
     }
-    if (!change.erase) entries.push_back(std::move(change.entry));
+    if (change.erase) continue;
+    next.records_[e] = change.record;
+    next.prefixes_[e] = ShardSnapshot::Prefix(key);
+    std::copy(key.begin(), key.end(), next.arena_ + arena_end);
+    arena_end += static_cast<uint32_t>(key.size());
+    next.tag_offsets_[e + 1] = arena_end;
+    ++next.size_;
+    oldest = std::min(oldest, change.record.period_end);
   }
-  while (old < old_entries.size()) keep_old();
-  changes.clear();
-  snapshot->prefixes_.reserve(entries.size());
-  for (const ShardSnapshot::Entry& entry : entries) {
-    snapshot->prefixes_.push_back(ShardSnapshot::Prefix(entry.tags));
-  }
+  copy_old(base.size());
+  shard.changes.clear();
+  shard.oldest_period = oldest;
 
+  // Within-tag posting order: strongest correlation first, fresher values
+  // before staler on ties, tagset order (the entries' own) as the final
+  // tie-break, so snapshots are deterministic functions of their entries.
+  const auto rank = [&next](uint32_t a, uint32_t b) {
+    const ShardSnapshot::Record& ra = next.records_[a];
+    const ShardSnapshot::Record& rb = next.records_[b];
+    if (ra.coefficient != rb.coefficient) {
+      return ra.coefficient > rb.coefficient;
+    }
+    if (ra.period_end != rb.period_end) return ra.period_end > rb.period_end;
+    return a < b;
+  };
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-  const auto rank = [&entries](uint32_t a, uint32_t b) {
-    return PostingLess(entries[a], entries[b]);
-  };
   std::sort(pairs.begin(), pairs.end(),
             [&rank](const std::pair<TagId, uint32_t>& a,
                     const std::pair<TagId, uint32_t>& b) {
@@ -228,57 +323,61 @@ std::shared_ptr<const ShardSnapshot> CorrelationIndex::BuildSnapshot(
               return rank(a.second, b.second);
             });
 
-  std::vector<uint32_t>& postings = snapshot->postings_;
-  postings.reserve(base.postings_.size() + pairs.size());
-  snapshot->postings_offsets_.push_back(0);
-  const std::vector<TagId>& old_keys = base.tag_keys_;
+  const TagId* old_keys = base.tag_keys_;
+  uint32_t* postings = next.postings_;
+  std::vector<uint32_t>& survivors = scratch_.survivors;
+  size_t n = 0;  // Postings written.
   size_t k = 0;  // Into old_keys.
   size_t t = 0;  // Into touched.
   size_t p = 0;  // Into pairs.
-  while (k < old_keys.size() || t < touched.size()) {
-    const bool in_base = k < old_keys.size() &&
+  while (k < base.num_keys_ || t < touched.size()) {
+    const bool in_base = k < base.num_keys_ &&
                          (t == touched.size() || old_keys[k] <= touched[t]);
     const bool is_touched = t < touched.size() &&
-                            (k == old_keys.size() || touched[t] <= old_keys[k]);
+                            (k == base.num_keys_ || touched[t] <= old_keys[k]);
     const TagId tag = in_base ? old_keys[k++] : touched[t];
-    const size_t start = postings.size();
+    const size_t start = n;
     if (in_base) {
       for (size_t j = base.postings_offsets_[k - 1];
            j < base.postings_offsets_[k]; ++j) {
         const uint32_t e = remap[base.postings_[j]];
-        if (e != kGone) postings.push_back(e);
+        postings[n] = e;  // Kept unless gone.
+        n += e != kGone ? 1 : 0;
       }
     }
     if (is_touched) {
       // Surviving postings keep their relative order; merge the changed
       // entries' sorted run in.
-      const size_t mid = postings.size();
+      survivors.assign(postings + start, postings + n);
+      n = start;
+      size_t i = 0;
       for (; p < pairs.size() && pairs[p].first == tag; ++p) {
-        postings.push_back(pairs[p].second);
+        const uint32_t e = pairs[p].second;
+        while (i < survivors.size() && rank(survivors[i], e)) {
+          postings[n++] = survivors[i++];
+        }
+        postings[n++] = e;
       }
-      std::inplace_merge(postings.begin() + static_cast<ptrdiff_t>(start),
-                         postings.begin() + static_cast<ptrdiff_t>(mid),
-                         postings.end(), rank);
+      for (; i < survivors.size(); ++i) postings[n++] = survivors[i];
       ++t;
     }
-    if (postings.size() == start) continue;  // Every entry left the tag.
-    snapshot->tag_keys_.push_back(tag);
-    snapshot->postings_offsets_.push_back(postings.size());
+    if (n == start) continue;  // Every entry left the tag.
+    next.tag_keys_[next.num_keys_++] = tag;
+    next.postings_offsets_[next.num_keys_] = static_cast<uint32_t>(n);
   }
   return snapshot;
 }
 
 namespace {
 
-/// The serve blob's contents: on export each shard's entries are a view of
-/// its published snapshot, on restore a vector parsed ahead of any change.
-template <class Entries>
+/// The serve blob's contents.
 struct Blob {
   uint32_t num_shards = 0;
   uint64_t epoch = 0;
   Timestamp latest_period = 0;
   std::vector<Timestamp> recent_periods;
-  std::vector<Entries> shards;  // Sized to the index's shard count.
+  // Sized to the index's shard count.
+  std::vector<std::vector<ShardSnapshot::Entry>> shards;
 };
 
 /// The blob's layout. The shard a tag hashes into depends on the shard
@@ -308,14 +407,19 @@ bool Fields(Io& io, B& b) {
 }  // namespace
 
 void CorrelationIndex::ExportState(std::string* out) const {
-  Blob<std::span<const ShardSnapshot::Entry>> blob;
+  Blob blob;
   blob.num_shards = static_cast<uint32_t>(num_shards_);
   blob.epoch = epoch_.load(std::memory_order_acquire);
   blob.latest_period = latest_period_.load(std::memory_order_acquire);
   blob.recent_periods = recent_periods_;
+  blob.shards.resize(num_shards_);
   for (size_t s = 0; s < num_shards_; ++s) {
     // The writer is the only thread that swaps the slot.
-    blob.shards.emplace_back(shards_[s].slot->entries());
+    const ShardSnapshot& snapshot = *shards_[s].slot;
+    blob.shards[s].reserve(snapshot.size());
+    for (size_t entry = 0; entry < snapshot.size(); ++entry) {
+      blob.shards[s].push_back(snapshot.EntryAt(entry));
+    }
   }
   storage::ByteWriter w;
   Fields(w, std::as_const(blob));
@@ -325,12 +429,20 @@ void CorrelationIndex::ExportState(std::string* out) const {
 bool CorrelationIndex::RestoreState(std::string_view blob) {
   // Parse everything before touching the index, so a malformed blob
   // leaves it untouched.
-  Blob<std::vector<ShardSnapshot::Entry>> parsed;
+  Blob parsed;
   parsed.shards.resize(num_shards_);
   storage::ByteReader r(blob);
   if (!Fields(r, parsed) || !r.empty()) return false;
-  // A CRC-valid blob may still be forged: a snapshot must hold each
-  // tagset once, and only tagsets one of whose tags its shard owns.
+  // A CRC-valid blob may still be forged. Retention reads the period list
+  // as the ascending newest period-ends seen, none past the latest; a
+  // snapshot must hold each tagset once, none of a period past the
+  // latest, and only tagsets one of whose tags its shard owns.
+  const std::vector<Timestamp>& periods = parsed.recent_periods;
+  if (std::adjacent_find(periods.begin(), periods.end(),
+                         std::greater_equal<Timestamp>()) != periods.end() ||
+      (!periods.empty() && periods.back() > parsed.latest_period)) {
+    return false;
+  }
   for (size_t s = 0; s < num_shards_; ++s) {
     std::vector<ShardSnapshot::Entry>& entries = parsed.shards[s];
     std::sort(entries.begin(), entries.end(),
@@ -340,7 +452,10 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
       const bool owned = std::any_of(tags.begin(), tags.end(), [&](TagId t) {
         return ShardOf(t) == s;
       });
-      if (!owned || (i > 0 && entries[i - 1].tags == tags)) return false;
+      if (!owned || (i > 0 && entries[i - 1].tags == tags) ||
+          entries[i].period_end > parsed.latest_period) {
+        return false;
+      }
     }
   }
   recent_periods_ = std::move(parsed.recent_periods);
@@ -353,10 +468,16 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
   for (size_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
     shard.changes.clear();
-    for (ShardSnapshot::Entry& entry : parsed.shards[s]) {
-      shard.changes.push_back({std::move(entry)});
+    shard.oldest_period = kNoPeriod;
+    for (const ShardSnapshot::Entry& entry : parsed.shards[s]) {
+      shard.changes.push_back({&entry.tags,
+                               {entry.coefficient, entry.intersection_count,
+                                entry.union_count, entry.period_end},
+                               false});
     }
-    Publish(shard, BuildSnapshot(s, empty, parsed.epoch));
+    Publish(shard, BuildSnapshot(s, empty,
+                                 std::numeric_limits<Timestamp>::min(),
+                                 parsed.epoch));
   }
   return true;
 }
@@ -390,8 +511,9 @@ size_t CorrelationIndex::Reader::TopCorrelated(
       snapshot->TopForTag(tag, index_->config_.top_k_capacity);
   const size_t n = std::min(k, available);
   for (size_t i = 0; i < n; ++i) {
-    const ShardSnapshot::Entry& entry = snapshot->entries()[postings[i]];
-    out->push_back({entry.tags, entry.coefficient, entry.period_end});
+    const ShardSnapshot::Record& record = snapshot->RecordAt(postings[i]);
+    out->push_back({snapshot->TagsAt(postings[i]), record.coefficient,
+                    record.period_end});
   }
   if (hist != nullptr) {
     const int64_t span = telemetry::MonotonicNanos() - t0;
@@ -409,14 +531,14 @@ std::optional<LookupResult> CorrelationIndex::Reader::Lookup(
   // so tags[0] is the minimum) — the one deterministic owner among the
   // shards the entry is replicated to.
   const ShardSnapshot* snapshot = Acquire(index_->ShardOf(tags[0]));
-  const ShardSnapshot::Entry* entry = snapshot->FindSet(tags);
+  const ShardSnapshot::Record* record = snapshot->FindSet(tags);
   std::optional<LookupResult> result;
-  if (entry != nullptr) {
+  if (record != nullptr) {
     result.emplace();
-    result->coefficient = entry->coefficient;
-    result->intersection_count = entry->intersection_count;
-    result->union_count = entry->union_count;
-    result->period_end = entry->period_end;
+    result->coefficient = record->coefficient;
+    result->intersection_count = record->intersection_count;
+    result->union_count = record->union_count;
+    result->period_end = record->period_end;
     result->epoch = snapshot->epoch();
   }
   if (hist != nullptr) {
@@ -433,11 +555,13 @@ size_t CorrelationIndex::Reader::Snapshot(double min_jaccard,
   out->clear();
   for (size_t s = 0; s < index_->num_shards_; ++s) {
     const ShardSnapshot* snapshot = Acquire(s);
-    for (const ShardSnapshot::Entry& entry : snapshot->entries()) {
-      if (entry.coefficient < min_jaccard) continue;
+    for (size_t entry = 0; entry < snapshot->size(); ++entry) {
+      const ShardSnapshot::Record& record = snapshot->RecordAt(entry);
+      if (record.coefficient < min_jaccard) continue;
       // Replicated entries are emitted by their home shard only.
-      if (index_->ShardOf(entry.tags[0]) != s) continue;
-      out->push_back({entry.tags, entry.coefficient, entry.period_end});
+      if (index_->ShardOf(snapshot->FirstTagAt(entry)) != s) continue;
+      out->push_back(
+          {snapshot->TagsAt(entry), record.coefficient, record.period_end});
     }
   }
   std::sort(out->begin(), out->end(),
@@ -458,8 +582,8 @@ size_t CorrelationIndex::Reader::TotalSets() const {
   size_t total = 0;
   for (size_t s = 0; s < index_->num_shards_; ++s) {
     const ShardSnapshot* snapshot = Acquire(s);
-    for (const ShardSnapshot::Entry& entry : snapshot->entries()) {
-      if (index_->ShardOf(entry.tags[0]) == s) ++total;
+    for (size_t entry = 0; entry < snapshot->size(); ++entry) {
+      if (index_->ShardOf(snapshot->FirstTagAt(entry)) == s) ++total;
     }
   }
   return total;

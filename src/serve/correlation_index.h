@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -38,14 +40,22 @@ struct LookupResult {
 
 /// Immutable, epoch-versioned read view of one shard. Built off the read
 /// path by the single writer and published wholesale; readers never observe
-/// a partially built snapshot. Layout is read-optimised: a dense entry
-/// array sorted by tagset (an exact lookup binary-searches a lane of the
-/// sets' first two tags) and CSR-shaped per-tag postings (sorted tag keys
-/// + one flat index array) so TopCorrelated is a binary search plus a
-/// contiguous copy. The sorted layout is also what lets the writer derive
-/// the next snapshot from this one by merging in only what changed.
+/// a partially built snapshot. The shard is one block, in one allocation,
+/// sorted by tagset (canonical order), as PeriodTable keeps a Tracker
+/// period. Per entry:
+///  - a 32-byte Record (coefficient, CN, union count and period);
+///  - its first two tags packed into a word, a lane an exact lookup
+///    binary-searches;
+///  - where its tags end in a tag arena (they start where the previous
+///    entry's end; an offset lane with a leading 0, as CSR).
+/// That is 56 B per entry at 3 tags. Then CSR-shaped per-tag postings
+/// (sorted tag keys + one flat index array), so TopCorrelated is a binary
+/// search plus a contiguous copy. Every lane is a flat array in tagset
+/// order, so the writer derives the next snapshot from this one by copying
+/// unchanged runs in bulk and merging in only what changed.
 class ShardSnapshot {
  public:
+  /// One entry as a value: what a serve blob holds.
   struct Entry {
     TagSet tags;
     double coefficient = 0.0;
@@ -54,18 +64,35 @@ class ShardSnapshot {
     Timestamp period_end = 0;
   };
 
+  /// An entry's fixed numbers.
+  struct Record {
+    double coefficient;
+    uint64_t intersection_count;
+    uint64_t union_count;
+    Timestamp period_end;
+  };
+
   ShardSnapshot() = default;
 
-  /// The entry for `tags`, or nullptr when the shard does not hold it.
-  const Entry* FindSet(const TagSet& tags) const {
-    const uint64_t prefix = Prefix(tags);
-    for (size_t i = static_cast<size_t>(
-             std::lower_bound(prefixes_.begin(), prefixes_.end(), prefix) -
-             prefixes_.begin());
-         i < prefixes_.size() && prefixes_[i] == prefix; ++i) {
-      if (entries_[i].tags == tags) return &entries_[i];
-    }
-    return nullptr;
+  size_t size() const { return size_; }
+  const Record& RecordAt(size_t entry) const { return records_[entry]; }
+  /// The smallest tag of entry `entry`, read off the prefix lane.
+  TagId FirstTagAt(size_t entry) const {
+    return static_cast<TagId>(prefixes_[entry] >> 32);
+  }
+  TagSet TagsAt(size_t entry) const {
+    return TagSet::FromSorted(TagsBegin(entry), TagsEnd(entry));
+  }
+  Entry EntryAt(size_t entry) const {
+    const Record& r = records_[entry];
+    return {TagsAt(entry), r.coefficient, r.intersection_count,
+            r.union_count, r.period_end};
+  }
+
+  /// The record of `tags`, or nullptr when the shard does not hold it.
+  const Record* FindSet(const TagSet& tags) const {
+    const size_t entry = LowerBound(0, tags);
+    return Holds(entry, tags) ? &records_[entry] : nullptr;
   }
 
   /// The head of `tag`'s postings: entry indices sorted by descending
@@ -74,18 +101,23 @@ class ShardSnapshot {
   /// promotes the next one exactly.
   std::pair<const uint32_t*, size_t> TopForTag(TagId tag,
                                                size_t capacity) const {
-    const auto it = std::lower_bound(tag_keys_.begin(), tag_keys_.end(), tag);
-    if (it == tag_keys_.end() || *it != tag) return {nullptr, 0};
-    const size_t i = static_cast<size_t>(it - tag_keys_.begin());
+    const TagId* keys = tag_keys_;
+    const TagId* keys_end = keys + num_keys_;
+    const TagId* it = std::lower_bound(keys, keys_end, tag);
+    if (it == keys_end || *it != tag) return {nullptr, 0};
+    const size_t i = static_cast<size_t>(it - keys);
     const size_t run = postings_offsets_[i + 1] - postings_offsets_[i];
-    return {postings_.data() + postings_offsets_[i], std::min(capacity, run)};
+    return {postings_ + postings_offsets_[i], std::min(capacity, run)};
   }
 
-  const std::vector<Entry>& entries() const { return entries_; }
   uint64_t epoch() const { return epoch_; }
 
  private:
   friend class CorrelationIndex;
+
+  /// Room for at most `entries` entries, `tags` arena tags, `keys` tag
+  /// keys and `postings` postings; the builder fills it.
+  ShardSnapshot(size_t entries, size_t tags, size_t keys, size_t postings);
 
   /// A set's first two tags packed into one word (0 for a missing second
   /// tag, which no stored set lacks). Canonical tagset order sorts these
@@ -95,11 +127,53 @@ class ShardSnapshot {
            (tags.size() > 1 ? tags[1] : 0);
   }
 
-  std::vector<Entry> entries_;         // Sorted by tagset (canonical order).
-  std::vector<uint64_t> prefixes_;     // Prefix(entries_[i].tags).
-  std::vector<TagId> tag_keys_;        // Sorted tags owned by this shard.
-  std::vector<size_t> postings_offsets_;  // CSR offsets, size keys + 1.
-  std::vector<uint32_t> postings_;     // Entry indices, per-tag coef-desc.
+  const TagId* TagsBegin(size_t entry) const {
+    return arena_ + tag_offsets_[entry];
+  }
+  const TagId* TagsEnd(size_t entry) const {
+    return arena_ + tag_offsets_[entry + 1];
+  }
+  size_t NumTags() const { return size_ == 0 ? 0 : tag_offsets_[size_]; }
+  size_t NumPostings() const {
+    return num_keys_ == 0 ? 0 : postings_offsets_[num_keys_];
+  }
+
+  /// The first entry at or after `first` whose tagset does not order
+  /// before `tags`. Entries of one prefix share their first two tags, so
+  /// only the tags past those are compared; a set of two tags is found
+  /// from the prefix and offset lanes alone. (A stored set has at least
+  /// two tags, so `tags` has too when its prefix matches.)
+  size_t LowerBound(size_t first, const TagSet& tags) const {
+    const uint64_t prefix = Prefix(tags);
+    auto entry = static_cast<size_t>(
+        std::lower_bound(prefixes_ + first, prefixes_ + size_, prefix) -
+        prefixes_);
+    while (entry < size_ && prefixes_[entry] == prefix &&
+           std::lexicographical_compare(TagsBegin(entry) + 2, TagsEnd(entry),
+                                        tags.begin() + 2, tags.end())) {
+      ++entry;
+    }
+    return entry;
+  }
+  /// Whether entry `entry` (possibly size()) holds `tags`.
+  bool Holds(size_t entry, const TagSet& tags) const {
+    return entry < size_ && prefixes_[entry] == Prefix(tags) &&
+           std::equal(TagsBegin(entry) + 2, TagsEnd(entry), tags.begin() + 2,
+                      tags.end());
+  }
+
+  std::unique_ptr<std::byte[]> block_;  // Every lane below.
+  // By entry, in ascending tagset order.
+  size_t size_ = 0;
+  Record* records_ = nullptr;
+  uint64_t* prefixes_ = nullptr;  // Prefix of the entry's tags.
+  uint32_t* tag_offsets_ = nullptr;  // Its tags in arena_, CSR, size_ + 1.
+  TagId* arena_ = nullptr;
+  // Postings.
+  size_t num_keys_ = 0;
+  TagId* tag_keys_ = nullptr;            // Sorted tags owned by the shard.
+  uint32_t* postings_offsets_ = nullptr;  // CSR offsets, num_keys_ + 1.
+  uint32_t* postings_ = nullptr;          // Entries, per-tag coef-desc.
   uint64_t epoch_ = 0;
 };
 
@@ -116,11 +190,16 @@ class ShardSnapshot {
 ///
 /// Concurrency (RCU-style): each shard publishes an immutable
 /// ShardSnapshot, which is also the only copy of the shard's entries. The
-/// single writer (ApplyPeriod) stages each touched shard's changes — a
-/// tagset's new entry, or a tombstone — and builds the shard's next
-/// snapshot off-path by merging them into the published one — O(n + d log
-/// d) for d changes, not a rebuild of the shard — then swaps it in; old
-/// snapshots are reclaimed by shared_ptr once the last reader drops them.
+/// single writer (ApplyPeriod) hands each estimate once to each shard that
+/// owns one of its tags, in tagset order, so every shard's changes form a
+/// sorted run. A shard with a change, or holding an entry the retention
+/// window just expired, builds its next snapshot off-path by one linear
+/// merge of the published block with that run: unchanged runs of entries
+/// are copied in bulk, expired entries are dropped in the same pass, and
+/// postings are copied through a run-wise remap. A publish costs the bytes
+/// the shard holds plus O(d log n) for d changes (only the d changes' own
+/// postings are sorted). It then swaps the snapshot in; old snapshots are
+/// reclaimed by shared_ptr once the last reader drops them.
 /// Readers go through per-thread Reader handles that cache the shared_ptr
 /// per shard and re-copy it only when the shard's atomic version counter
 /// changed, so a steady-state query performs no reference-count traffic
@@ -151,7 +230,9 @@ class CorrelationIndex {
   /// replaces the stored one of the same or an older period and is ignored
   /// when that is newer; of one tagset twice in a call the later wins. A
   /// value below ServeConfig::min_coefficient removes the one it would
-  /// replace. Estimates with fewer than two tags are skipped.
+  /// replace. Estimates with fewer than two tags are skipped. The Tracker
+  /// forwards its values in tagset order; any other order is first put in
+  /// tagset order by a stable sort of positions.
   void ApplyPeriod(Timestamp period_end,
                    const std::vector<JaccardEstimate>& estimates);
 
@@ -221,7 +302,9 @@ class CorrelationIndex {
   /// republishes every shard, so a restored index serves exactly what the
   /// captured one did. Returns false (leaving the index untouched) on a
   /// malformed blob (trailing bytes included), a shard-count mismatch, or a
-  /// shard holding a tagset twice or one none of whose tags it owns.
+  /// shard holding a tagset twice or one none of whose tags it owns, a
+  /// retention list that is not strictly ascending, or a retained period
+  /// or entry newer than the blob's latest period.
   void ExportState(std::string* out) const;
   bool RestoreState(std::string_view blob);
 
@@ -238,11 +321,13 @@ class CorrelationIndex {
   const ServeConfig& config() const { return config_; }
 
  private:
-  /// A change staged for one shard's next snapshot: `entry` replaces the
-  /// stored entry of its tagset, or removes it when `erase`.
+  /// A change staged for one shard's next snapshot: the set `*tags` takes
+  /// `record`, or leaves the shard when `erase`. `tags` points into the
+  /// caller's input, which outlives the publish.
   struct Change {
-    ShardSnapshot::Entry entry;
-    bool erase = false;
+    const TagSet* tags;
+    ShardSnapshot::Record record;
+    bool erase;
   };
 
   struct Shard {
@@ -253,10 +338,16 @@ class CorrelationIndex {
     /// and copy only; the pointee is immutable.
     mutable std::mutex slot_mutex;
     std::shared_ptr<const ShardSnapshot> slot;
-    /// Writer-only: changes since the last publish, in staging order (a
-    /// tagset's last change wins); the shard republishes when non-empty.
+    /// Writer-only: this call's changes, in tagset order, one per tagset.
     std::vector<Change> changes;
+    /// Writer-only: no newer than the oldest period the published
+    /// snapshot holds, so retention passes over the shards it cannot
+    /// expire without scanning their entries.
+    Timestamp oldest_period = kNoPeriod;
   };
+
+  /// Above every period: the oldest period of a shard that holds nothing.
+  static constexpr Timestamp kNoPeriod = std::numeric_limits<Timestamp>::max();
 
   /// Swaps in `snapshot` and bumps the shard's version (writer side).
   static void Publish(Shard& shard,
@@ -266,17 +357,23 @@ class CorrelationIndex {
     return static_cast<size_t>(HashTagSpan(&tag, 1)) & shard_mask_;
   }
 
-  /// Builds shard `s`'s next immutable snapshot by merging its staged
-  /// changes into `base` (the shard's published snapshot, or an empty one
-  /// to build from scratch), and clears the changes.
+  /// Whether `shard`'s published snapshot holds an entry of a period
+  /// before `cutoff`. Scans it only when its oldest_period bound is below
+  /// the cutoff, and then makes the bound exact.
+  static bool HoldsExpired(Shard& shard, Timestamp cutoff);
+
+  /// Builds shard `s`'s next immutable snapshot by one merge of `base`
+  /// (the shard's published snapshot, or an empty one to build from
+  /// scratch) with its staged changes, dropping the unchanged entries of
+  /// periods before `cutoff`, and clears the changes.
   std::shared_ptr<const ShardSnapshot> BuildSnapshot(
-      size_t s, const ShardSnapshot& base, uint64_t epoch);
+      size_t s, const ShardSnapshot& base, Timestamp cutoff, uint64_t epoch);
 
   /// Applies the retention policy to a call for `period_end`: once more
-  /// than `retention_periods` distinct period-ends were seen, stages a
-  /// tombstone for every published entry older than the newest
-  /// `retention_periods` of them. Returns the oldest period still retained,
-  /// or the lowest Timestamp when nothing expires.
+  /// than `retention_periods` distinct period-ends were seen, entries
+  /// older than the newest `retention_periods` of them expire. Returns the
+  /// oldest period still retained, or the lowest Timestamp when nothing
+  /// expires.
   Timestamp EvictExpired(Timestamp period_end);
 
   ServeConfig config_;
@@ -286,6 +383,13 @@ class CorrelationIndex {
   std::atomic<uint64_t> epoch_{0};
   std::atomic<Timestamp> latest_period_{0};
   std::vector<Timestamp> recent_periods_;  // Writer-only, ascending.
+  /// Writer-only buffers of BuildSnapshot, kept to reuse their capacity.
+  struct {
+    std::vector<uint32_t> remap;  // Base entry -> next entry, or gone.
+    std::vector<TagId> touched;   // Owned tags of the changed tagsets.
+    std::vector<std::pair<TagId, uint32_t>> pairs;  // New entries' postings.
+    std::vector<uint32_t> survivors;  // A touched tag's remapped postings.
+  } scratch_;
   std::atomic<int64_t> last_publish_wall_ns_{0};
   // Instrumentation handles (null = detached). Histogram Record is
   // lock-free, so readers share them without coordination.

@@ -347,16 +347,19 @@ TEST(CorrelationIndex, NonCanonicalTagsInBlobAreRefused) {
   EXPECT_TRUE(index.NewReader().Lookup(TagSet({1, 2})).has_value());
 }
 
-/// A serve blob written by hand: one retained period, then each shard's
-/// entries as given, in that order and placement.
+/// A serve blob written by hand: the latest period and the retained ones
+/// (one, 1000, by default), then each shard's entries as given, in that
+/// order and placement.
 std::string HandBlob(
-    const std::vector<std::vector<ShardSnapshot::Entry>>& shards) {
+    const std::vector<std::vector<ShardSnapshot::Entry>>& shards,
+    Timestamp latest_period = 1000,
+    const std::vector<Timestamp>& retained = {1000}) {
   storage::ByteWriter w;
   w.PutU32(static_cast<uint32_t>(shards.size()));
-  w.PutU64(1);     // epoch
-  w.PutI64(1000);  // latest period
-  w.PutU64(1);     // one retained period
-  w.PutI64(1000);
+  w.PutU64(1);  // epoch
+  w.PutI64(latest_period);
+  w.PutU64(retained.size());
+  for (const Timestamp period : retained) w.PutI64(period);
   for (const std::vector<ShardSnapshot::Entry>& entries : shards) {
     w.PutU64(entries.size());
     for (const ShardSnapshot::Entry& e : entries) {
@@ -371,8 +374,9 @@ std::string HandBlob(
   return w.str();
 }
 
-ShardSnapshot::Entry Held(std::vector<TagId> tags, double coefficient) {
-  return {TagSet(tags), coefficient, 1, 2, 1000};
+ShardSnapshot::Entry Held(std::vector<TagId> tags, double coefficient,
+                          Timestamp period_end = 1000) {
+  return {TagSet(tags), coefficient, 1, 2, period_end};
 }
 
 TEST(CorrelationIndex, InsertionOrderBlobRestoresAndExportsSorted) {
@@ -416,6 +420,35 @@ TEST(CorrelationIndex, ForgedBlobsAreRefused) {
   EXPECT_EQ(reader.TotalSets(), 1u);
 }
 
+TEST(CorrelationIndex, ForgedRetentionIsRefused) {
+  // Retention reads the blob's period list as the ascending newest
+  // period-ends seen, none past the latest; a list out of order would
+  // keep expired entries servable. Refused, as are entries of a period
+  // past the latest, and the index is left as it was.
+  ServeConfig config;
+  config.num_shards = 1;
+  config.retention_periods = 2;
+  const std::vector<std::vector<ShardSnapshot::Entry>> held = {
+      {Held({1, 2}, 0.5, 1000), Held({3, 4}, 0.5, 5000)}};
+  CorrelationIndex index(config);
+  index.ApplyPeriod(2000, {Estimate({5, 6}, 0.7, 7, 10)});
+  EXPECT_FALSE(index.RestoreState(HandBlob(held, 5000, {5000, 1000})));
+  EXPECT_FALSE(index.RestoreState(HandBlob(held, 5000, {1000, 1000})));
+  EXPECT_FALSE(index.RestoreState(HandBlob(held, 5000, {1000, 6000})));
+  EXPECT_FALSE(index.RestoreState(HandBlob(held, 4000, {1000})));
+  CorrelationIndex::Reader reader = index.NewReader();
+  EXPECT_TRUE(reader.Lookup(TagSet({5, 6})).has_value());
+  EXPECT_EQ(reader.TotalSets(), 1u);
+
+  ASSERT_TRUE(index.RestoreState(HandBlob(held, 5000, {1000, 5000})));
+  EXPECT_EQ(reader.TotalSets(), 2u);
+  // Period 3000 pushes 1000 out of the two-period window.
+  index.ApplyPeriod(3000, {Estimate({7, 8}, 0.5, 5, 10)});
+  EXPECT_FALSE(reader.Lookup(TagSet({1, 2})).has_value());
+  EXPECT_TRUE(reader.Lookup(TagSet({3, 4})).has_value());
+  EXPECT_EQ(reader.TotalSets(), 2u);
+}
+
 /// Every answer `index` serves must equal the from-scratch twin's:
 /// RestoreState rebuilds each shard against an empty base, so a twin
 /// restored from ExportState is the full-rebuild oracle for the
@@ -428,6 +461,9 @@ void ExpectMatchesScratchRebuild(const CorrelationIndex& index,
   CorrelationIndex twin(index.config());
   ASSERT_TRUE(twin.RestoreState(blob));
   EXPECT_EQ(twin.epoch(), index.epoch());
+  std::string twin_blob;
+  twin.ExportState(&twin_blob);
+  EXPECT_EQ(twin_blob, blob);
   CorrelationIndex::Reader live = index.NewReader();
   CorrelationIndex::Reader scratch = twin.NewReader();
   const auto expect_same = [](const std::vector<ScoredSet>& got,
@@ -585,6 +621,148 @@ TEST(IndexSink, IncrementalPublishMatchesScratchRebuild) {
     SCOPED_TRACE(merge == EstimateMerge::kMaxCN ? "max-CN" : "additive");
     RunIncrementalVsScratch(merge);
   }
+}
+
+/// Differential: seeded reports straight into ApplyPeriod against a model
+/// of its contract (a map from tagset to its stored value, the retention
+/// window, and the publish count) and against a from-scratch rebuild. The
+/// stream screens values out (min_coefficient), repeats a tagset within a
+/// call in sorted and in unsorted reports, sends one-tag estimates and
+/// values of a period older than the held one, and advances retention by
+/// empty reports, so a shard with no change must still drop what expired.
+TEST(CorrelationIndex, DirectApplyMatchesModelAndScratchRebuild) {
+  ServeConfig config;
+  config.num_shards = 4;
+  config.top_k_capacity = 3;
+  config.retention_periods = 3;
+  config.min_coefficient = 0.3;
+  CorrelationIndex index(config);
+
+  struct Value {
+    JaccardEstimate estimate;
+    Timestamp period_end;
+  };
+  std::map<TagSet, Value> model;
+  std::set<Timestamp> window;
+  uint64_t epoch = 0;
+  // What the stream must have done.
+  int repeats_sorted = 0;
+  int repeats_unsorted = 0;
+  int one_tag = 0;
+  int older_than_held = 0;
+  int tombstones = 0;
+  int expired_by_empty = 0;
+
+  constexpr TagId kTags = 12;
+  std::mt19937_64 rng(23);
+  std::set<TagId> tags_seen;
+  std::set<TagSet> sets_seen;
+  Timestamp period = 1000;
+  for (int call = 0; call < 300; ++call) {
+    SCOPED_TRACE(call);
+    if (rng() % 4 == 0) period += 1000;
+    Timestamp period_end = period;
+    if (rng() % 5 == 0) period_end -= 1000 * static_cast<Timestamp>(1 + rng() % 3);
+    std::vector<JaccardEstimate> report;
+    const int count = rng() % 8 == 0 ? 0 : 1 + static_cast<int>(rng() % 6);
+    for (int e = 0; e < count; ++e) {
+      std::vector<TagId> tags;
+      const size_t size = rng() % 10 == 0 ? 1 : 2 + rng() % 2;
+      while (tags.size() < size) {
+        const TagId tag = static_cast<TagId>(rng() % kTags);
+        if (std::find(tags.begin(), tags.end(), tag) == tags.end()) {
+          tags.push_back(tag);
+        }
+      }
+      const uint64_t intersection = rng() % 5;
+      report.push_back(Estimate(tags, static_cast<double>(intersection) / 4,
+                                intersection, 4));
+    }
+    const bool repeat = !report.empty() && rng() % 3 == 0;
+    if (repeat) {
+      JaccardEstimate again = report[rng() % report.size()];
+      again.intersection_count = (again.intersection_count + 2) % 5;
+      again.coefficient = static_cast<double>(again.intersection_count) / 4;
+      report.push_back(again);
+    }
+    const bool sorted = rng() % 2 == 0;
+    if (sorted) {
+      std::stable_sort(report.begin(), report.end(),
+                       [](const JaccardEstimate& a, const JaccardEstimate& b) {
+                         return a.tags < b.tags;
+                       });
+    } else {
+      std::shuffle(report.begin(), report.end(), rng);
+    }
+    if (repeat) ++(sorted ? repeats_sorted : repeats_unsorted);
+
+    // The model: retention first, then each value in arrival order.
+    bool publishes = false;
+    Timestamp cutoff = std::numeric_limits<Timestamp>::min();
+    window.insert(period_end);
+    if (window.size() > static_cast<size_t>(config.retention_periods)) {
+      while (window.size() > static_cast<size_t>(config.retention_periods)) {
+        window.erase(window.begin());
+      }
+      cutoff = *window.begin();
+      for (auto it = model.begin(); it != model.end();) {
+        if (it->second.period_end >= cutoff) {
+          ++it;
+          continue;
+        }
+        it = model.erase(it);
+        publishes = true;
+        expired_by_empty += report.empty() ? 1 : 0;
+      }
+    }
+    for (const JaccardEstimate& estimate : report) {
+      tags_seen.insert(estimate.tags.begin(), estimate.tags.end());
+      sets_seen.insert(estimate.tags);
+      if (estimate.tags.size() < 2) {
+        ++one_tag;
+        continue;
+      }
+      if (period_end < cutoff) continue;
+      const auto held = model.find(estimate.tags);
+      if (held != model.end() && held->second.period_end > period_end) {
+        ++older_than_held;
+        continue;
+      }
+      if (estimate.coefficient < config.min_coefficient) {
+        if (held == model.end()) continue;
+        ++tombstones;
+        model.erase(held);
+      } else {
+        model.insert_or_assign(estimate.tags, Value{estimate, period_end});
+      }
+      publishes = true;
+    }
+    epoch += publishes ? 1 : 0;
+
+    index.ApplyPeriod(period_end, report);
+    EXPECT_EQ(index.epoch(), epoch);
+    CorrelationIndex::Reader reader = index.NewReader();
+    EXPECT_EQ(reader.TotalSets(), model.size());
+    for (const TagSet& set : sets_seen) {
+      const std::optional<LookupResult> hit = reader.Lookup(set);
+      const auto want = model.find(set);
+      ASSERT_EQ(hit.has_value(), want != model.end()) << set.ToString();
+      if (!hit.has_value()) continue;
+      EXPECT_EQ(hit->period_end, want->second.period_end) << set.ToString();
+      EXPECT_EQ(hit->coefficient, want->second.estimate.coefficient);
+      EXPECT_EQ(hit->intersection_count,
+                want->second.estimate.intersection_count);
+      EXPECT_EQ(hit->union_count, want->second.estimate.union_count);
+    }
+    ExpectMatchesScratchRebuild(index, tags_seen, sets_seen);
+    if (testing::Test::HasFailure()) return;  // Report the first divergence.
+  }
+  EXPECT_GT(repeats_sorted, 0);
+  EXPECT_GT(repeats_unsorted, 0);
+  EXPECT_GT(one_tag, 0);
+  EXPECT_GT(older_than_held, 0);
+  EXPECT_GT(tombstones, 0);
+  EXPECT_GT(expired_by_empty, 0);
 }
 
 /// Differential oracle (flat_counter_table_test style): stream a workload
